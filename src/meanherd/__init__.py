@@ -2,7 +2,7 @@
 
 The package is organized bottom-up:
 
-- ``kernels``: kernel specifications and Gram matrix evaluation
+- ``kernels``: kernel specifications and blocked kernel sums
 - ``data``: labeled samples, exact finite-support distributions, corruption ops
 - ``embedding``: signed mean embeddings evaluated via kernel sums
 - ``losses``: margin losses, corrected losses, robustness analysis
@@ -66,13 +66,12 @@ from .herding import (
     recursive_herd,
 )
 from .kernels import (
-    GramMatrix,
     KernelSpec,
     cross_gram,
     eval_kernel,
     eval_label_kernel,
     gram,
-    label_gram,
+    kernel_sums,
 )
 from .losses import (
     EvaluationGrid,
@@ -100,7 +99,6 @@ __all__ = [
     "DataError",
     "DiscreteDistribution",
     "EvaluationGrid",
-    "GramMatrix",
     "Herd",
     "HerdingConfig",
     "InputError",
@@ -138,7 +136,7 @@ __all__ = [
     "herd_to_classifier",
     "hinge_loss",
     "kde_score",
-    "label_gram",
+    "kernel_sums",
     "linear_loss",
     "load_csv",
     "load_sparse",

@@ -16,7 +16,8 @@ import numpy as np
 from . import embedding as emb
 from .data import DiscreteDistribution, LabeledSample
 from .errors import InputError
-from .kernels import KernelSpec, cross_gram
+from .kernels import KernelSpec, kernel_sums
+from .losses import score_values
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class MeanClassifier:
             X = X[np.newaxis, :]
         if X.shape[1] != self.dim:
             raise InputError(f"dimension mismatch: {X.shape[1]} vs {self.dim}")
-        return cross_gram(self.kernel, X, self.points) @ (self.alphas * self.labels)
+        return kernel_sums(self.kernel, X, self.points, self.alphas * self.labels)
 
     def score(self, x) -> float:
         return float(self.scores(np.asarray(x, dtype=float)[np.newaxis, :])[0])
@@ -185,8 +186,11 @@ def mmd(X_pos, X_neg, kernel: KernelSpec) -> float:
 # Margins
 
 
-def _margins(data, f) -> tuple[np.ndarray, np.ndarray]:
-    """(y_i f(x_i), weights) over the rows/atoms of the data."""
+def _margins(data, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(y_i f(x_i), f(x_i), weights) over the rows/atoms of the data.
+
+    ``f`` is a score function or the vector of its values at the rows.
+    """
     if isinstance(data, LabeledSample):
         X, y = data.instances, data.labels
         w = np.full(len(data), 1.0 / len(data))
@@ -195,8 +199,8 @@ def _margins(data, f) -> tuple[np.ndarray, np.ndarray]:
         w = data.probabilities
     else:
         raise InputError(f"expected LabeledSample or DiscreteDistribution, got {type(data).__name__}")
-    v = np.array([float(f(x)) for x in X])
-    return y * v, w
+    v = score_values(f, X)
+    return y * v, v, w
 
 
 def margin_for_error(data, f) -> float:
@@ -207,7 +211,7 @@ def margin_for_error(data, f) -> float:
     margin risk at gamma counts {y f(x) < gamma}, which equals the
     misclassification count exactly for gamma up to that minimum.
     """
-    m, w = _margins(data, f)
+    m, _, w = _margins(data, f)
     positive = m[(m > 0) & (w > 0)]
     if positive.size == 0:
         return 0.0
@@ -218,8 +222,7 @@ def margin_risk(data, f, gamma: float) -> float:
     """Expected margin loss at the given margin (gamma = 0 gives zero-one risk)."""
     if gamma < 0:
         raise InputError(f"gamma must be >= 0, got {gamma}")
-    m, w = _margins(data, f)
-    v = np.array([float(f(x)) for x in (data.instances if isinstance(data, LabeledSample) else data.instances_array())])
+    m, v, w = _margins(data, f)
     errs = (m < gamma) | (v == 0)
     return float(np.dot(w, errs))
 
@@ -243,8 +246,8 @@ def kde_score(S: LabeledSample, kernel: KernelSpec, x) -> float:
         raise InputError("kde_score needs both classes present")
     x = np.asarray(x, dtype=float)[np.newaxis, :]
     n = len(S)
-    k_pos = cross_gram(kernel, x, S.instances[pos])[0]
-    k_neg = cross_gram(kernel, x, S.instances[neg])[0]
+    k_pos = kernel_sums(kernel, x, S.instances[pos], np.full(pos.sum(), 1.0 / pos.sum()))[0]
+    k_neg = kernel_sums(kernel, x, S.instances[neg], np.full(neg.sum(), 1.0 / neg.sum()))[0]
     prior_pos = pos.sum() / n
     prior_neg = neg.sum() / n
-    return float(prior_pos * k_pos.mean() - prior_neg * k_neg.mean())
+    return float(prior_pos * k_pos - prior_neg * k_neg)

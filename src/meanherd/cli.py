@@ -9,11 +9,11 @@ built-in defaults.  Exit codes: 0 success, 1 assertion failure (or
 herding stopped by the iteration cap), 2 usage error, 3 I/O or parse
 error.
 
-``--workers`` is accepted for interface stability and recorded in the
-resolved config; the present implementation executes serially, which is
-equivalent to ``--workers 1`` (every trial is pure given its seed, so
-results do not depend on the worker count).  The default comes from the
-``MEANHERD_WORKERS`` environment variable when set.
+Kernel sums are evaluated in row blocks (``kernels.kernel_sums``), so
+memory grows as O(block * n), never n^2.  ``herd`` passes over the n^2
+kernel entries once for the herding target and once for the independent
+exact audit in ``recomputed_error``; parallel and recursive herds report
+the exact error they already recomputed.
 """
 
 from __future__ import annotations
@@ -21,14 +21,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from . import lab
-from .classifier import MeanClassifier, fit, margin_for_error, mean_norm, mmd
+from .classifier import MeanClassifier, fit, margin_for_error, mmd
 from .data import (
     DiscreteDistribution,
     contaminate,
@@ -54,16 +53,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 _UNSET = object()
-
-
-def _default_workers() -> int:
-    env = os.environ.get("MEANHERD_WORKERS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InputError(f"MEANHERD_WORKERS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
 
 
 def _load_config_file(path) -> dict:
@@ -133,15 +122,11 @@ def cmd_train(args, config) -> int:
     fmt = r.get("format", "auto")
     kernel = _kernel_from(r)
     out = r.get("out")
-    seed = int(r.get("seed", 0))
-    workers = int(r.get("workers", _default_workers()))
-    del seed, workers  # deterministic command; recorded in resolved config only
+    r.get("seed", 0)  # deterministic command; recorded in resolved config only
 
     S = _load_sample(data_path, label_column, fmt)
-    clf = fit(S, kernel)
-    geo = mean_norm(S, kernel)
-    doc = clf.to_dict(n_source=len(S))
-    doc["meta"]["min_linear_loss"] = geo.min_linear_loss
+    doc = fit(S, kernel).to_dict(n_source=len(S))
+    doc["meta"]["min_linear_loss"] = 1.0 - doc["meta"]["norm"]
     doc["config"] = {"subcommand": "train", **r.resolved}
     _write_json(out, doc)
     return EXIT_OK
@@ -158,21 +143,17 @@ def cmd_herd(args, config) -> int:
     eps = float(r.get("epsilon", 0.01))
     max_iterations = int(r.get("max-iterations", 10000))
     step_rule = r.get("step-rule", "line_search")
-    lazy = bool(r.get("lazy", False))
     parallel = r.get("parallel")
     recursive = bool(r.get("recursive", False))
     min_size = int(r.get("min-size", 100))
     out = r.get("out")
     trace_out = r.get("trace-out")
     r.get("seed", 0)
-    r.get("workers", _default_workers())
 
     if parallel is not None and recursive:
         raise InputError("--parallel and --recursive are mutually exclusive")
     S = _load_sample(data_path, label_column, fmt)
-    hconfig = HerdingConfig(
-        tolerance=eps, max_iterations=max_iterations, step_rule=step_rule, lazy=lazy
-    )
+    hconfig = HerdingConfig(tolerance=eps, max_iterations=max_iterations, step_rule=step_rule)
     if parallel is not None:
         h = parallel_herd(S, int(parallel), kernel, hconfig)
     elif recursive:
@@ -182,7 +163,9 @@ def cmd_herd(args, config) -> int:
 
     doc = h.to_dict()
     doc["termination"] = h.termination
-    doc["recomputed_error"] = approximation_error(h, S, kernel)
+    # parallel and recursive herds already recompute their error exactly
+    exact = parallel is not None or recursive
+    doc["recomputed_error"] = h.error if exact else approximation_error(h, S, kernel)
     if h.group_errors:
         doc["group_errors"] = list(h.group_errors)
     if h.stages:
@@ -228,9 +211,9 @@ def cmd_eval(args, config) -> int:
     scores = clf.scores(S.instances)
     doc = {
         "accuracy": float(np.mean(S.labels * scores > 0)),
-        "risk": empirical_risk(loss, S, clf.score),
+        "risk": empirical_risk(loss, S, scores),
         "loss": loss.name,
-        "margin": margin_for_error(S, clf.score),
+        "margin": margin_for_error(S, scores),
         "abstentions": int(np.sum(scores == 0.0)),
         "n": len(S),
         "config": {"subcommand": "eval", **r.resolved},
@@ -322,7 +305,6 @@ def cmd_check(args, config) -> int:
     kernel = KernelSpec.parse(kernel_text)
     r.resolved["kernel"] = kernel.to_dict()
     out = r.get("out")
-    r.get("workers", _default_workers())
 
     names = ALL_SUITES if suite == "all" else (suite,)
     reports = []
@@ -441,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, data=True):
         p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0, always recorded)")
-        p.add_argument("--workers", type=int, default=None, help="worker count (1 = serial)")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         if data:
             p.add_argument("--data", default=None, help="input data file")
@@ -458,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=None, help="target approximation error")
     p.add_argument("--max-iterations", type=int, default=None)
     p.add_argument("--step-rule", choices=("line_search", "uniform"), default=None)
-    p.add_argument("--lazy", action="store_true", default=None, help="stream kernel rows")
     p.add_argument("--parallel", type=int, default=None, help="herd this many groups independently")
     p.add_argument("--recursive", action="store_true", default=None, help="herd stages until --min-size")
     p.add_argument("--min-size", type=int, default=None)
@@ -514,7 +494,7 @@ def main(argv=None) -> int:
     except (ParseError, DataError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (InputError, NotImplementedError) as exc:
+    except InputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MeanHerdError as exc:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import DiscreteDistribution, InstanceDistribution, LabeledSample
 from .errors import ConsistencyError
-from .kernels import KernelSpec, cross_gram
+from .kernels import KernelSpec, kernel_sums
 
 
 @dataclass(frozen=True)
@@ -65,15 +65,12 @@ def combine(*terms: tuple[float, Embedding]) -> Embedding:
 def dot(spec: KernelSpec, a: Embedding, b: Embedding) -> float:
     a = a.merged()
     b = b.merged()
-    K = cross_gram(spec, a.points, b.points)
-    return float(a.coef @ K @ b.coef)
+    return float(a.coef @ kernel_sums(spec, a.points, b.points, b.coef))
 
 
 def squared_norm(spec: KernelSpec, e: Embedding) -> float:
     e = e.merged()
-    K = cross_gram(spec, e.points, e.points)
-    K = 0.5 * (K + K.T)
-    return float(e.coef @ K @ e.coef)
+    return float(e.coef @ kernel_sums(spec, e.points, e.points, e.coef))
 
 
 def norm(spec: KernelSpec, e: Embedding) -> float:
@@ -92,5 +89,5 @@ def score(spec: KernelSpec, e: Embedding, X) -> np.ndarray:
     single = X.ndim == 1
     if single:
         X = X[np.newaxis, :]
-    out = cross_gram(spec, X, e.points) @ e.coef
+    out = kernel_sums(spec, X, e.points, e.coef)
     return float(out[0]) if single else out

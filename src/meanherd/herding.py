@@ -15,22 +15,26 @@ feature space:
 The closed-form line search lambda* = <omega_target - omega_tilde,
 psi(z*) - omega_tilde> / ||psi(z*) - omega_tilde||^2, clipped to [0, 1],
 is the exact minimizer of the quadratic along the segment.
+
+Only c needs a pass over all n^2 kernel entries, done once in row blocks
+by ``kernels.kernel_sums``; each iteration then evaluates the single
+kernel row it selects.  Memory is one block of kernel entries plus a
+few n-vectors, never n x n.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .classifier import MeanClassifier
 from .data import LabeledSample
 from .errors import DataError, InputError
-from .kernels import KernelSpec, cross_gram
+from .kernels import KernelSpec, cross_gram, kernel_sums
 
 STEP_RULES = ("line_search", "uniform")
-RESERVED_STEP_RULES = ("fully_corrective", "away_steps")  # extension points
 
 # Improvements below this are indistinguishable from rounding noise;
 # treated as stationarity.
@@ -42,17 +46,12 @@ class HerdingConfig:
     tolerance: float = 0.01
     max_iterations: int = 1000
     step_rule: str = "line_search"
-    lazy: bool = False  # stream kernel rows instead of storing the full matrix
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise InputError(f"tolerance must be > 0, got {self.tolerance}")
         if self.max_iterations < 1:
             raise InputError("max_iterations must be >= 1")
-        if self.step_rule in RESERVED_STEP_RULES:
-            raise NotImplementedError(
-                f"step rule {self.step_rule!r} is a declared extension point, not implemented"
-            )
         if self.step_rule not in STEP_RULES:
             raise InputError(f"unknown step rule {self.step_rule!r}, expected one of {STEP_RULES}")
 
@@ -120,42 +119,19 @@ class Herd:
         )
 
 
-class _LabelGramView:
-    """Rows of the label-augmented Gram matrix, dense or streamed on demand."""
+def _target_weights(n: int, target_weights) -> np.ndarray:
+    if target_weights is None:
+        return np.full(n, 1.0 / n)
+    t = np.asarray(target_weights, dtype=float)
+    if t.shape != (n,) or np.any(t < 0) or abs(t.sum() - 1.0) > 1e-10:
+        raise InputError("target weights must be a probability vector over the candidates")
+    return t
 
-    def __init__(self, spec: KernelSpec, S: LabeledSample, lazy: bool):
-        self.spec = spec
-        self.X = S.instances
-        self.y = S.labels.astype(float)
-        self.n = len(S)
-        self._dense = None
-        self._cache: dict[int, np.ndarray] = {}
-        if not lazy:
-            K = cross_gram(spec, self.X, self.X)
-            K = 0.5 * (K + K.T)
-            self._dense = np.outer(self.y, self.y) * K
-            if not np.all(np.isfinite(self._dense)):
-                raise DataError("non-finite kernel values in candidate set")
 
-    def row(self, i: int) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense[i]
-        if i not in self._cache:
-            r = cross_gram(self.spec, self.X[i][np.newaxis], self.X)[0]
-            r = self.y[i] * self.y * r
-            if not np.all(np.isfinite(r)):
-                raise DataError("non-finite kernel values in candidate set")
-            self._cache[i] = r
-        return self._cache[i]
-
-    def weighted_columns(self, weights: np.ndarray) -> np.ndarray:
-        """sum_i weights[i] * L[i, :] - one O(n^2) pass, O(n) memory when lazy."""
-        if self._dense is not None:
-            return weights @ self._dense
-        out = np.zeros(self.n)
-        for i in np.nonzero(weights)[0]:
-            out += weights[i] * self.row(int(i))
-        return out
+def _finite(v: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(v)):
+        raise DataError("non-finite kernel values in candidate set")
+    return v
 
 
 def herd(
@@ -174,23 +150,23 @@ def herd(
     """
     config = config or HerdingConfig()
     n = len(S)
-    L = _LabelGramView(kernel, S, lazy=config.lazy)
-    if target_weights is None:
-        t = np.full(n, 1.0 / n)
-    else:
-        t = np.asarray(target_weights, dtype=float)
-        if t.shape != (n,) or np.any(t < 0) or abs(t.sum() - 1.0) > 1e-10:
-            raise InputError("target weights must be a probability vector over the candidates")
+    X = S.instances
+    y = S.labels.astype(float)
+    t = _target_weights(n, target_weights)
 
-    c = L.weighted_columns(t)           # <omega_target, psi(z_j)>
-    target_sq = float(t @ c)            # ||omega_target||^2
+    def row(i: int) -> np.ndarray:
+        """<psi(z_i), psi(z_j)> for every candidate j: one kernel row."""
+        return _finite(y[i] * y * cross_gram(kernel, X[i], X)[0])
+
+    c = _finite(y * kernel_sums(kernel, X, X, y * t))  # <omega_target, psi(z_j)>
+    target_sq = float(t @ c)                          # ||omega_target||^2
 
     w = np.zeros(n)
     first = int(np.argmax(c))
     w[first] = 1.0
-    s = L.row(first).copy()
+    s = row(first)
     b = float(c[first])
-    q = float(L.row(first)[first])
+    q = float(s[first])
 
     def current_error() -> float:
         return float(np.sqrt(max(target_sq - 2.0 * b + q, 0.0)))
@@ -204,7 +180,7 @@ def herd(
             termination = "max_iterations"
             break
         z = int(np.argmax(c - s))
-        row_z = L.row(z)
+        row_z = row(z)
         denom = float(row_z[z]) - 2.0 * float(s[z]) + q
         numer = float(c[z]) - b - float(s[z]) + q
         if config.step_rule == "line_search":
@@ -245,23 +221,15 @@ def approximation_error(
     idx = herd_.indices
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise InputError("herd indices out of range for the sample")
-    if target_weights is None:
-        t = np.full(n, 1.0 / n)
-    else:
-        t = np.asarray(target_weights, dtype=float)
+    t = _target_weights(n, target_weights)
     y = S.labels.astype(float)
     Xm = S.instances[idx]
-    ym = y[idx]
-    a = herd_.alphas
+    am = herd_.alphas * y[idx]
 
-    K_full = cross_gram(kernel, S.instances, S.instances)
-    K_full = 0.5 * (K_full + K_full.T)
-    L_full = np.outer(y, y) * K_full
-    target_sq = float(t @ L_full @ t)
-    L_mS = (ym[:, np.newaxis] * y[np.newaxis, :]) * cross_gram(kernel, Xm, S.instances)
-    cross = float(a @ (L_mS @ t))
-    L_mm = (ym[:, np.newaxis] * ym[np.newaxis, :]) * cross_gram(kernel, Xm, Xm)
-    herd_sq = float(a @ L_mm @ a)
+    u = kernel_sums(kernel, S.instances, S.instances, y * t)  # <omega_target, phi(x_j)>
+    target_sq = float((y * t) @ u)
+    cross = float(am @ u[idx])
+    herd_sq = float(am @ kernel_sums(kernel, Xm, Xm, am))
     return float(np.sqrt(max(target_sq - 2.0 * cross + herd_sq, 0.0)))
 
 
@@ -342,13 +310,7 @@ def recursive_herd(
     """
     if min_size < 1:
         raise InputError("min_size must be >= 1")
-    base = config or HerdingConfig()
-    stage_config = HerdingConfig(
-        tolerance=tolerance,
-        max_iterations=base.max_iterations,
-        step_rule=base.step_rule,
-        lazy=base.lazy,
-    )
+    stage_config = replace(config or HerdingConfig(), tolerance=tolerance)
     n = len(S)
     current_idx = np.arange(n)
     current_w = np.full(n, 1.0 / n)

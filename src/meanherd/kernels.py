@@ -1,4 +1,4 @@
-"""Kernel functions, label-augmented kernels and Gram matrices.
+"""Kernel functions, label-augmented kernels and blocked kernel sums.
 
 All classifiers in this package score by weighted kernel sums, so every
 other module funnels through the evaluators here.  The theory modules
@@ -20,6 +20,9 @@ import numpy as np
 from .errors import InputError
 
 VALID_KINDS = ("linear", "gaussian", "polynomial")
+
+# Kernel entries per row block in ``kernel_sums``: 2**21 float64 = 16 MiB.
+BLOCK_ENTRIES = 2**21
 
 
 @dataclass(frozen=True)
@@ -104,26 +107,6 @@ class KernelSpec:
         raise InputError(f"unknown kernel shorthand {text!r}")
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Dense symmetric kernel matrix with the identity of its points."""
-
-    entries: np.ndarray
-    point_ids: tuple
-
-    def __post_init__(self):
-        n = self.entries.shape[0]
-        if self.entries.shape != (n, n) or len(self.point_ids) != n:
-            raise InputError("GramMatrix entries/ids shape mismatch")
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
-
-
 def _as_matrix(X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -138,14 +121,18 @@ def _raw_cross(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         return X @ Z.T
     if spec.kind == "polynomial":
         return (X @ Z.T + spec.offset) ** spec.degree
-    # gaussian
-    sq = (
-        np.sum(X * X, axis=1)[:, None]
-        + np.sum(Z * Z, axis=1)[None, :]
-        - 2.0 * (X @ Z.T)
-    )
+    # gaussian: exp(-max(|x|^2 + |z|^2 - 2 x.z, 0) / (2 h^2)) with the same
+    # operations in the same order, bit for bit, but in place, so a block
+    # needs two temporaries of its size instead of three
+    sq = np.sum(X * X, axis=1)[:, None] + np.sum(Z * Z, axis=1)[None, :]
+    xz = X @ Z.T
+    xz *= 2.0
+    sq -= xz
+    del xz
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-sq / (2.0 * spec.bandwidth**2))
+    np.negative(sq, out=sq)
+    sq /= 2.0 * spec.bandwidth**2
+    return np.exp(sq, out=sq)
 
 
 def _raw_diag(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
@@ -198,20 +185,26 @@ def eval_label_kernel(spec: KernelSpec, pair, pair2) -> float:
     return _check_label(y) * _check_label(y2) * eval_kernel(spec, x, x2)
 
 
-def gram(spec: KernelSpec, points) -> GramMatrix:
+def kernel_sums(spec: KernelSpec, X, Z, coef) -> np.ndarray:
+    """K(X, Z) @ coef, evaluated one row block of K at a time.
+
+    Every kernel sum in the package goes through here.  A block holds at
+    most ``BLOCK_ENTRIES`` kernel entries, so K(X, Z) is never held whole.
+    """
+    X = _as_matrix(X)
+    Z = _as_matrix(Z)
+    coef = np.asarray(coef, dtype=float)
+    rows = max(1, BLOCK_ENTRIES // max(1, Z.shape[0]))
+    out = np.empty(X.shape[0])
+    for lo in range(0, X.shape[0], rows):
+        out[lo:lo + rows] = cross_gram(spec, X[lo:lo + rows], Z) @ coef
+    return out
+
+
+def gram(spec: KernelSpec, points) -> np.ndarray:
     """Full dense Gram matrix over a point list; symmetric by construction."""
     X = _as_matrix(points)
     if X.shape[0] == 0:
         raise InputError("gram requires a non-empty point list")
     K = cross_gram(spec, X, X)
-    K = 0.5 * (K + K.T)
-    return GramMatrix(entries=K, point_ids=tuple(range(X.shape[0])))
-
-
-def label_gram(spec: KernelSpec, X, y) -> np.ndarray:
-    """Gram matrix of the label-augmented kernel y_i y_j K(x_i, x_j)."""
-    X = _as_matrix(X)
-    y = np.asarray(y, dtype=float)
-    K = cross_gram(spec, X, X)
-    K = 0.5 * (K + K.T)
-    return np.outer(y, y) * K
+    return 0.5 * (K + K.T)

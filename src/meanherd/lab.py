@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import embedding as emb
-from .classifier import fit, margin_for_error, mmd  # noqa: F401  (mmd re-exported for drivers)
+from .classifier import fit, mmd  # noqa: F401  (mmd re-exported for drivers)
 from .data import (
     DiscreteDistribution,
     InstanceDistribution,
@@ -31,7 +31,6 @@ from .data import (
 from .errors import InputError
 from .herding import (
     HerdingConfig,
-    approximation_error,
     herd,
     herd_to_classifier,
     parallel_herd,
@@ -296,16 +295,20 @@ def check_sln_immunity(
 def check_contamination(
     P: DiscreteDistribution, Q: DiscreteDistribution, sigma: float, kernel: KernelSpec
 ) -> ExperimentReport:
-    """Corruption below the margin for error leaves zero-one risk unchanged.
+    """Corruption below the smallest score magnitude leaves zero-one risk unchanged.
 
-    The implication is one-way: when sigma ||omega_P - omega_Q|| is not
-    below the margin, the report only records the measurements.
+    Contamination moves the mean embedding by sigma ||omega_P - omega_Q||,
+    so with |K| <= 1 no score moves further than that.  When this is below
+    the margin min |f(x)| over the atoms of P, no score changes sign.  The
+    implication is one-way: otherwise the report only records the
+    measurements.
     """
     report = ExperimentReport(
         name="contamination", inputs={"sigma": sigma, "kernel": kernel.to_dict()}
     )
     with _timed(report):
-        clean = fit(P, kernel)
+        X = P.instances_array()
+        clean_scores = fit(P, kernel).scores(X)
         perturbation = sigma * emb.norm(
             kernel,
             emb.combine(
@@ -313,17 +316,17 @@ def check_contamination(
                 (-1.0, emb.Embedding.from_distribution(Q)),
             ),
         )
-        margin = margin_for_error(P, clean.score)
+        margin = float(np.min(np.abs(clean_scores[P.probabilities > 0])))
         report.extras["perturbation"] = perturbation
         report.extras["margin"] = margin
         if perturbation < margin:
             contaminated = fit(contaminate(P, Q, sigma), kernel)
-            r_clean = risk(zero_one_loss, P, clean.score)
-            r_tilde = risk(zero_one_loss, P, contaminated.score)
+            r_clean = risk(zero_one_loss, P, clean_scores)
+            r_tilde = risk(zero_one_loss, P, contaminated.scores(X))
             report.check("risk equality under small corruption", r_clean, r_tilde, 1e-12)
         else:
             report.notes.append(
-                "hypothesis sigma*||omega_P - omega_Q|| < margin fails; the implication is one-way, nothing asserted"
+                "hypothesis sigma*||omega_P - omega_Q|| < min |f(x)| fails; the implication is one-way, nothing asserted"
             )
     return report
 
@@ -580,7 +583,7 @@ def run_compression_experiment(
             else:
                 groups = max(1, int(np.ceil(len(train) / group_size)))
                 h = parallel_herd(train, groups, kernel, config=config)
-            err = approximation_error(h, train, kernel)
+            err = h.error  # recomputed exactly against the training mean
             sparse = herd_to_classifier(h, train, kernel)
             acc = _accuracy(sparse, test)
             gap = float(np.max(np.abs(full_scores - sparse.scores(test.instances))))

@@ -105,17 +105,30 @@ def default_grid() -> EvaluationGrid:
 # Risks
 
 
+def score_values(f, X) -> np.ndarray:
+    """f(x) for each row x of X; f may instead be that vector, already computed."""
+    if callable(f):
+        return np.array([float(f(x)) for x in X])
+    v = np.asarray(f, dtype=float)
+    if v.shape != (len(X),):
+        raise InputError(f"expected {len(X)} precomputed scores, got shape {v.shape}")
+    return v
+
+
 def risk(loss: Loss, P: DiscreteDistribution, f) -> float:
-    """Exact expectation of loss(y, f(x)) over the finite support of P."""
-    X = P.instances_array()
+    """Exact expectation of loss(y, f(x)) over the finite support of P.
+
+    ``f`` is a score function or its values at ``P.instances_array()``.
+    """
     y = P.labels_array()
-    v = np.array([float(f(x)) for x in X])
+    v = score_values(f, P.instances_array())
     vals = np.where(y == 1, loss(1, v), loss(-1, v))
     return float(np.dot(P.probabilities, vals))
 
 
 def empirical_risk(loss: Loss, S: LabeledSample, f) -> float:
-    v = np.array([float(f(x)) for x in S.instances])
+    """Mean of loss(y_i, f(x_i)); ``f`` is a score function or its values at the rows."""
+    v = score_values(f, S.instances)
     vals = np.where(S.labels == 1, loss(1, v), loss(-1, v))
     return float(np.mean(vals))
 

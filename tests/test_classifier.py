@@ -15,6 +15,7 @@ from meanherd.classifier import (
 from meanherd.data import DiscreteDistribution, LabeledSample, synth_blobs
 from meanherd.errors import InputError
 from meanherd.kernels import KernelSpec, cross_gram
+from meanherd.losses import empirical_risk, hinge_loss
 
 
 def toy_sample() -> LabeledSample:
@@ -158,6 +159,19 @@ def test_margin_for_error_and_margin_risk():
     assert margin_risk(P, f, 0.0) == 0.0
     assert margin_risk(P, f, gamma) == 0.0  # strict inequality at the margin
     assert margin_risk(P, f, 0.21) == pytest.approx(0.2, abs=1e-15)
+
+
+def test_margin_and_risk_accept_precomputed_scores():
+    S = synth_blobs(60, 2, 2.0, seed=4)
+    clf = fit(S, KernelSpec("gaussian", bandwidth=1.0))
+    v = clf.scores(S.instances)
+    assert margin_for_error(S, v) == pytest.approx(margin_for_error(S, clf.score), abs=1e-15)
+    assert margin_risk(S, v, 0.01) == margin_risk(S, clf.score, 0.01)
+    assert empirical_risk(hinge_loss, S, v) == pytest.approx(
+        empirical_risk(hinge_loss, S, clf.score), abs=1e-15
+    )
+    with pytest.raises(InputError):
+        empirical_risk(hinge_loss, S, v[:-1])
 
 
 def test_margin_for_error_no_positive_margin():

@@ -158,6 +158,18 @@ def test_check_surrogate_regret_suite(tmp_path):
     assert doc["config"]["seed"] == 0
 
 
+@pytest.mark.parametrize("seed", [2, 3])
+def test_check_contamination_suite_passes(seed, tmp_path):
+    # margin = min |f(x)| over the atoms: a misclassified atom near the
+    # boundary counts too, so no score can change sign under the hypothesis
+    out = tmp_path / "report.json"
+    code = main(["check", "--suite", "contamination", "--seed", str(seed), "--out", str(out)])
+    assert code == 0
+    doc = read_json(out)
+    assert doc["passed"] is True
+    assert any(rep["assertions"] for rep in doc["reports"])
+
+
 def test_check_unknown_suite_exit_2():
     assert main(["check", "--suite", "nonesuch"]) == 2
 

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from meanherd.classifier import fit
+from meanherd.classifier import fit, mean_norm
 from meanherd.data import LabeledSample, synth_blobs
 from meanherd.errors import InputError
 from meanherd.herding import (
@@ -14,7 +16,7 @@ from meanherd.herding import (
     parallel_herd,
     recursive_herd,
 )
-from meanherd.kernels import KernelSpec
+from meanherd.kernels import KernelSpec, gram
 
 GAUSS = KernelSpec("gaussian", bandwidth=1.0)
 
@@ -30,7 +32,7 @@ def test_config_validation():
         HerdingConfig(max_iterations=0)
     with pytest.raises(InputError):
         HerdingConfig(step_rule="sgd")
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(InputError):
         HerdingConfig(step_rule="fully_corrective")
 
 
@@ -82,15 +84,48 @@ def test_uniform_rule_gives_uniform_weights():
     assert sum(k * v for k, v in counts.items()) == total_picks
 
 
-def test_lazy_matches_dense_exactly():
+def dense_reference_herd(S, kernel, tolerance, max_iterations, t):
+    """Line-search Frank-Wolfe written against the explicit label-augmented matrix.
+
+    Every quantity is recomputed from the weight vector w each step, with
+    no tracked scalars, so it checks the streaming engine independently.
+    """
+    y = S.labels.astype(float)
+    L = np.outer(y, y) * gram(kernel, S.instances)
+    c = L @ t
+    target_sq = t @ c
+
+    def error(w):
+        return float(np.sqrt(max(target_sq - 2.0 * (w @ c) + w @ L @ w, 0.0)))
+
+    w = np.zeros(len(S))
+    w[int(np.argmax(c))] = 1.0
+    trace = [error(w)]
+    while trace[-1] > tolerance and len(trace) < max_iterations:
+        z = int(np.argmax(c - L @ w))
+        d = -w
+        d[z] += 1.0
+        numer = d @ (c - L @ w)
+        denom = d @ L @ d
+        if denom <= 1e-15 or numer <= 1e-15:
+            break
+        w = w + min(max(numer / denom, 0.0), 1.0) * d
+        trace.append(error(w))
+    members = np.nonzero(w)[0]
+    return members, w[members] / w[members].sum(), trace
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+def test_streaming_matches_explicit_matrix_reference(weighted):
     S = blob_sample(n=120)
-    dense = herd(S, GAUSS, HerdingConfig(tolerance=0.02, max_iterations=2000))
-    lazy = herd(S, GAUSS, HerdingConfig(tolerance=0.02, max_iterations=2000, lazy=True))
-    assert np.array_equal(dense.indices, lazy.indices)
-    assert np.allclose(dense.alphas, lazy.alphas, atol=1e-14)
-    # dense mode symmetrizes the Gram matrix, lazy streams raw rows, so
-    # traces agree to rounding rather than bit for bit
-    assert np.allclose(np.array(dense.trace), np.array(lazy.trace), atol=1e-12)
+    t = np.random.default_rng(8).dirichlet(np.ones(120)) if weighted else np.full(120, 1 / 120)
+    h = herd(S, GAUSS, HerdingConfig(tolerance=0.02, max_iterations=2000),
+             target_weights=t if weighted else None)
+    idx, alphas, trace = dense_reference_herd(S, GAUSS, 0.02, 2000, t)
+    assert np.array_equal(h.indices, idx)
+    assert np.allclose(h.alphas, alphas, rtol=0, atol=1e-14)
+    assert len(h.trace) == len(trace)
+    assert np.allclose(h.trace, trace, rtol=0, atol=1e-12)
 
 
 def test_max_iterations_reported():
@@ -176,6 +211,26 @@ def test_recursive_respects_min_size():
     S = blob_sample(n=100)
     h = recursive_herd(S, GAUSS, tolerance=0.5, min_size=90)
     assert all(st.size_before > 90 for st in h.stages)
+
+
+def test_kernel_sum_passes_stay_below_n_squared_memory():
+    # One n x n float64 matrix at n=3000 is 69 MiB; the blocked passes need
+    # a few 16 MiB blocks.
+    S = synth_blobs(3000, 20, 4.0, seed=1)
+    kernel = KernelSpec("gaussian", bandwidth=4.0)
+    h = herd(S, kernel, HerdingConfig(tolerance=0.05))
+    for run in (
+        lambda: herd(S, kernel, HerdingConfig(tolerance=0.05)),
+        lambda: approximation_error(h, S, kernel),
+        lambda: mean_norm(S, kernel),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------

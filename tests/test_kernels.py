@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from meanherd import kernels
 from meanherd.errors import InputError
 from meanherd.kernels import (
     KernelSpec,
@@ -10,7 +11,7 @@ from meanherd.kernels import (
     eval_kernel,
     eval_label_kernel,
     gram,
-    label_gram,
+    kernel_sums,
 )
 
 
@@ -82,18 +83,25 @@ def test_gram_matrix_symmetric_and_psd():
         KernelSpec("polynomial", degree=2, offset=1.0),
     ):
         G = gram(spec, X)
-        assert np.array_equal(G.entries, G.entries.T)
-        assert G.min_eigenvalue() >= -1e-10
+        assert np.array_equal(G, G.T)
+        assert np.linalg.eigvalsh(G)[0] >= -1e-10
 
 
-def test_label_gram_matches_outer_product():
-    rng = np.random.default_rng(4)
-    X = rng.normal(size=(8, 2))
-    y = rng.choice((-1, 1), size=8)
-    spec = KernelSpec("gaussian", bandwidth=1.0)
-    L = label_gram(spec, X, y)
-    G = gram(spec, X).entries
-    assert np.allclose(L, np.outer(y, y) * G, atol=1e-15)
+@pytest.mark.parametrize(
+    "text", ["linear", "linear:norm", "gaussian:0.8", "poly:3:1.0", "poly:2:0.5:norm"]
+)
+def test_kernel_sums_match_dense_product_across_blocks(monkeypatch, text):
+    # 64 entries per block over 7 columns gives blocks of 9 rows, so the
+    # 50 rows end in a partial block.
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 64)
+    spec = KernelSpec.parse(text)
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(50, 3))
+    X[4] = 0.0  # exercises the zero-vector guard of normalized kernels
+    Z = np.vstack([rng.normal(size=(6, 3)), np.zeros((1, 3))])
+    coef = rng.normal(size=7)
+    expected = cross_gram(spec, X, Z) @ coef
+    assert np.allclose(kernel_sums(spec, X, Z, coef), expected, rtol=0, atol=1e-12)
 
 
 def test_parse_shorthand():
