@@ -32,7 +32,7 @@ base = np.mean(test.labels * full.scores(test.instances) > 0)
 print(f"full mean classifier: {len(train)} points, test accuracy {base:.4f}")
 
 h = herd(train, kernel, HerdingConfig(tolerance=0.01, max_iterations=20000))
-sparse = herd_to_classifier(h, train, kernel)
+sparse = herd_to_classifier(h, train)
 acc = np.mean(test.labels * sparse.scores(test.instances) > 0)
 print(f"herded to error 0.01: {h.size} points ({100 * h.size / len(train):.1f}%), "
       f"test accuracy {acc:.4f}")

@@ -10,6 +10,7 @@ Run: python3 demos/04_bounds_and_cli.py
 
 import json
 import subprocess
+import sys
 
 from meanherd import (
     bound_generic_pac_bayes,
@@ -31,15 +32,16 @@ print(f"generic bound at optimal temperature beta*={beta:.4f}: "
       f"{bound_generic_pac_bayes(0.0, kl, n, delta):.6f}")
 
 print("\nthe same via the CLI:")
+CLI = [sys.executable, "-m", "meanherd.cli"]  # works without an installed script
 out = subprocess.run(
-    ["meanherd", "bounds", "--kind", "pac-bayes", "--n", "1000", "--delta", "0.05"],
+    [*CLI, "bounds", "--kind", "pac-bayes", "--n", "1000", "--delta", "0.05"],
     capture_output=True, text=True, check=True,
 )
 doc = json.loads(out.stdout)
 print(f"  meanherd bounds --kind pac-bayes --n 1000 --delta 0.05 -> {doc['bound']:.6f}")
 
 out = subprocess.run(
-    ["meanherd", "check", "--suite", "surrogate-regret"],
+    [*CLI, "check", "--suite", "surrogate-regret"],
     capture_output=True, text=True,
 )
 doc = json.loads(out.stdout)

@@ -81,6 +81,7 @@ class MeanClassifier:
             "meta": {
                 "n_source": int(n_source if n_source is not None else self.n_support),
                 "norm": geo,
+                "min_linear_loss": 1.0 - geo,
             },
         }
 

@@ -7,7 +7,15 @@ fully resolved run configuration, including the seed even when defaulted.
 Flag precedence: explicit flags > JSON config file (``--config``) >
 built-in defaults.  Exit codes: 0 success, 1 assertion failure (or
 herding stopped by the iteration cap), 2 usage error, 3 I/O or parse
-error.
+error.  Non-finite data (nan or inf in a sample or a probability) and a
+JSON input with missing keys or wrong types exit 3, and no output ever
+holds a non-finite number, so every emitted file is strict JSON.
+
+``train`` and ``herd`` write one model format, ``MeanClassifier.to_dict``:
+kernel, weighted support points and meta.  A herd document adds the
+herd's members (indices into the data file), error, trace, termination
+and, for parallel and recursive herds, group errors or stages.  ``eval``
+reads either through ``MeanClassifier.from_dict``.
 
 Kernel sums are evaluated in row blocks (``kernels.kernel_sums``), so
 memory grows as O(block * n), never n^2.  ``herd`` passes over the n^2
@@ -30,6 +38,7 @@ from . import lab
 from .classifier import MeanClassifier, fit, margin_for_error, mmd
 from .data import (
     DiscreteDistribution,
+    LabeledSample,
     contaminate,
     flip_class_conditional,
     flip_symmetric,
@@ -83,7 +92,13 @@ class _Resolver:
         return value
 
 
-def _load_sample(path, label_column: int, fmt: str):
+def _load_sample(r: _Resolver, command: str) -> LabeledSample:
+    """Resolve --data, --label-column and --format, then load the sample."""
+    path = r.get("data")
+    if path is None:
+        raise InputError(f"{command} requires --data")
+    label_column = int(r.get("label-column", -1))
+    fmt = r.get("format", "auto")
     if fmt == "auto":
         fmt = "sparse" if str(path).endswith((".txt", ".svm", ".libsvm")) else "csv"
     if fmt == "csv":
@@ -93,8 +108,23 @@ def _load_sample(path, label_column: int, fmt: str):
     raise InputError(f"unknown data format {fmt!r}")
 
 
+def _read_doc(path, from_dict):
+    """``from_dict`` of the JSON document in ``path``; a wrong shape is a ParseError."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    try:
+        return from_dict(doc)
+    except InputError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        raise ParseError(f"malformed document: {type(exc).__name__}: {exc}", path=path) from None
+
+
 def _write_json(path, obj):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DataError(f"non-finite value in output: {exc}") from None
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -115,18 +145,12 @@ def _kernel_from(r: _Resolver) -> KernelSpec:
 
 def cmd_train(args, config) -> int:
     r = _Resolver(args, config)
-    data_path = r.get("data")
-    if data_path is None:
-        raise InputError("train requires --data")
-    label_column = int(r.get("label-column", -1))
-    fmt = r.get("format", "auto")
     kernel = _kernel_from(r)
     out = r.get("out")
     r.get("seed", 0)  # deterministic command; recorded in resolved config only
 
-    S = _load_sample(data_path, label_column, fmt)
+    S = _load_sample(r, "train")
     doc = fit(S, kernel).to_dict(n_source=len(S))
-    doc["meta"]["min_linear_loss"] = 1.0 - doc["meta"]["norm"]
     doc["config"] = {"subcommand": "train", **r.resolved}
     _write_json(out, doc)
     return EXIT_OK
@@ -134,11 +158,6 @@ def cmd_train(args, config) -> int:
 
 def cmd_herd(args, config) -> int:
     r = _Resolver(args, config)
-    data_path = r.get("data")
-    if data_path is None:
-        raise InputError("herd requires --data")
-    label_column = int(r.get("label-column", -1))
-    fmt = r.get("format", "auto")
     kernel = _kernel_from(r)
     eps = float(r.get("epsilon", 0.01))
     max_iterations = int(r.get("max-iterations", 10000))
@@ -152,7 +171,7 @@ def cmd_herd(args, config) -> int:
 
     if parallel is not None and recursive:
         raise InputError("--parallel and --recursive are mutually exclusive")
-    S = _load_sample(data_path, label_column, fmt)
+    S = _load_sample(r, "herd")
     hconfig = HerdingConfig(tolerance=eps, max_iterations=max_iterations, step_rule=step_rule)
     if parallel is not None:
         h = parallel_herd(S, int(parallel), kernel, hconfig)
@@ -161,19 +180,10 @@ def cmd_herd(args, config) -> int:
     else:
         h = herd(S, kernel, hconfig)
 
-    doc = h.to_dict()
-    doc["termination"] = h.termination
+    doc = h.to_dict(S)
     # parallel and recursive herds already recompute their error exactly
     exact = parallel is not None or recursive
     doc["recomputed_error"] = h.error if exact else approximation_error(h, S, kernel)
-    if h.group_errors:
-        doc["group_errors"] = list(h.group_errors)
-    if h.stages:
-        doc["stages"] = [
-            {"size_before": st.size_before, "size_after": st.size_after,
-             "error": st.error, "termination": st.termination}
-            for st in h.stages
-        ]
     doc["config"] = {"subcommand": "herd", **r.resolved}
     _write_json(out, doc)
 
@@ -194,18 +204,14 @@ def cmd_herd(args, config) -> int:
 def cmd_eval(args, config) -> int:
     r = _Resolver(args, config)
     model_path = r.get("model")
-    data_path = r.get("data")
-    if model_path is None or data_path is None:
-        raise InputError("eval requires --model and --data")
-    label_column = int(r.get("label-column", -1))
-    fmt = r.get("format", "auto")
+    if model_path is None:
+        raise InputError("eval requires --model")
     loss = parse_loss(r.get("loss", "linear"))
     out = r.get("out")
     r.get("seed", 0)
 
-    with open(model_path) as fh:
-        clf = MeanClassifier.from_dict(json.load(fh))
-    S = _load_sample(data_path, label_column, fmt)
+    clf = _read_doc(model_path, MeanClassifier.from_dict)
+    S = _load_sample(r, "eval")
     if S.dim != clf.dim:
         raise InputError(f"dimension mismatch: data is {S.dim}-D, model is {clf.dim}-D")
     scores = clf.scores(S.instances)
@@ -355,14 +361,9 @@ def cmd_bounds(args, config) -> int:
 
 def cmd_mmd(args, config) -> int:
     r = _Resolver(args, config)
-    data_path = r.get("data")
-    if data_path is None:
-        raise InputError("mmd requires --data")
-    label_column = int(r.get("label-column", -1))
-    fmt = r.get("format", "auto")
     kernel = _kernel_from(r)
     out = r.get("out")
-    S = _load_sample(data_path, label_column, fmt)
+    S = _load_sample(r, "mmd")
     pos = S.instances[S.labels == 1]
     neg = S.instances[S.labels == -1]
     if pos.shape[0] == 0 or neg.shape[0] == 0:
@@ -384,8 +385,7 @@ def cmd_noise(args, config) -> int:
         raise InputError("noise requires --dist (a distribution JSON file)")
     model = r.get("model", "sln")
     out = r.get("out")
-    with open(dist_path) as fh:
-        P = DiscreteDistribution.from_dict(json.load(fh))
+    P = _read_doc(dist_path, DiscreteDistribution.from_dict)
     if model == "sln":
         sigma = float(r.get("sigma", 0.0))
         corrupted = flip_symmetric(P, sigma)
@@ -398,8 +398,7 @@ def cmd_noise(args, config) -> int:
         if q_path is None:
             raise InputError("contaminate model requires --q (corruption distribution file)")
         sigma = float(r.get("sigma", 0.0))
-        with open(q_path) as fh:
-            Q = DiscreteDistribution.from_dict(json.load(fh))
+        Q = _read_doc(q_path, DiscreteDistribution.from_dict)
         corrupted = contaminate(P, Q, sigma)
     else:
         raise InputError(f"unknown noise model {model!r}; expected sln, cc or contaminate")
@@ -447,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a model file on data")
     common(p)
-    p.add_argument("--model", default=None, help="model JSON file from train/herd")
+    p.add_argument("--model", default=None, help="model JSON file written by train or herd")
     p.add_argument("--loss", default=None, help="loss name (default linear)")
     p.set_defaults(run=cmd_eval)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ParseError
+from .errors import DataError, InputError, ParseError
 
 Atom = tuple[tuple[float, ...], int]
 
@@ -40,6 +40,8 @@ class LabeledSample:
             raise InputError("sample must contain at least one point")
         if not np.all(np.isin(y, (-1, 1))):
             raise InputError("labels must be -1 or +1")
+        if not np.all(np.isfinite(X)):
+            raise DataError("instances must be finite (found nan or inf)")
         object.__setattr__(self, "instances", X)
         object.__setattr__(self, "labels", y)
 
@@ -74,6 +76,8 @@ class DiscreteDistribution:
             raise InputError("support and probabilities have different lengths")
         if len(self.support) == 0:
             raise InputError("distribution needs non-empty support")
+        if not np.all(np.isfinite(p)):
+            raise DataError("probabilities must be finite (found nan or inf)")
         if np.any(p < 0):
             raise InputError("probabilities must be non-negative")
         if abs(p.sum() - 1.0) > 1e-12:
@@ -146,6 +150,8 @@ class InstanceDistribution:
         p = np.asarray(self.probabilities, dtype=float)
         if len(self.support) != p.shape[0] or len(self.support) == 0:
             raise InputError("support and probabilities must be non-empty and aligned")
+        if not np.all(np.isfinite(p)):
+            raise DataError("probabilities must be finite (found nan or inf)")
         if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
             raise InputError("probabilities must be non-negative and sum to 1")
         if len(set(self.support)) != len(self.support):
@@ -208,15 +214,20 @@ def _merged_distribution(contributions) -> DiscreteDistribution:
     return DiscreteDistribution(support=atoms, probabilities=probs)
 
 
+def _flip(P: DiscreteDistribution, rates) -> DiscreteDistribution:
+    """Move the fraction rates[i] of atom i's mass to its flipped label."""
+    out = []
+    for (x, y), p, s in zip(P.support, P.probabilities, rates):
+        out.append(((x, y), (1.0 - s) * p))
+        out.append(((x, -y), s * p))
+    return _merged_distribution(out)
+
+
 def flip_symmetric(P: DiscreteDistribution, sigma: float) -> DiscreteDistribution:
     """Exact mixture (1 - sigma) P + sigma P' with P' the label-flipped P."""
     if not (0.0 <= sigma < 0.5):
         raise InputError(f"sigma must lie in [0, 0.5), got {sigma}")
-    out = []
-    for (x, y), p in zip(P.support, P.probabilities):
-        out.append(((x, y), (1.0 - sigma) * p))
-        out.append(((x, -y), sigma * p))
-    return _merged_distribution(out)
+    return _flip(P, [sigma] * len(P))
 
 
 def flip_class_conditional(
@@ -227,24 +238,14 @@ def flip_class_conditional(
         raise InputError(
             f"class-conditional rates must be >= 0 with sum < 1, got ({sigma_neg}, {sigma_pos})"
         )
-    out = []
-    for (x, y), p in zip(P.support, P.probabilities):
-        s = sigma_pos if y == 1 else sigma_neg
-        out.append(((x, y), (1.0 - s) * p))
-        out.append(((x, -y), s * p))
-    return _merged_distribution(out)
+    return _flip(P, [sigma_pos if y == 1 else sigma_neg for _, y in P.support])
 
 
 def flip_instance_dependent(
     P: DiscreteDistribution, table: NoiseFunctionTable
 ) -> DiscreteDistribution:
     """Per-atom flip probabilities sigma(x, y) from the table."""
-    out = []
-    for i, ((x, y), p) in enumerate(zip(P.support, P.probabilities)):
-        s = table.rate(i)
-        out.append(((x, y), (1.0 - s) * p))
-        out.append(((x, -y), s * p))
-    return _merged_distribution(out)
+    return _flip(P, [table.rate(i) for i in range(len(P))])
 
 
 def contaminate(

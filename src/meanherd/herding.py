@@ -24,8 +24,7 @@ few n-vectors, never n x n.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -93,30 +92,23 @@ class Herd:
     def size(self) -> int:
         return self.indices.shape[0]
 
-    def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel.to_dict(),
-            "members": [
-                {"alpha": float(a), "index": int(i)}
-                for a, i in zip(self.alphas, self.indices)
-            ],
-            "error": float(self.error),
-            "trace": list(self.trace),
-        }
+    def to_dict(self, S: LabeledSample) -> dict:
+        """Model document of the sparse classifier on S, plus the herd's fields.
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Herd":
-        return cls(
-            kernel=KernelSpec.from_dict(d["kernel"]),
-            indices=np.array([m["index"] for m in d["members"]]),
-            alphas=np.array([m["alpha"] for m in d["members"]]),
-            error=float(d["error"]),
-            trace=tuple(d.get("trace", ())),
-            termination=d.get("termination", "unknown"),
-        )
+        ``MeanClassifier.from_dict`` reads it like a ``train`` document.
+        """
+        doc = herd_to_classifier(self, S).to_dict(n_source=len(S))
+        doc["members"] = [
+            {"alpha": float(a), "index": int(i)} for a, i in zip(self.alphas, self.indices)
+        ]
+        doc["error"] = float(self.error)
+        doc["trace"] = list(self.trace)
+        doc["termination"] = self.termination
+        if self.group_errors:
+            doc["group_errors"] = list(self.group_errors)
+        if self.stages:
+            doc["stages"] = [asdict(st) for st in self.stages]
+        return doc
 
 
 def _target_weights(n: int, target_weights) -> np.ndarray:
@@ -238,7 +230,6 @@ def parallel_herd(
     groups: int,
     kernel: KernelSpec,
     config: HerdingConfig | None = None,
-    shuffle_seed: int | None = None,
 ) -> Herd:
     """Herd contiguous near-equal groups independently, then mix by group mass.
 
@@ -246,17 +237,13 @@ def parallel_herd(
     weights n_i / n approximates the full mean to the worst per-group
     tolerance.  The reported error is recomputed exactly against the
     full uniform mean.  Groups are contiguous index blocks so runs are
-    reproducible without an RNG; ``shuffle_seed`` opts in to a seeded
-    permutation for experiments.
+    reproducible without an RNG.
     """
     config = config or HerdingConfig()
     n = len(S)
     if groups < 1 or groups > n:
         raise InputError(f"groups must lie in [1, {n}], got {groups}")
-    order = np.arange(n)
-    if shuffle_seed is not None:
-        order = np.random.default_rng(shuffle_seed).permutation(n)
-    blocks = np.array_split(order, groups)
+    blocks = np.array_split(np.arange(n), groups)
 
     all_idx: list[int] = []
     all_alpha: list[float] = []
@@ -276,22 +263,14 @@ def parallel_herd(
         kernel=kernel,
         indices=np.array(all_idx, dtype=int),
         alphas=np.array(all_alpha) / np.sum(all_alpha),
-        error=0.0,
-        trace=(0.0,),
+        error=float("nan"),  # set below from the exact recomputation
+        trace=(),
         termination="tolerance" if terminations == {"tolerance"} else "mixed",
         group_errors=tuple(group_errors),
+        sizes=(len(all_idx),),
     )
     err = approximation_error(combined, S, kernel)
-    return Herd(
-        kernel=kernel,
-        indices=combined.indices,
-        alphas=combined.alphas,
-        error=err,
-        trace=(err,),
-        termination=combined.termination,
-        group_errors=combined.group_errors,
-        sizes=(combined.size,),
-    )
+    return replace(combined, error=err, trace=(err,))
 
 
 def recursive_herd(
@@ -337,26 +316,18 @@ def recursive_herd(
         kernel=kernel,
         indices=current_idx,
         alphas=current_w,
-        error=0.0,
-        trace=(0.0,),
+        error=float("nan"),  # set below from the exact recomputation
+        trace=(),
         termination="recursive",
         stages=tuple(stages),
+        sizes=(len(current_idx),),
     )
     err = approximation_error(final, S, kernel)
-    return Herd(
-        kernel=kernel,
-        indices=final.indices,
-        alphas=final.alphas,
-        error=err,
-        trace=(err,),
-        termination="recursive",
-        stages=final.stages,
-        sizes=(final.size,),
-    )
+    return replace(final, error=err, trace=(err,))
 
 
-def herd_to_classifier(herd_: Herd, S: LabeledSample, kernel: KernelSpec) -> MeanClassifier:
-    """Sparse mean classifier carrying the herd's weights.
+def herd_to_classifier(herd_: Herd, S: LabeledSample) -> MeanClassifier:
+    """Sparse mean classifier carrying the herd's kernel and weights.
 
     For bounded kernels the sup-norm gap between the full and sparse
     score functions is at most the herd's approximation error
@@ -366,7 +337,7 @@ def herd_to_classifier(herd_: Herd, S: LabeledSample, kernel: KernelSpec) -> Mea
     if idx.size == 0 or idx.max() >= len(S) or idx.min() < 0:
         raise InputError("herd indices out of range for the sample")
     return MeanClassifier(
-        kernel=kernel,
+        kernel=herd_.kernel,
         alphas=herd_.alphas,
         labels=S.labels[idx],
         points=S.instances[idx],

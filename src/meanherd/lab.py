@@ -584,7 +584,7 @@ def run_compression_experiment(
                 groups = max(1, int(np.ceil(len(train) / group_size)))
                 h = parallel_herd(train, groups, kernel, config=config)
             err = h.error  # recomputed exactly against the training mean
-            sparse = herd_to_classifier(h, train, kernel)
+            sparse = herd_to_classifier(h, train)
             acc = _accuracy(sparse, test)
             gap = float(np.max(np.abs(full_scores - sparse.scores(test.instances))))
             report.check_le(f"sup-norm audit on test points (eps={eps})", gap, err, 1e-9)

@@ -164,7 +164,7 @@ def test_07_parallel_means(capsys):
 
 def test_08_supnorm_guarantee(capsys, blob_herd):
     S, h = blob_herd
-    sparse = herd_to_classifier(h, S, GAUSS)
+    sparse = herd_to_classifier(h, S)
     full = fit(S, GAUSS)
     rng = np.random.default_rng(8)
     probes = rng.uniform(-6.0, 6.0, size=(10000, 2))

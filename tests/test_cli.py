@@ -4,8 +4,19 @@ import json
 import numpy as np
 import pytest
 
-from meanherd.cli import main
-from meanherd.data import DiscreteDistribution, synth_blobs
+from meanherd.classifier import margin_for_error
+from meanherd.cli import _write_json, main
+from meanherd.data import DiscreteDistribution, load_csv, synth_blobs
+from meanherd.errors import DataError
+from meanherd.herding import (
+    HerdingConfig,
+    herd,
+    herd_to_classifier,
+    parallel_herd,
+    recursive_herd,
+)
+from meanherd.kernels import KernelSpec
+from meanherd.losses import empirical_risk, parse_loss
 
 
 @pytest.fixture
@@ -141,6 +152,31 @@ def test_eval_on_training_data(toy_csv, tmp_path):
     assert doc["margin"] > 0
 
 
+@pytest.mark.parametrize("mode", ["plain", "parallel", "recursive"])
+def test_eval_reads_herd_output(mode, blob_csv, tmp_path):
+    flags = {"plain": [], "parallel": ["--parallel", "4"],
+             "recursive": ["--recursive", "--min-size", "20"]}[mode]
+    model = tmp_path / "herd.json"
+    assert main(["herd", "--data", str(blob_csv), "--kernel", "gaussian:1.0",
+                 "--epsilon", "0.05", *flags, "--out", str(model)]) == 0
+    out = tmp_path / "metrics.json"
+    assert main(["eval", "--model", str(model), "--data", str(blob_csv),
+                 "--loss", "hinge", "--out", str(out)]) == 0
+    doc = read_json(out)
+
+    S = load_csv(blob_csv, -1)
+    kernel = KernelSpec("gaussian", bandwidth=1.0)
+    cfg = HerdingConfig(tolerance=0.05, max_iterations=10000)
+    h = {"plain": lambda: herd(S, kernel, cfg),
+         "parallel": lambda: parallel_herd(S, 4, kernel, cfg),
+         "recursive": lambda: recursive_herd(S, kernel, 0.05, min_size=20, config=cfg)}[mode]()
+    assert [m["index"] for m in read_json(model)["members"]] == h.indices.tolist()
+    scores = herd_to_classifier(h, S).scores(S.instances)
+    assert doc["accuracy"] == pytest.approx(float(np.mean(S.labels * scores > 0)), abs=1e-12)
+    assert doc["risk"] == pytest.approx(empirical_risk(parse_loss("hinge"), S, scores), abs=1e-12)
+    assert doc["margin"] == pytest.approx(margin_for_error(S, scores), abs=1e-12)
+
+
 def test_eval_dimension_mismatch_exit_2(toy_csv, tmp_path):
     model = tmp_path / "model.json"
     main(["train", "--data", str(toy_csv), "--kernel", "linear", "--out", str(model)])
@@ -230,6 +266,45 @@ def test_noise_command_requires_q_for_contamination(tmp_path):
     dist = tmp_path / "dist.json"
     dist.write_text(json.dumps(P.to_dict()))
     assert main(["noise", "--dist", str(dist), "--model", "contaminate"]) == 2
+
+
+@pytest.mark.parametrize("case", ["train-nan", "mmd-nan", "train-inf", "noise-nan-prob"])
+def test_non_finite_input_exit_3(case, tmp_path):
+    data = tmp_path / "bad.csv"
+    data.write_text(("inf" if case.endswith("inf") else "nan") + ",0.5,-1\n1.0,0.0,1\n")
+    dist = tmp_path / "dist.json"
+    dist.write_text('{"support": [[[0.0], 1], [[1.0], -1]], "prob": [NaN, 1.0]}')
+    out = tmp_path / "out.json"
+    argv = {
+        "train-nan": ["train", "--data", str(data)],
+        "mmd-nan": ["mmd", "--data", str(data)],
+        "train-inf": ["train", "--data", str(data)],
+        "noise-nan-prob": ["noise", "--dist", str(dist), "--model", "sln", "--sigma", "0.1"],
+    }[case]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_write_json_rejects_non_finite(tmp_path):
+    out = tmp_path / "out.json"
+    with pytest.raises(DataError):
+        _write_json(out, {"value": float("nan")})
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["eval-empty", "eval-list", "noise-empty", "noise-bad-atom"])
+def test_malformed_document_exit_3(case, toy_csv, tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text({"eval-list": "[1, 2]",
+                    "noise-bad-atom": '{"support": [[[0.0], 1, 7]], "prob": [1.0]}'}.get(case, "{}"))
+    out = tmp_path / "out.json"
+    if case.startswith("eval"):
+        argv = ["eval", "--model", str(doc), "--data", str(toy_csv)]
+    else:
+        argv = ["noise", "--dist", str(doc), "--model", "sln"]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert not out.exists()
+    assert str(doc) in capsys.readouterr().err
 
 
 def test_config_file_precedence(toy_csv, tmp_path, capsys):

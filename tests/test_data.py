@@ -17,7 +17,7 @@ from meanherd.data import (
     sample_from,
     synth_blobs,
 )
-from meanherd.errors import InputError, ParseError
+from meanherd.errors import DataError, InputError, ParseError
 
 
 def two_point() -> DiscreteDistribution:
@@ -34,6 +34,9 @@ def test_sample_validation():
         LabeledSample(np.zeros((2, 2)), np.array([1]))
     with pytest.raises(InputError):
         LabeledSample(np.zeros(3), np.array([1, 1, -1]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DataError):
+            LabeledSample(np.array([[bad, 0.5], [0.0, 0.0]]), np.array([1, -1]))
 
 
 def test_distribution_validation():
@@ -45,6 +48,11 @@ def test_distribution_validation():
         )
     with pytest.raises(InputError):
         DiscreteDistribution(support=(((0.0,), 2),), probabilities=np.array([1.0]))
+    # nan slips past both the sign and the sum check
+    with pytest.raises(DataError):
+        DiscreteDistribution(support=(((0.0,), 1),), probabilities=np.array([np.nan]))
+    with pytest.raises(DataError):
+        InstanceDistribution(support=((0.0,),), probabilities=np.array([np.nan]))
 
 
 def test_to_distribution_merges_duplicates():
