@@ -17,7 +17,6 @@ from meanherd import (
     convergence_report,
     fit,
     herd,
-    herd_to_classifier,
     parallel_herd,
     recursive_herd,
     synth_blobs,
@@ -32,14 +31,14 @@ base = np.mean(test.labels * full.scores(test.instances) > 0)
 print(f"full mean classifier: {len(train)} points, test accuracy {base:.4f}")
 
 h = herd(train, kernel, HerdingConfig(tolerance=0.01, max_iterations=20000))
-sparse = herd_to_classifier(h, train)
+sparse = h.classifier
 acc = np.mean(test.labels * sparse.scores(test.instances) > 0)
 print(f"herded to error 0.01: {h.size} points ({100 * h.size / len(train):.1f}%), "
       f"test accuracy {acc:.4f}")
 rep = convergence_report(h.trace)
 print(f"error trace monotone: {rep.monotone}, fitted log-rate {rep.fitted_rate:.3f}/iter")
 
-err = approximation_error(h, train, kernel)
+err = approximation_error(h, train)
 gap = np.max(np.abs(full.scores(test.instances) - sparse.scores(test.instances)))
 print(f"recomputed herd error {err:.6f}; worst score gap on test points {gap:.6f}")
 

@@ -61,7 +61,6 @@ from .herding import (
     approximation_error,
     convergence_report,
     herd,
-    herd_to_classifier,
     parallel_herd,
     recursive_herd,
 )
@@ -133,7 +132,6 @@ __all__ = [
     "flip_symmetric",
     "gram",
     "herd",
-    "herd_to_classifier",
     "hinge_loss",
     "kde_score",
     "kernel_sums",

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import embedding as emb
 from .data import DiscreteDistribution, LabeledSample
-from .errors import InputError
+from .errors import DataError, InputError
 from .kernels import KernelSpec, kernel_sums
 from .losses import score_values
 
@@ -33,6 +33,8 @@ class MeanClassifier:
         X = np.asarray(self.points, dtype=float)
         if a.shape[0] != y.shape[0] or a.shape[0] != X.shape[0]:
             raise InputError("alphas, labels and points must have equal length")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(X))):
+            raise DataError("weights and points must be finite")
         if np.any(a < 0) or abs(a.sum() - 1.0) > 1e-12:
             raise InputError("weights must be non-negative and sum to 1")
         if not np.all(np.isin(y, (-1, 1))):
@@ -123,14 +125,6 @@ def fit(data, kernel: KernelSpec) -> MeanClassifier:
     raise InputError(f"cannot fit on {type(data).__name__}")
 
 
-def _embedding_of(data) -> emb.Embedding:
-    if isinstance(data, LabeledSample):
-        return emb.Embedding.from_sample(data)
-    if isinstance(data, DiscreteDistribution):
-        return emb.Embedding.from_distribution(data)
-    raise InputError(f"expected LabeledSample or DiscreteDistribution, got {type(data).__name__}")
-
-
 @dataclass(frozen=True)
 class MeanGeometry:
     """||omega||, its square, and the attainable minimum linear loss 1 - ||omega||."""
@@ -142,13 +136,7 @@ class MeanGeometry:
 
 def mean_norm(data, kernel: KernelSpec) -> MeanGeometry:
     """Exact double kernel sum giving the mean-embedding geometry of the data."""
-    sq = emb.squared_norm(kernel, _embedding_of(data))
-    if sq < 0:
-        if sq < -1e-12:
-            from .errors import ConsistencyError
-
-            raise ConsistencyError(f"self-similarity {sq} below -1e-12; kernel is not PSD")
-        sq = 0.0
+    sq = emb.psd_squared_norm(kernel, fit(data, kernel).embedding())
     n = float(np.sqrt(sq))
     return MeanGeometry(norm=n, self_similarity=sq, min_linear_loss=1.0 - n)
 

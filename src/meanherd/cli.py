@@ -7,9 +7,10 @@ fully resolved run configuration, including the seed even when defaulted.
 Flag precedence: explicit flags > JSON config file (``--config``) >
 built-in defaults.  Exit codes: 0 success, 1 assertion failure (or
 herding stopped by the iteration cap), 2 usage error, 3 I/O or parse
-error.  Non-finite data (nan or inf in a sample or a probability) and a
-JSON input with missing keys or wrong types exit 3, and no output ever
-holds a non-finite number, so every emitted file is strict JSON.
+error.  Non-finite data (nan or inf in a sample, a probability or a
+model), a file that is not UTF-8 and a JSON input with missing keys or
+wrong types exit 3, and no output ever holds a non-finite number, so
+every emitted file is strict JSON.
 
 ``train`` and ``herd`` write one model format, ``MeanClassifier.to_dict``:
 kernel, weighted support points and meta.  A herd document adds the
@@ -180,19 +181,18 @@ def cmd_herd(args, config) -> int:
     else:
         h = herd(S, kernel, hconfig)
 
-    doc = h.to_dict(S)
+    doc = h.to_dict(n_source=len(S))
     # parallel and recursive herds already recompute their error exactly
     exact = parallel is not None or recursive
-    doc["recomputed_error"] = h.error if exact else approximation_error(h, S, kernel)
+    doc["recomputed_error"] = h.error if exact else approximation_error(h, S)
     doc["config"] = {"subcommand": "herd", **r.resolved}
     _write_json(out, doc)
 
     if trace_out is not None:
-        sizes = h.sizes if h.sizes else (h.size,) * len(h.trace)
         with open(trace_out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "error", "size"])
-            for i, (e, m) in enumerate(zip(h.trace, sizes)):
+            for i, (e, m) in enumerate(zip(h.trace, h.sizes)):
                 writer.writerow([i, repr(e), m])
 
     if h.termination == "max_iterations":
@@ -490,7 +490,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config_file(args.config)
         return args.run(args, config)
-    except (ParseError, DataError, OSError, json.JSONDecodeError) as exc:
+    except (ParseError, DataError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except InputError as exc:

@@ -73,14 +73,17 @@ def squared_norm(spec: KernelSpec, e: Embedding) -> float:
     return float(e.coef @ kernel_sums(spec, e.points, e.points, e.coef))
 
 
+def psd_squared_norm(spec: KernelSpec, e: Embedding) -> float:
+    """||e||^2 with tiny negative values (>= -1e-12) clamped to zero."""
+    sq = squared_norm(spec, e)
+    if sq < -1e-12:
+        raise ConsistencyError(f"squared norm {sq} below -1e-12; kernel is not PSD")
+    return max(sq, 0.0)
+
+
 def norm(spec: KernelSpec, e: Embedding) -> float:
     """||e|| with tiny negative squared norms (>= -1e-12) clamped to zero."""
-    sq = squared_norm(spec, e)
-    if sq < 0:
-        if sq < -1e-12:
-            raise ConsistencyError(f"squared norm {sq} below -1e-12; kernel is not PSD")
-        sq = 0.0
-    return float(np.sqrt(sq))
+    return float(np.sqrt(psd_squared_norm(spec, e)))
 
 
 def score(spec: KernelSpec, e: Embedding, X) -> np.ndarray:

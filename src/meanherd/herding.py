@@ -65,41 +65,36 @@ class StageSummary:
 
 @dataclass(frozen=True)
 class Herd:
-    """Sparse weighted representative set with its tracked approximation error."""
+    """Sparse weighted representative set with its tracked approximation error.
 
-    kernel: KernelSpec
-    indices: np.ndarray  # candidate indices into the source sample
-    alphas: np.ndarray   # matching weights, non-negative, sum to 1
+    A herd is a weighted sample, so it is a mean classifier: ``classifier``
+    holds the kernel, the weights and the members' labels and points.  For
+    bounded kernels its scores lie within ``error`` of the full mean's
+    everywhere (Cauchy-Schwarz against ||phi(x)|| <= 1).
+    """
+
+    classifier: MeanClassifier
+    indices: np.ndarray  # the members' indices into the source sample
     error: float
     trace: tuple[float, ...]
     termination: str
+    sizes: tuple[int, ...]  # distinct members per trace entry
     stages: tuple[StageSummary, ...] = field(default=())
     group_errors: tuple[float, ...] = field(default=())
-    sizes: tuple[int, ...] = field(default=())  # distinct members per trace entry
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
-        a = np.asarray(self.alphas, dtype=float)
-        if idx.shape != a.shape:
-            raise InputError("indices and alphas must align")
-        if np.any(a < 0) or abs(a.sum() - 1.0) > 1e-12:
-            raise InputError("herd weights must be non-negative and sum to 1")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "alphas", a)
-        object.__setattr__(self, "trace", tuple(float(t) for t in self.trace))
 
     @property
     def size(self) -> int:
         return self.indices.shape[0]
 
-    def to_dict(self, S: LabeledSample) -> dict:
-        """Model document of the sparse classifier on S, plus the herd's fields.
+    def to_dict(self, n_source: int) -> dict:
+        """Model document of the sparse classifier, plus the herd's fields.
 
         ``MeanClassifier.from_dict`` reads it like a ``train`` document.
         """
-        doc = herd_to_classifier(self, S).to_dict(n_source=len(S))
+        doc = self.classifier.to_dict(n_source)
         doc["members"] = [
-            {"alpha": float(a), "index": int(i)} for a, i in zip(self.alphas, self.indices)
+            {"alpha": float(a), "index": int(i)}
+            for a, i in zip(self.classifier.alphas, self.indices)
         ]
         doc["error"] = float(self.error)
         doc["trace"] = list(self.trace)
@@ -195,9 +190,8 @@ def herd(
     alphas = w[members]
     alphas = alphas / alphas.sum()  # remove accumulated rounding in the simplex sum
     return Herd(
-        kernel=kernel,
+        classifier=MeanClassifier(kernel, alphas, S.labels[members], X[members]),
         indices=members,
-        alphas=alphas,
         error=trace[-1],
         trace=tuple(trace),
         termination=termination,
@@ -205,9 +199,7 @@ def herd(
     )
 
 
-def approximation_error(
-    herd_: Herd, S: LabeledSample, kernel: KernelSpec, target_weights=None
-) -> float:
+def approximation_error(herd_: Herd, S: LabeledSample, target_weights=None) -> float:
     """||omega_target - omega_herd|| recomputed from scratch via kernel sums."""
     n = len(S)
     idx = herd_.indices
@@ -215,13 +207,14 @@ def approximation_error(
         raise InputError("herd indices out of range for the sample")
     t = _target_weights(n, target_weights)
     y = S.labels.astype(float)
-    Xm = S.instances[idx]
-    am = herd_.alphas * y[idx]
+    clf = herd_.classifier
+    kernel = clf.kernel
+    am = clf.alphas * clf.labels
 
     u = kernel_sums(kernel, S.instances, S.instances, y * t)  # <omega_target, phi(x_j)>
     target_sq = float((y * t) @ u)
     cross = float(am @ u[idx])
-    herd_sq = float(am @ kernel_sums(kernel, Xm, Xm, am))
+    herd_sq = float(am @ kernel_sums(kernel, clf.points, clf.points, am))
     return float(np.sqrt(max(target_sq - 2.0 * cross + herd_sq, 0.0)))
 
 
@@ -245,31 +238,27 @@ def parallel_herd(
         raise InputError(f"groups must lie in [1, {n}], got {groups}")
     blocks = np.array_split(np.arange(n), groups)
 
-    all_idx: list[int] = []
-    all_alpha: list[float] = []
-    group_errors = []
+    group_idx, group_alphas, group_errors = [], [], []
     terminations = set()
     for block in blocks:
-        sub = S.subset(block)
-        h = herd(sub, kernel, config)
+        h = herd(S.subset(block), kernel, config)
+        group_idx.append(block[h.indices])
+        group_alphas.append(h.classifier.alphas * (len(block) / n))
         group_errors.append(h.error)
         terminations.add(h.termination)
-        weight = len(block) / n
-        for local_i, a in zip(h.indices, h.alphas):
-            all_idx.append(int(block[local_i]))
-            all_alpha.append(float(a * weight))
+    idx = np.concatenate(group_idx)
+    alphas = np.concatenate(group_alphas)
 
     combined = Herd(
-        kernel=kernel,
-        indices=np.array(all_idx, dtype=int),
-        alphas=np.array(all_alpha) / np.sum(all_alpha),
+        classifier=MeanClassifier(kernel, alphas / alphas.sum(), S.labels[idx], S.instances[idx]),
+        indices=idx,
         error=float("nan"),  # set below from the exact recomputation
         trace=(),
         termination="tolerance" if terminations == {"tolerance"} else "mixed",
         group_errors=tuple(group_errors),
-        sizes=(len(all_idx),),
+        sizes=(len(idx),),
     )
-    err = approximation_error(combined, S, kernel)
+    err = approximation_error(combined, S)
     return replace(combined, error=err, trace=(err,))
 
 
@@ -298,7 +287,7 @@ def recursive_herd(
         sub = S.subset(current_idx)
         h = herd(sub, kernel, stage_config, target_weights=current_w)
         new_idx = current_idx[h.indices]
-        new_w = h.alphas
+        new_w = h.classifier.alphas
         stages.append(
             StageSummary(
                 size_before=len(current_idx),
@@ -313,35 +302,18 @@ def recursive_herd(
             break
 
     final = Herd(
-        kernel=kernel,
+        classifier=MeanClassifier(
+            kernel, current_w, S.labels[current_idx], S.instances[current_idx]
+        ),
         indices=current_idx,
-        alphas=current_w,
         error=float("nan"),  # set below from the exact recomputation
         trace=(),
         termination="recursive",
         stages=tuple(stages),
         sizes=(len(current_idx),),
     )
-    err = approximation_error(final, S, kernel)
+    err = approximation_error(final, S)
     return replace(final, error=err, trace=(err,))
-
-
-def herd_to_classifier(herd_: Herd, S: LabeledSample) -> MeanClassifier:
-    """Sparse mean classifier carrying the herd's kernel and weights.
-
-    For bounded kernels the sup-norm gap between the full and sparse
-    score functions is at most the herd's approximation error
-    (Cauchy-Schwarz against ||phi(x)|| <= 1).
-    """
-    idx = herd_.indices
-    if idx.size == 0 or idx.max() >= len(S) or idx.min() < 0:
-        raise InputError("herd indices out of range for the sample")
-    return MeanClassifier(
-        kernel=herd_.kernel,
-        alphas=herd_.alphas,
-        labels=S.labels[idx],
-        points=S.instances[idx],
-    )
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ must match it exactly.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,6 @@ from .errors import InputError
 from .herding import (
     HerdingConfig,
     herd,
-    herd_to_classifier,
     parallel_herd,
     recursive_herd,
 )
@@ -112,7 +110,6 @@ class ExperimentReport:
     assertions: list[Assertion] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
-    runtime: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -146,21 +143,7 @@ class ExperimentReport:
             "assertions": [a.to_dict() for a in self.assertions],
             "notes": self.notes,
             "extras": self.extras,
-            "runtime": self.runtime,
         }
-
-
-class _timed:
-    def __init__(self, report: ExperimentReport):
-        self.report = report
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self.report
-
-    def __exit__(self, *exc):
-        self.report.runtime = time.perf_counter() - self.t0
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -246,17 +229,16 @@ def check_surrogate_regret(
         name="surrogate-regret",
         inputs={"trials": trials, "seed": seed, "max_support": max_support},
     )
-    with _timed(report):
-        if P is not None and f is not None:
-            report.check_le("supplied pair: mis_regret - lin_regret", _regret_gap(P, f), 0.0, 1e-12)
-        rng = np.random.default_rng(seed)
-        worst = -np.inf
-        for _ in range(trials):
-            Q = random_distribution(rng, max_support=max_support)
-            instances = sorted(set(x for x, _ in Q.support))
-            f_table = {x: float(rng.uniform(-1, 1)) for x in instances}
-            worst = max(worst, _regret_gap(Q, f_table))
-        report.check_le("max(mis_regret - lin_regret)", worst, 0.0, tolerance=1e-12)
+    if P is not None and f is not None:
+        report.check_le("supplied pair: mis_regret - lin_regret", _regret_gap(P, f), 0.0, 1e-12)
+    rng = np.random.default_rng(seed)
+    worst = -np.inf
+    for _ in range(trials):
+        Q = random_distribution(rng, max_support=max_support)
+        instances = sorted(set(x for x, _ in Q.support))
+        f_table = {x: float(rng.uniform(-1, 1)) for x in instances}
+        worst = max(worst, _regret_gap(Q, f_table))
+    report.check_le("max(mis_regret - lin_regret)", worst, 0.0, tolerance=1e-12)
     return report
 
 
@@ -267,28 +249,27 @@ def check_sln_immunity(
     report = ExperimentReport(
         name="sln-immunity", inputs={"sigmas": list(sigmas), "kernel": kernel.to_dict()}
     )
-    with _timed(report):
-        clean = fit(P, kernel)
-        X = P.instances_array()
-        clean_scores = clean.scores(X)
-        for sigma in sigmas:
-            if not (0.0 < sigma < 0.5):
-                raise InputError(f"sigma must lie in (0, 0.5), got {sigma}")
-            P_sigma = flip_symmetric(P, sigma)
-            diff = emb.combine(
-                (1.0, emb.Embedding.from_distribution(P_sigma)),
-                (-(1.0 - 2.0 * sigma), emb.Embedding.from_distribution(P)),
-            )
-            report.check_le(
-                f"||omega_noisy - (1-2*{sigma}) omega_clean||",
-                emb.norm(kernel, diff),
-                0.0,
-                tolerance=1e-12,
-            )
-            noisy_scores = fit(P_sigma, kernel).scores(X)
-            s_clean = np.where(np.abs(clean_scores) <= _ZERO_SCORE_TOL, 0, np.sign(clean_scores))
-            s_noisy = np.where(np.abs(noisy_scores) <= _ZERO_SCORE_TOL, 0, np.sign(noisy_scores))
-            report.check_true(f"labels agree on support (sigma={sigma})", np.array_equal(s_clean, s_noisy))
+    clean = fit(P, kernel)
+    X = P.instances_array()
+    clean_scores = clean.scores(X)
+    for sigma in sigmas:
+        if not (0.0 < sigma < 0.5):
+            raise InputError(f"sigma must lie in (0, 0.5), got {sigma}")
+        P_sigma = flip_symmetric(P, sigma)
+        diff = emb.combine(
+            (1.0, emb.Embedding.from_distribution(P_sigma)),
+            (-(1.0 - 2.0 * sigma), emb.Embedding.from_distribution(P)),
+        )
+        report.check_le(
+            f"||omega_noisy - (1-2*{sigma}) omega_clean||",
+            emb.norm(kernel, diff),
+            0.0,
+            tolerance=1e-12,
+        )
+        noisy_scores = fit(P_sigma, kernel).scores(X)
+        s_clean = np.where(np.abs(clean_scores) <= _ZERO_SCORE_TOL, 0, np.sign(clean_scores))
+        s_noisy = np.where(np.abs(noisy_scores) <= _ZERO_SCORE_TOL, 0, np.sign(noisy_scores))
+        report.check_true(f"labels agree on support (sigma={sigma})", np.array_equal(s_clean, s_noisy))
     return report
 
 
@@ -306,28 +287,27 @@ def check_contamination(
     report = ExperimentReport(
         name="contamination", inputs={"sigma": sigma, "kernel": kernel.to_dict()}
     )
-    with _timed(report):
-        X = P.instances_array()
-        clean_scores = fit(P, kernel).scores(X)
-        perturbation = sigma * emb.norm(
-            kernel,
-            emb.combine(
-                (1.0, emb.Embedding.from_distribution(P)),
-                (-1.0, emb.Embedding.from_distribution(Q)),
-            ),
+    X = P.instances_array()
+    clean_scores = fit(P, kernel).scores(X)
+    perturbation = sigma * emb.norm(
+        kernel,
+        emb.combine(
+            (1.0, emb.Embedding.from_distribution(P)),
+            (-1.0, emb.Embedding.from_distribution(Q)),
+        ),
+    )
+    margin = float(np.min(np.abs(clean_scores[P.probabilities > 0])))
+    report.extras["perturbation"] = perturbation
+    report.extras["margin"] = margin
+    if perturbation < margin:
+        contaminated = fit(contaminate(P, Q, sigma), kernel)
+        r_clean = risk(zero_one_loss, P, clean_scores)
+        r_tilde = risk(zero_one_loss, P, contaminated.scores(X))
+        report.check("risk equality under small corruption", r_clean, r_tilde, 1e-12)
+    else:
+        report.notes.append(
+            "hypothesis sigma*||omega_P - omega_Q|| < min |f(x)| fails; the implication is one-way, nothing asserted"
         )
-        margin = float(np.min(np.abs(clean_scores[P.probabilities > 0])))
-        report.extras["perturbation"] = perturbation
-        report.extras["margin"] = margin
-        if perturbation < margin:
-            contaminated = fit(contaminate(P, Q, sigma), kernel)
-            r_clean = risk(zero_one_loss, P, clean_scores)
-            r_tilde = risk(zero_one_loss, P, contaminated.scores(X))
-            report.check("risk equality under small corruption", r_clean, r_tilde, 1e-12)
-        else:
-            report.notes.append(
-                "hypothesis sigma*||omega_P - omega_Q|| < min |f(x)| fails; the implication is one-way, nothing asserted"
-            )
     return report
 
 
@@ -350,30 +330,29 @@ def check_ber_immunity(
         name="ber-immunity",
         inputs={"loss": loss.name, "alpha": alpha, "beta": beta, "class_size": fclass.size},
     )
-    with _timed(report):
-        C = verdict.constant
-        t_pos, t_neg = mutually_contaminate(P_pos, P_neg, alpha, beta)
-        slope = 1.0 - alpha - beta
-        intercept = (alpha + beta) / 2.0 * C
-        clean_vals = []
-        noisy_vals = []
-        worst = 0.0
-        for i in range(fclass.size):
-            f = fclass.as_function(i)
-            ber_clean = balanced_error(loss, P_pos, P_neg, f)
-            ber_noisy = balanced_error(loss, t_pos, t_neg, f)
-            clean_vals.append(ber_clean)
-            noisy_vals.append(ber_noisy)
-            worst = max(worst, abs(ber_noisy - (slope * ber_clean + intercept)))
-        report.check_le("max affine-identity residual", worst, 0.0, tolerance=1e-10)
-        report.check(
-            "argmin invariance",
-            int(np.argmin(clean_vals)),
-            int(np.argmin(noisy_vals)),
-            0.0,
-        )
-        report.extras["slope"] = slope
-        report.extras["intercept"] = intercept
+    C = verdict.constant
+    t_pos, t_neg = mutually_contaminate(P_pos, P_neg, alpha, beta)
+    slope = 1.0 - alpha - beta
+    intercept = (alpha + beta) / 2.0 * C
+    clean_vals = []
+    noisy_vals = []
+    worst = 0.0
+    for i in range(fclass.size):
+        f = fclass.as_function(i)
+        ber_clean = balanced_error(loss, P_pos, P_neg, f)
+        ber_noisy = balanced_error(loss, t_pos, t_neg, f)
+        clean_vals.append(ber_clean)
+        noisy_vals.append(ber_noisy)
+        worst = max(worst, abs(ber_noisy - (slope * ber_clean + intercept)))
+    report.check_le("max affine-identity residual", worst, 0.0, tolerance=1e-10)
+    report.check(
+        "argmin invariance",
+        int(np.argmin(clean_vals)),
+        int(np.argmin(noisy_vals)),
+        0.0,
+    )
+    report.extras["slope"] = slope
+    report.extras["intercept"] = intercept
     return report
 
 
@@ -393,15 +372,14 @@ def check_ghosh_bound(
     report = ExperimentReport(
         name="ghosh-bound", inputs={"loss": loss.name, "class_size": fclass.size}
     )
-    with _timed(report):
-        corrupted = flip_instance_dependent(P, table)
-        i_noisy, _ = brute_force_min(loss, corrupted, fclass)
-        i_clean, clean_min = brute_force_min(loss, P, fclass)
-        clean_of_noisy = risk(loss, P, fclass.as_function(i_noisy))
-        bound = clean_min / table.min_signal()
-        report.check_le("clean risk of corrupted minimizer vs bound", clean_of_noisy, bound, 1e-12)
-        report.extras["clean_minimizer"] = i_clean
-        report.extras["corrupted_minimizer"] = i_noisy
+    corrupted = flip_instance_dependent(P, table)
+    i_noisy, _ = brute_force_min(loss, corrupted, fclass)
+    i_clean, clean_min = brute_force_min(loss, P, fclass)
+    clean_of_noisy = risk(loss, P, fclass.as_function(i_noisy))
+    bound = clean_min / table.min_signal()
+    report.check_le("clean risk of corrupted minimizer vs bound", clean_of_noisy, bound, 1e-12)
+    report.extras["clean_minimizer"] = i_clean
+    report.extras["corrupted_minimizer"] = i_noisy
     return report
 
 
@@ -489,31 +467,30 @@ def run_long_servedio(
         name="long-servedio",
         inputs={"gamma": gamma, "sigma_grid": list(sigma_grid), "angle_step": angle_step},
     )
-    with _timed(report):
-        P = long_servedio(gamma)
-        atoms = P.instances_array()
-        probs = P.probabilities
-        kernel = KernelSpec("linear")
+    P = long_servedio(gamma)
+    atoms = P.instances_array()
+    probs = P.probabilities
+    kernel = KernelSpec("linear")
 
-        w0, _ = _hinge_min_over_hyperplanes(atoms, probs, 0.0, angle_step)
-        mis0 = float(probs @ ((atoms @ w0) <= 0))
-        report.check("hinge minimizer correct at sigma=0", 0.0, mis0, 0.0)
+    w0, _ = _hinge_min_over_hyperplanes(atoms, probs, 0.0, angle_step)
+    mis0 = float(probs @ ((atoms @ w0) <= 0))
+    report.check("hinge minimizer correct at sigma=0", 0.0, mis0, 0.0)
 
-        failing = []
-        mean_ok = True
-        for sigma in sigma_grid:
-            w, _ = _hinge_min_over_hyperplanes(atoms, probs, sigma, angle_step)
-            mis = float(probs @ ((atoms @ w) <= 0))
-            if abs(mis - 0.5) <= 1e-12:
-                failing.append(sigma)
-            mean_clf = fit(flip_symmetric(P, sigma), kernel)
-            mean_ok = mean_ok and bool(np.all(mean_clf.scores(atoms) > 0))
-        report.check_true("mean classifier correct at every sigma", mean_ok)
-        report.check_true(
-            "exists sigma where hinge minimizer has zero-one risk 0.5", bool(failing)
-        )
-        report.extras["failing_sigmas"] = failing
-        report.extras["min_failing_sigma"] = failing[0] if failing else None
+    failing = []
+    mean_ok = True
+    for sigma in sigma_grid:
+        w, _ = _hinge_min_over_hyperplanes(atoms, probs, sigma, angle_step)
+        mis = float(probs @ ((atoms @ w) <= 0))
+        if abs(mis - 0.5) <= 1e-12:
+            failing.append(sigma)
+        mean_clf = fit(flip_symmetric(P, sigma), kernel)
+        mean_ok = mean_ok and bool(np.all(mean_clf.scores(atoms) > 0))
+    report.check_true("mean classifier correct at every sigma", mean_ok)
+    report.check_true(
+        "exists sigma where hinge minimizer has zero-one risk 0.5", bool(failing)
+    )
+    report.extras["failing_sigmas"] = failing
+    report.extras["min_failing_sigma"] = failing[0] if failing else None
     return report
 
 
@@ -564,33 +541,32 @@ def run_compression_experiment(
             "dataset": str(dataset_path) if dataset_path else f"blobs(n={n}, sep={separation})",
         },
     )
-    with _timed(report):
-        if dataset_path is not None:
-            train, test = load_compression_npz(dataset_path)
-        else:
-            train = synth_blobs(n, 2, separation, seed)
-            test = synth_blobs(max(2, n // 2), 2, separation, seed + 1)
-        full = fit(train, kernel)
-        baseline = _accuracy(full, test)
-        report.extras["baseline_accuracy"] = baseline
-        full_scores = full.scores(test.instances)
+    if dataset_path is not None:
+        train, test = load_compression_npz(dataset_path)
+    else:
+        train = synth_blobs(n, 2, separation, seed)
+        test = synth_blobs(max(2, n // 2), 2, separation, seed + 1)
+    full = fit(train, kernel)
+    baseline = _accuracy(full, test)
+    report.extras["baseline_accuracy"] = baseline
+    full_scores = full.scores(test.instances)
 
-        curve = []
-        for eps in eps_list:
-            config = HerdingConfig(tolerance=eps, max_iterations=max_iterations)
-            if mode == "recursive":
-                h = recursive_herd(train, kernel, eps, min_size=min_size, config=config)
-            else:
-                groups = max(1, int(np.ceil(len(train) / group_size)))
-                h = parallel_herd(train, groups, kernel, config=config)
-            err = h.error  # recomputed exactly against the training mean
-            sparse = herd_to_classifier(h, train)
-            acc = _accuracy(sparse, test)
-            gap = float(np.max(np.abs(full_scores - sparse.scores(test.instances))))
-            report.check_le(f"sup-norm audit on test points (eps={eps})", gap, err, 1e-9)
-            curve.append(
-                {"eps": eps, "herd_size": h.size, "fraction": h.size / len(train),
-                 "accuracy": acc, "error": err}
-            )
-        report.extras["curve"] = curve
+    curve = []
+    for eps in eps_list:
+        config = HerdingConfig(tolerance=eps, max_iterations=max_iterations)
+        if mode == "recursive":
+            h = recursive_herd(train, kernel, eps, min_size=min_size, config=config)
+        else:
+            groups = max(1, int(np.ceil(len(train) / group_size)))
+            h = parallel_herd(train, groups, kernel, config=config)
+        err = h.error  # recomputed exactly against the training mean
+        sparse = h.classifier
+        acc = _accuracy(sparse, test)
+        gap = float(np.max(np.abs(full_scores - sparse.scores(test.instances))))
+        report.check_le(f"sup-norm audit on test points (eps={eps})", gap, err, 1e-9)
+        curve.append(
+            {"eps": eps, "herd_size": h.size, "fraction": h.size / len(train),
+             "accuracy": acc, "error": err}
+        )
+    report.extras["curve"] = curve
     return report

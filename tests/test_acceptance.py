@@ -24,7 +24,6 @@ from meanherd.herding import (
     HerdingConfig,
     approximation_error,
     herd,
-    herd_to_classifier,
     parallel_herd,
 )
 from meanherd.kernels import KernelSpec
@@ -140,7 +139,7 @@ def blob_herd():
 
 def test_06_herding_convergence_and_sparsity(capsys, blob_herd):
     S, h = blob_herd
-    recomputed = approximation_error(h, S, GAUSS)
+    recomputed = approximation_error(h, S)
     ok = (
         h.termination == "tolerance"
         and h.error <= 0.01
@@ -158,13 +157,13 @@ def test_07_parallel_means(capsys):
     for groups in (2, 4, 8):
         h = parallel_herd(S, groups, GAUSS, HerdingConfig(tolerance=eps, max_iterations=20000))
         ok &= all(e <= eps for e in h.group_errors)
-        ok &= approximation_error(h, S, GAUSS) <= eps + 1e-12
+        ok &= approximation_error(h, S) <= eps + 1e-12
     _report(capsys, 7, "parallel mean-of-means herding stays within tolerance", ok)
 
 
 def test_08_supnorm_guarantee(capsys, blob_herd):
     S, h = blob_herd
-    sparse = herd_to_classifier(h, S)
+    sparse = h.classifier
     full = fit(S, GAUSS)
     rng = np.random.default_rng(8)
     probes = rng.uniform(-6.0, 6.0, size=(10000, 2))

@@ -13,7 +13,7 @@ from meanherd.classifier import (
     select_kernel,
 )
 from meanherd.data import DiscreteDistribution, LabeledSample, synth_blobs
-from meanherd.errors import InputError
+from meanherd.errors import DataError, InputError
 from meanherd.kernels import KernelSpec, cross_gram
 from meanherd.losses import empirical_risk, hinge_loss
 
@@ -61,6 +61,16 @@ def test_weights_validation():
             labels=np.array([1, -1]),
             points=np.array([[0.0], [1.0]]),
         )
+
+
+@pytest.mark.parametrize("case", ["nan-alpha", "inf-alpha", "nan-point", "inf-point"])
+def test_non_finite_model_rejected(case):
+    # nan passes the sign and sum checks; only an explicit finiteness check stops it
+    value = np.inf if case.startswith("inf") else np.nan
+    alphas = np.array([value, 0.5]) if case.endswith("alpha") else np.array([0.5, 0.5])
+    points = np.array([[value], [1.0]]) if case.endswith("point") else np.array([[0.0], [1.0]])
+    with pytest.raises(DataError):
+        MeanClassifier(KernelSpec("linear"), alphas, np.array([1, -1]), points)
 
 
 def test_json_roundtrip_deterministic():

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,6 @@ from meanherd.errors import DataError
 from meanherd.herding import (
     HerdingConfig,
     herd,
-    herd_to_classifier,
     parallel_herd,
     recursive_herd,
 )
@@ -171,7 +174,7 @@ def test_eval_reads_herd_output(mode, blob_csv, tmp_path):
          "parallel": lambda: parallel_herd(S, 4, kernel, cfg),
          "recursive": lambda: recursive_herd(S, kernel, 0.05, min_size=20, config=cfg)}[mode]()
     assert [m["index"] for m in read_json(model)["members"]] == h.indices.tolist()
-    scores = herd_to_classifier(h, S).scores(S.instances)
+    scores = h.classifier.scores(S.instances)
     assert doc["accuracy"] == pytest.approx(float(np.mean(S.labels * scores > 0)), abs=1e-12)
     assert doc["risk"] == pytest.approx(empirical_risk(parse_loss("hinge"), S, scores), abs=1e-12)
     assert doc["margin"] == pytest.approx(margin_for_error(S, scores), abs=1e-12)
@@ -204,6 +207,14 @@ def test_check_contamination_suite_passes(seed, tmp_path):
     doc = read_json(out)
     assert doc["passed"] is True
     assert any(rep["assertions"] for rep in doc["reports"])
+
+
+def test_check_output_is_byte_identical(capsys):
+    runs = []
+    for _ in range(2):
+        assert main(["check", "--suite", "sln-immunity"]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
 
 
 def test_check_unknown_suite_exit_2():
@@ -268,21 +279,50 @@ def test_noise_command_requires_q_for_contamination(tmp_path):
     assert main(["noise", "--dist", str(dist), "--model", "contaminate"]) == 2
 
 
-@pytest.mark.parametrize("case", ["train-nan", "mmd-nan", "train-inf", "noise-nan-prob"])
-def test_non_finite_input_exit_3(case, tmp_path):
+@pytest.mark.parametrize("case", ["train-nan", "mmd-nan", "train-inf", "noise-nan-prob",
+                                  "eval-nan-alpha", "eval-inf-alpha", "eval-nan-point"])
+def test_non_finite_input_exit_3(case, toy_csv, tmp_path, capsys):
     data = tmp_path / "bad.csv"
     data.write_text(("inf" if case.endswith("inf") else "nan") + ",0.5,-1\n1.0,0.0,1\n")
     dist = tmp_path / "dist.json"
     dist.write_text('{"support": [[[0.0], 1], [[1.0], -1]], "prob": [NaN, 1.0]}')
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", str(toy_csv), "--out", str(model)]) == 0
+    doc = read_json(model)
+    atom = doc["support"][0]
+    if case == "eval-nan-alpha":
+        atom["alpha"] = float("nan")
+    elif case == "eval-inf-alpha":
+        atom["alpha"] = float("inf")
+    elif case == "eval-nan-point":
+        atom["x"][0] = float("nan")
+    model.write_text(json.dumps(doc))
     out = tmp_path / "out.json"
     argv = {
         "train-nan": ["train", "--data", str(data)],
         "mmd-nan": ["mmd", "--data", str(data)],
         "train-inf": ["train", "--data", str(data)],
         "noise-nan-prob": ["noise", "--dist", str(dist), "--model", "sln", "--sigma", "0.1"],
-    }[case]
+    }.get(case, ["eval", "--model", str(model), "--data", str(toy_csv)])
     assert main([*argv, "--out", str(out)]) == 3
     assert not out.exists()
+    # a bad model is rejected when read, not by the guard on the output
+    assert "non-finite value in output" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_non_utf8_input_exit_3(command, toy_csv, tmp_path):
+    binary = tmp_path / "bin.csv"
+    binary.write_bytes(b"\xff\xfe1.0,0.0,1\n")
+    argv = {"train": ["train", "--data", str(binary)],
+            "eval": ["eval", "--model", str(binary), "--data", str(toy_csv)]}[command]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
+    proc = subprocess.run([sys.executable, "-m", "meanherd.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
 
 
 def test_write_json_rejects_non_finite(tmp_path):

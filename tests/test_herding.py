@@ -12,7 +12,6 @@ from meanherd.herding import (
     approximation_error,
     convergence_report,
     herd,
-    herd_to_classifier,
     parallel_herd,
     recursive_herd,
 )
@@ -54,7 +53,7 @@ def test_tracked_error_matches_recomputation():
     S = blob_sample()
     h = herd(S, GAUSS, HerdingConfig(tolerance=0.01, max_iterations=5000))
     assert h.termination == "tolerance"
-    assert approximation_error(h, S, GAUSS) == pytest.approx(h.error, abs=1e-8)
+    assert approximation_error(h, S) == pytest.approx(h.error, abs=1e-8)
 
 
 def test_trace_non_increasing_under_line_search():
@@ -79,7 +78,7 @@ def test_uniform_rule_gives_uniform_weights():
     counts = {}
     assert len(h.trace) == 10
     total_picks = 10
-    for a in h.alphas:
+    for a in h.classifier.alphas:
         counts[round(a * total_picks)] = counts.get(round(a * total_picks), 0) + 1
     assert sum(k * v for k, v in counts.items()) == total_picks
 
@@ -123,7 +122,7 @@ def test_streaming_matches_explicit_matrix_reference(weighted):
              target_weights=t if weighted else None)
     idx, alphas, trace = dense_reference_herd(S, GAUSS, 0.02, 2000, t)
     assert np.array_equal(h.indices, idx)
-    assert np.allclose(h.alphas, alphas, rtol=0, atol=1e-14)
+    assert np.allclose(h.classifier.alphas, alphas, rtol=0, atol=1e-14)
     assert len(h.trace) == len(trace)
     assert np.allclose(h.trace, trace, rtol=0, atol=1e-12)
 
@@ -138,8 +137,8 @@ def test_max_iterations_reported():
 def test_weights_form_simplex():
     S = blob_sample()
     h = herd(S, GAUSS, HerdingConfig(tolerance=0.02, max_iterations=2000))
-    assert np.all(h.alphas >= 0)
-    assert h.alphas.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(h.classifier.alphas >= 0)
+    assert h.classifier.alphas.sum() == pytest.approx(1.0, abs=1e-12)
     assert len(set(h.indices.tolist())) == h.size
 
 
@@ -159,17 +158,33 @@ def test_herd_json_roundtrip():
     # a herd document is a model document: it reads back as the sparse classifier
     S = blob_sample(n=60)
     h = herd(S, GAUSS, HerdingConfig(tolerance=0.05, max_iterations=500))
-    doc = json.loads(json.dumps(h.to_dict(S)))
+    doc = json.loads(json.dumps(h.to_dict(len(S))))
     back = MeanClassifier.from_dict(doc)
-    sparse = herd_to_classifier(h, S)
+    sparse = h.classifier
     assert back.kernel == sparse.kernel
     assert np.array_equal(back.alphas, sparse.alphas)
     assert np.array_equal(back.labels, sparse.labels)
     assert np.array_equal(back.points, sparse.points)
     assert [m["index"] for m in doc["members"]] == h.indices.tolist()
-    assert [m["alpha"] for m in doc["members"]] == h.alphas.tolist()
+    assert [m["alpha"] for m in doc["members"]] == h.classifier.alphas.tolist()
     assert doc["error"] == h.error and doc["trace"] == list(h.trace)
     assert doc["meta"]["n_source"] == 60
+
+
+@pytest.mark.parametrize("variant", ["plain", "parallel", "recursive"])
+def test_herd_classifier_holds_its_members(variant):
+    # the herd's classifier is the sparse mean classifier of S at the herd's indices
+    S = blob_sample(n=120)
+    cfg = HerdingConfig(tolerance=0.03, max_iterations=2000)
+    h = {"plain": lambda: herd(S, GAUSS, cfg),
+         "parallel": lambda: parallel_herd(S, 3, GAUSS, cfg),
+         "recursive": lambda: recursive_herd(S, GAUSS, 0.03, min_size=10, config=cfg)}[variant]()
+    clf = h.classifier
+    assert clf.kernel == GAUSS
+    assert clf.alphas.shape == h.indices.shape
+    assert np.array_equal(clf.labels, S.labels[h.indices])
+    assert np.array_equal(clf.points, S.instances[h.indices])
+    assert len(h.sizes) == len(h.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +198,7 @@ def test_parallel_error_bounded_by_group_tolerance(groups):
     h = parallel_herd(S, groups, GAUSS, HerdingConfig(tolerance=eps, max_iterations=5000))
     assert all(e <= eps for e in h.group_errors)
     assert h.error <= eps + 1e-12
-    assert approximation_error(h, S, GAUSS) == pytest.approx(h.error, abs=1e-12)
+    assert approximation_error(h, S) == pytest.approx(h.error, abs=1e-12)
 
 
 def test_parallel_one_group_matches_plain():
@@ -204,7 +219,7 @@ def test_recursive_shrinks_and_reports_stages():
     assert h.stages[0].size_before == 300
     # triangle inequality: total error at most the sum of stage errors
     assert h.error <= sum(st.error for st in h.stages) + 1e-10
-    assert approximation_error(h, S, GAUSS) == pytest.approx(h.error, abs=1e-12)
+    assert approximation_error(h, S) == pytest.approx(h.error, abs=1e-12)
 
 
 def test_recursive_respects_min_size():
@@ -221,7 +236,7 @@ def test_kernel_sum_passes_stay_below_n_squared_memory():
     h = herd(S, kernel, HerdingConfig(tolerance=0.05))
     for run in (
         lambda: herd(S, kernel, HerdingConfig(tolerance=0.05)),
-        lambda: approximation_error(h, S, kernel),
+        lambda: approximation_error(h, S),
         lambda: mean_norm(S, kernel),
     ):
         tracemalloc.start()
@@ -240,7 +255,7 @@ def test_kernel_sum_passes_stay_below_n_squared_memory():
 def test_sparse_classifier_supnorm_guarantee():
     S = blob_sample(n=250)
     h = herd(S, GAUSS, HerdingConfig(tolerance=0.02, max_iterations=5000))
-    sparse = herd_to_classifier(h, S)
+    sparse = h.classifier
     full = fit(S, GAUSS)
     rng = np.random.default_rng(5)
     probes = rng.normal(scale=3.0, size=(500, 2))
