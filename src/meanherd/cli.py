@@ -1,12 +1,21 @@
 """Batch command-line front end.
 
 Subcommands: train, herd, eval, check, bounds, mmd, noise.  Every run is
-deterministic given (inputs, flags, seed); every emitted JSON embeds the
-fully resolved run configuration, including the seed even when defaulted.
+deterministic given its inputs and flags; every emitted JSON embeds the
+fully resolved run configuration (``config``: each flag under its
+hyphenated name, defaults included, the kernel as a dict).  Only ``check``
+draws random numbers, so only ``check`` takes ``--seed``.
 
-Flag precedence: explicit flags > JSON config file (``--config``) >
-built-in defaults.  Exit codes: 0 success, 1 assertion failure (or
-herding stopped by the iteration cap), 2 usage error, 3 I/O or parse
+Each flag is declared once, in ``build_parser``, with its type, default
+and choices.  Flag precedence: explicit flags > JSON config file
+(``--config``) > those defaults.  A config entry ``"k": v`` is read as the
+token ``--k=v`` by the subcommand's own parser (``true`` as the bare switch
+``--k``; ``false`` and ``null`` leave the default), so a config value is
+parsed and checked exactly like its flag, and keys that are not the full
+name of one of the subcommand's flags are ignored.
+
+Exit codes: 0 success, 1 assertion failure (or herding stopped by the
+iteration cap), 2 usage error (a bad flag or config value), 3 I/O or parse
 error.  Non-finite data (nan or inf in a sample, a probability or a
 model), a file that is not UTF-8 and a JSON input with missing keys or
 wrong types exit 3, and no output ever holds a non-finite number, so
@@ -40,6 +49,7 @@ from .classifier import MeanClassifier, fit, margin_for_error, mmd
 from .data import (
     DiscreteDistribution,
     LabeledSample,
+    NoiseFunctionTable,
     contaminate,
     flip_class_conditional,
     flip_symmetric,
@@ -55,64 +65,55 @@ from .herding import (
     recursive_herd,
 )
 from .kernels import KernelSpec
-from .losses import empirical_risk, parse_loss
+from .losses import empirical_risk, hinge_loss, linear_loss, parse_loss
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-_UNSET = object()
+ALL_SUITES = (
+    "surrogate-regret",
+    "sln-immunity",
+    "contamination",
+    "ber-immunity",
+    "ghosh",
+    "long-servedio",
+    "compression",
+    "order-reversal",
+)
+
+_BOUND_KINDS = ("pac-bayes", "pac-bayes-multi", "mean-estimation", "generic-pac-bayes")
 
 
-def _load_config_file(path) -> dict:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
+def _read_json(path):
+    """The JSON document in ``path``; bytes that are not UTF-8 JSON are a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}", path=path) from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not JSON: {exc}", path=path) from None
+
+
+def _config_tokens(path) -> list[str]:
+    """The config file's entries as ``--key=value`` tokens for a subcommand's parser."""
+    cfg = _read_json(path)
     if not isinstance(cfg, dict):
         raise ParseError("config file must contain a JSON object", path=path)
-    return cfg
-
-
-class _Resolver:
-    """Flag > config-file > default, recording every resolved value."""
-
-    def __init__(self, args: argparse.Namespace, config: dict):
-        self.args = args
-        self.config = config
-        self.resolved: dict = {}
-
-    def get(self, name: str, default=None, cast=None):
-        value = getattr(self.args, name.replace("-", "_"), _UNSET)
-        if value is _UNSET or value is None:
-            value = self.config.get(name, default)
-            if cast is not None and value is not None:
-                value = cast(value)
-        self.resolved[name] = value
-        return value
-
-
-def _load_sample(r: _Resolver, command: str) -> LabeledSample:
-    """Resolve --data, --label-column and --format, then load the sample."""
-    path = r.get("data")
-    if path is None:
-        raise InputError(f"{command} requires --data")
-    label_column = int(r.get("label-column", -1))
-    fmt = r.get("format", "auto")
-    if fmt == "auto":
-        fmt = "sparse" if str(path).endswith((".txt", ".svm", ".libsvm")) else "csv"
-    if fmt == "csv":
-        return load_csv(path, label_column)
-    if fmt == "sparse":
-        return load_sparse(path)
-    raise InputError(f"unknown data format {fmt!r}")
+    tokens = []
+    for key, value in cfg.items():
+        if value is True:
+            tokens.append(f"--{key}")
+        elif value is not False and value is not None:
+            tokens.append(f"--{key}={value if isinstance(value, str) else json.dumps(value)}")
+    return tokens
 
 
 def _read_doc(path, from_dict):
     """``from_dict`` of the JSON document in ``path``; a wrong shape is a ParseError."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     try:
         return from_dict(doc)
     except InputError:
@@ -133,63 +134,66 @@ def _write_json(path, obj):
             fh.write(text)
 
 
-def _kernel_from(r: _Resolver) -> KernelSpec:
-    text = r.get("kernel", "linear")
-    spec = KernelSpec.parse(text)
-    r.resolved["kernel"] = spec.to_dict()
-    return spec
+def _required(args, flag: str):
+    value = getattr(args, flag)
+    if value is None:
+        raise InputError(f"{args.subcommand} requires --{flag}")
+    return value
+
+
+def _config(args) -> dict:
+    """The resolved flags of this run, as every output records them."""
+    flags = {k.replace("_", "-"): v for k, v in vars(args).items()
+             if k not in ("config", "run", "parser")}
+    if "kernel" in flags:
+        flags["kernel"] = flags["kernel"].to_dict()
+    return flags
+
+
+def _load_sample(args) -> LabeledSample:
+    """Load --data; ``--format auto`` reads .txt/.svm/.libsvm as sparse, the rest as CSV."""
+    path = _required(args, "data")
+    fmt = args.format
+    if fmt == "auto":
+        fmt = "sparse" if path.endswith((".txt", ".svm", ".libsvm")) else "csv"
+    return load_sparse(path) if fmt == "sparse" else load_csv(path, args.label_column)
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def cmd_train(args, config) -> int:
-    r = _Resolver(args, config)
-    kernel = _kernel_from(r)
-    out = r.get("out")
-    r.get("seed", 0)  # deterministic command; recorded in resolved config only
-
-    S = _load_sample(r, "train")
-    doc = fit(S, kernel).to_dict(n_source=len(S))
-    doc["config"] = {"subcommand": "train", **r.resolved}
-    _write_json(out, doc)
+def cmd_train(args) -> int:
+    S = _load_sample(args)
+    doc = fit(S, args.kernel).to_dict(n_source=len(S))
+    doc["config"] = _config(args)
+    _write_json(args.out, doc)
     return EXIT_OK
 
 
-def cmd_herd(args, config) -> int:
-    r = _Resolver(args, config)
-    kernel = _kernel_from(r)
-    eps = float(r.get("epsilon", 0.01))
-    max_iterations = int(r.get("max-iterations", 10000))
-    step_rule = r.get("step-rule", "line_search")
-    parallel = r.get("parallel")
-    recursive = bool(r.get("recursive", False))
-    min_size = int(r.get("min-size", 100))
-    out = r.get("out")
-    trace_out = r.get("trace-out")
-    r.get("seed", 0)
-
-    if parallel is not None and recursive:
+def cmd_herd(args) -> int:
+    if args.parallel is not None and args.recursive:
         raise InputError("--parallel and --recursive are mutually exclusive")
-    S = _load_sample(r, "herd")
-    hconfig = HerdingConfig(tolerance=eps, max_iterations=max_iterations, step_rule=step_rule)
-    if parallel is not None:
-        h = parallel_herd(S, int(parallel), kernel, hconfig)
-    elif recursive:
-        h = recursive_herd(S, kernel, eps, min_size=min_size, config=hconfig)
+    S = _load_sample(args)
+    hconfig = HerdingConfig(
+        tolerance=args.epsilon, max_iterations=args.max_iterations, step_rule=args.step_rule
+    )
+    if args.parallel is not None:
+        h = parallel_herd(S, args.parallel, args.kernel, hconfig)
+    elif args.recursive:
+        h = recursive_herd(S, args.kernel, args.epsilon, min_size=args.min_size, config=hconfig)
     else:
-        h = herd(S, kernel, hconfig)
+        h = herd(S, args.kernel, hconfig)
 
     doc = h.to_dict(n_source=len(S))
     # parallel and recursive herds already recompute their error exactly
-    exact = parallel is not None or recursive
+    exact = args.parallel is not None or args.recursive
     doc["recomputed_error"] = h.error if exact else approximation_error(h, S)
-    doc["config"] = {"subcommand": "herd", **r.resolved}
-    _write_json(out, doc)
+    doc["config"] = _config(args)
+    _write_json(args.out, doc)
 
-    if trace_out is not None:
-        with open(trace_out, "w", newline="") as fh:
+    if args.trace_out is not None:
+        with open(args.trace_out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "error", "size"])
             for i, (e, m) in enumerate(zip(h.trace, h.sizes)):
@@ -201,17 +205,11 @@ def cmd_herd(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args, config) -> int:
-    r = _Resolver(args, config)
-    model_path = r.get("model")
-    if model_path is None:
-        raise InputError("eval requires --model")
-    loss = parse_loss(r.get("loss", "linear"))
-    out = r.get("out")
-    r.get("seed", 0)
-
+def cmd_eval(args) -> int:
+    model_path = _required(args, "model")
+    loss = parse_loss(args.loss)
     clf = _read_doc(model_path, MeanClassifier.from_dict)
-    S = _load_sample(r, "eval")
+    S = _load_sample(args)
     if S.dim != clf.dim:
         raise InputError(f"dimension mismatch: data is {S.dim}-D, model is {clf.dim}-D")
     scores = clf.scores(S.instances)
@@ -222,9 +220,9 @@ def cmd_eval(args, config) -> int:
         "margin": margin_for_error(S, scores),
         "abstentions": int(np.sum(scores == 0.0)),
         "n": len(S),
-        "config": {"subcommand": "eval", **r.resolved},
+        "config": _config(args),
     }
-    _write_json(out, doc)
+    _write_json(args.out, doc)
     return EXIT_OK
 
 
@@ -246,8 +244,6 @@ def _suite_reports(name: str, seed: int, kernel: KernelSpec) -> list[lab.Experim
             reports.append(lab.check_contamination(P, Q, float(rng.uniform(0, 0.2)), kernel))
         return reports
     if name == "ber-immunity":
-        from .losses import linear_loss
-
         reports = []
         for _ in range(20):
             P_pos = lab.random_distribution(rng).instance_marginal()
@@ -259,9 +255,6 @@ def _suite_reports(name: str, seed: int, kernel: KernelSpec) -> list[lab.Experim
             reports.append(lab.check_ber_immunity(linear_loss, P_pos, P_neg, alpha, beta, fclass))
         return reports
     if name == "ghosh":
-        from .data import NoiseFunctionTable
-        from .losses import linear_loss
-
         reports = []
         for _ in range(50):
             P = lab.random_distribution(rng)
@@ -275,136 +268,77 @@ def _suite_reports(name: str, seed: int, kernel: KernelSpec) -> list[lab.Experim
     if name == "compression":
         return [lab.run_compression_experiment(kernel, eps_list=(0.01,), mode="recursive", seed=seed)]
     if name == "order-reversal":
-        from .losses import hinge_loss
-
         report = lab.ExperimentReport(name="order-reversal", inputs={"loss": "hinge", "seed": seed})
         witness = lab.order_reversal_witness(hinge_loss, sigma=0.4, seed=seed)
         report.check_true("hinge order-reversal witness found", witness is not None)
         if witness is not None:
             report.extras["witness"] = witness
         return [report]
-    raise InputError(
-        f"unknown suite {name!r}; available: surrogate-regret, sln-immunity, contamination, "
-        "ber-immunity, ghosh, long-servedio, compression, order-reversal, all"
-    )
+    raise InputError(f"unknown suite {name!r}; available: {', '.join(ALL_SUITES)}, all")
 
 
-ALL_SUITES = (
-    "surrogate-regret",
-    "sln-immunity",
-    "contamination",
-    "ber-immunity",
-    "ghosh",
-    "long-servedio",
-    "compression",
-    "order-reversal",
-)
-
-
-def cmd_check(args, config) -> int:
-    r = _Resolver(args, config)
-    suite = r.get("suite")
-    if suite is None:
-        raise InputError("check requires --suite (or 'all')")
-    seed = int(r.get("seed", 0))
-    kernel_text = r.get("kernel", "gaussian:1.0")
-    kernel = KernelSpec.parse(kernel_text)
-    r.resolved["kernel"] = kernel.to_dict()
-    out = r.get("out")
-
+def cmd_check(args) -> int:
+    suite = _required(args, "suite")
     names = ALL_SUITES if suite == "all" else (suite,)
     reports = []
     for name in names:
-        for rep in _suite_reports(name, seed, kernel):
+        for rep in _suite_reports(name, args.seed, args.kernel):
             reports.append(rep)
             print(f"{rep.name}: {'pass' if rep.passed else 'FAIL'}", file=sys.stderr)
     passed = all(rep.passed for rep in reports)
     doc = {
         "passed": passed,
         "reports": [rep.to_dict() for rep in reports],
-        "config": {"subcommand": "check", **r.resolved},
+        "config": _config(args),
     }
-    _write_json(out, doc)
+    _write_json(args.out, doc)
     return EXIT_OK if passed else EXIT_ASSERTION
 
 
-_BOUND_KINDS = ("pac-bayes", "pac-bayes-multi", "mean-estimation", "generic-pac-bayes")
-
-
-def cmd_bounds(args, config) -> int:
-    r = _Resolver(args, config)
-    kind = r.get("kind")
-    if kind not in _BOUND_KINDS:
-        raise InputError(f"kind must be one of {_BOUND_KINDS}, got {kind!r}")
-    n = int(r.get("n", 0))
-    delta = float(r.get("delta", 0.05))
-    emp = float(r.get("emp", 0.0))
-    out = r.get("out")
+def cmd_bounds(args) -> int:
+    kind = _required(args, "kind")
     if kind == "pac-bayes":
-        value = bounds_mod.bound_pac_bayes(emp, n, delta)
+        value = bounds_mod.bound_pac_bayes(args.emp, args.n, args.delta)
     elif kind == "pac-bayes-multi":
-        k = int(r.get("k", 1))
-        value = bounds_mod.bound_pac_bayes_multi(emp, n, k, delta)
+        value = bounds_mod.bound_pac_bayes_multi(args.emp, args.n, args.k, args.delta)
     elif kind == "mean-estimation":
-        value = bounds_mod.bound_mean_estimation(n, delta)
+        value = bounds_mod.bound_mean_estimation(args.n, args.delta)
     else:
-        kl = float(r.get("kl", 0.0))
-        beta = r.get("beta")
         value = bounds_mod.bound_generic_pac_bayes(
-            emp, kl, n, delta, beta=None if beta is None else float(beta)
+            args.emp, args.kl, args.n, args.delta, beta=args.beta
         )
-    doc = {"bound": value, "inputs": {"subcommand": "bounds", **r.resolved}}
-    doc["config"] = doc["inputs"]
-    _write_json(out, doc)
+    _write_json(args.out, {"bound": value, "config": _config(args)})
     return EXIT_OK
 
 
-def cmd_mmd(args, config) -> int:
-    r = _Resolver(args, config)
-    kernel = _kernel_from(r)
-    out = r.get("out")
-    S = _load_sample(r, "mmd")
+def cmd_mmd(args) -> int:
+    S = _load_sample(args)
     pos = S.instances[S.labels == 1]
     neg = S.instances[S.labels == -1]
     if pos.shape[0] == 0 or neg.shape[0] == 0:
         raise DataError("mmd needs both classes present in the data")
     doc = {
-        "mmd": mmd(pos, neg, kernel),
+        "mmd": mmd(pos, neg, args.kernel),
         "n_pos": int(pos.shape[0]),
         "n_neg": int(neg.shape[0]),
-        "config": {"subcommand": "mmd", **r.resolved},
+        "config": _config(args),
     }
-    _write_json(out, doc)
+    _write_json(args.out, doc)
     return EXIT_OK
 
 
-def cmd_noise(args, config) -> int:
-    r = _Resolver(args, config)
-    dist_path = r.get("dist")
-    if dist_path is None:
-        raise InputError("noise requires --dist (a distribution JSON file)")
-    model = r.get("model", "sln")
-    out = r.get("out")
-    P = _read_doc(dist_path, DiscreteDistribution.from_dict)
-    if model == "sln":
-        sigma = float(r.get("sigma", 0.0))
-        corrupted = flip_symmetric(P, sigma)
-    elif model == "cc":
-        sigma_neg = float(r.get("sigma-neg", 0.0))
-        sigma_pos = float(r.get("sigma-pos", 0.0))
-        corrupted = flip_class_conditional(P, sigma_neg, sigma_pos)
-    elif model == "contaminate":
-        q_path = r.get("q")
-        if q_path is None:
-            raise InputError("contaminate model requires --q (corruption distribution file)")
-        sigma = float(r.get("sigma", 0.0))
-        Q = _read_doc(q_path, DiscreteDistribution.from_dict)
-        corrupted = contaminate(P, Q, sigma)
+def cmd_noise(args) -> int:
+    P = _read_doc(_required(args, "dist"), DiscreteDistribution.from_dict)
+    if args.model == "sln":
+        corrupted = flip_symmetric(P, args.sigma)
+    elif args.model == "cc":
+        corrupted = flip_class_conditional(P, args.sigma_neg, args.sigma_pos)
     else:
-        raise InputError(f"unknown noise model {model!r}; expected sln, cc or contaminate")
+        Q = _read_doc(_required(args, "q"), DiscreteDistribution.from_dict)
+        corrupted = contaminate(P, Q, args.sigma)
     doc = corrupted.to_dict()
-    doc["config"] = {"subcommand": "noise", **r.resolved}
-    _write_json(out, doc)
+    doc["config"] = _config(args)
+    _write_json(args.out, doc)
     return EXIT_OK
 
 
@@ -417,69 +351,59 @@ def build_parser() -> argparse.ArgumentParser:
         prog="meanherd",
         description="Kernel mean classifiers, herding compression and label-noise checks.",
     )
-    parser.add_argument("--config", help="JSON file of default flag values")
+    parser.add_argument("--config", help="JSON file of flag values; explicit flags win")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, data=True):
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0, always recorded)")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
+    def command(name, run, help, data=False, kernel=None):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run, parser=p)
+        p.add_argument("--out", help="output path (default: stdout)")
         if data:
-            p.add_argument("--data", default=None, help="input data file")
-            p.add_argument("--label-column", type=int, default=None, help="CSV label column (default -1)")
-            p.add_argument("--format", choices=("auto", "csv", "sparse"), default=None)
-            p.add_argument("--kernel", default=None, help='kernel JSON or shorthand, e.g. "gaussian:1.0"')
+            p.add_argument("--data", help="input data file")
+            p.add_argument("--label-column", type=int, default=-1, help="CSV label column (default: last)")
+            p.add_argument("--format", choices=("auto", "csv", "sparse"), default="auto")
+        if kernel is not None:
+            p.add_argument("--kernel", default=kernel,
+                           help=f'kernel JSON or shorthand, e.g. "gaussian:1.0" (default: {kernel})')
+        return p
 
-    p = sub.add_parser("train", help="fit the mean classifier and write a model file")
-    common(p)
-    p.set_defaults(run=cmd_train)
+    command("train", cmd_train, "fit the mean classifier and write a model file", data=True, kernel="linear")
 
-    p = sub.add_parser("herd", help="compress a sample by kernel herding")
-    common(p)
-    p.add_argument("--epsilon", type=float, default=None, help="target approximation error")
-    p.add_argument("--max-iterations", type=int, default=None)
-    p.add_argument("--step-rule", choices=("line_search", "uniform"), default=None)
-    p.add_argument("--parallel", type=int, default=None, help="herd this many groups independently")
-    p.add_argument("--recursive", action="store_true", default=None, help="herd stages until --min-size")
-    p.add_argument("--min-size", type=int, default=None)
-    p.add_argument("--trace-out", default=None, help="CSV path for (iteration, error, size)")
-    p.set_defaults(run=cmd_herd)
+    p = command("herd", cmd_herd, "compress a sample by kernel herding", data=True, kernel="linear")
+    p.add_argument("--epsilon", type=float, default=0.01, help="target approximation error")
+    p.add_argument("--max-iterations", type=int, default=10000)
+    p.add_argument("--step-rule", choices=("line_search", "uniform"), default="line_search")
+    p.add_argument("--parallel", type=int, help="herd this many groups independently")
+    p.add_argument("--recursive", action="store_true", help="herd stages until --min-size")
+    p.add_argument("--min-size", type=int, default=100)
+    p.add_argument("--trace-out", help="CSV path for (iteration, error, size)")
 
-    p = sub.add_parser("eval", help="evaluate a model file on data")
-    common(p)
-    p.add_argument("--model", default=None, help="model JSON file written by train or herd")
-    p.add_argument("--loss", default=None, help="loss name (default linear)")
-    p.set_defaults(run=cmd_eval)
+    p = command("eval", cmd_eval, "evaluate a model file on data", data=True)
+    p.add_argument("--model", help="model JSON file written by train or herd")
+    p.add_argument("--loss", default="linear", help="loss name (default: linear)")
 
-    p = sub.add_parser("check", help="run a theorem-check suite")
-    common(p, data=False)
-    p.add_argument("--suite", default=None, help=f"one of {ALL_SUITES} or 'all'")
-    p.add_argument("--kernel", default=None)
-    p.set_defaults(run=cmd_check)
+    p = command("check", cmd_check, "run a theorem-check suite", kernel="gaussian:1.0")
+    p.add_argument("--suite", help=f"one of {', '.join(ALL_SUITES)}, or all")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
 
-    p = sub.add_parser("bounds", help="evaluate a generalization bound")
-    common(p, data=False)
-    p.add_argument("--kind", choices=_BOUND_KINDS, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--emp", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--kl", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.set_defaults(run=cmd_bounds)
+    p = command("bounds", cmd_bounds, "evaluate a generalization bound")
+    p.add_argument("--kind", choices=_BOUND_KINDS)
+    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--delta", type=float, default=0.05)
+    p.add_argument("--emp", type=float, default=0.0)
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--kl", type=float, default=0.0)
+    p.add_argument("--beta", type=float)
 
-    p = sub.add_parser("mmd", help="maximum mean discrepancy between the two classes")
-    common(p)
-    p.set_defaults(run=cmd_mmd)
+    command("mmd", cmd_mmd, "maximum mean discrepancy between the two classes", data=True, kernel="linear")
 
-    p = sub.add_parser("noise", help="corrupt a distribution file")
-    common(p, data=False)
-    p.add_argument("--dist", default=None, help="distribution JSON file")
-    p.add_argument("--model", choices=("sln", "cc", "contaminate"), default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--sigma-neg", type=float, default=None)
-    p.add_argument("--sigma-pos", type=float, default=None)
-    p.add_argument("--q", default=None, help="corruption distribution file (contaminate)")
-    p.set_defaults(run=cmd_noise)
+    p = command("noise", cmd_noise, "corrupt a distribution file")
+    p.add_argument("--dist", help="distribution JSON file")
+    p.add_argument("--model", choices=("sln", "cc", "contaminate"), default="sln")
+    p.add_argument("--sigma", type=float, default=0.0)
+    p.add_argument("--sigma-neg", type=float, default=0.0)
+    p.add_argument("--sigma-pos", type=float, default=0.0)
+    p.add_argument("--q", help="corruption distribution file (contaminate)")
 
     return parser
 
@@ -488,15 +412,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config_file(args.config)
-        return args.run(args, config)
-    except (ParseError, DataError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if args.config is not None:
+            # the file's values become the subcommand's defaults; explicit flags still win.
+            # A key names its flag in full: "k" must not set --kernel by abbreviation.
+            command = args.parser
+            command.allow_abbrev = False
+            file_args, _ = command.parse_known_args(_config_tokens(args.config))
+            command.allow_abbrev = True
+            command.set_defaults(**vars(file_args))
+            args = parser.parse_args(argv)
+        if "kernel" in args:
+            args.kernel = KernelSpec.parse(args.kernel)
+        return args.run(args)
     except InputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MeanHerdError as exc:
+    except (MeanHerdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -340,6 +340,15 @@ def long_servedio(gamma: float) -> DiscreteDistribution:
 # File loaders
 
 
+def _lines(path, newline=None):
+    """The lines of a UTF-8 text file; bytes that are not UTF-8 are a ParseError naming it."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc}", path=path) from None
+
+
 def _parse_float(token: str, path, line_no) -> float:
     try:
         return float(token)
@@ -361,26 +370,24 @@ def load_csv(path, label_column: int) -> LabeledSample:
     """Comma-separated numeric rows; header auto-detected by a non-numeric first row."""
     rows = []
     raw_labels = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if line_no == 1:
-                try:
-                    [float(tok) for tok in row]
-                except ValueError:
-                    continue  # header row
-            if label_column >= len(row) or label_column < -len(row):
-                raise ParseError(
-                    f"label column {label_column} out of range for {len(row)} columns",
-                    path=path, line=line_no,
-                )
-            values = [_parse_float(tok, path, line_no) for tok in row]
-            label = values[label_column]
-            features = [v for i, v in enumerate(values) if i != label_column % len(row)]
-            rows.append(features)
-            raw_labels.append(label)
+    for line_no, row in enumerate(csv.reader(_lines(path, newline="")), start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if line_no == 1:
+            try:
+                [float(tok) for tok in row]
+            except ValueError:
+                continue  # header row
+        if label_column >= len(row) or label_column < -len(row):
+            raise ParseError(
+                f"label column {label_column} out of range for {len(row)} columns",
+                path=path, line=line_no,
+            )
+        values = [_parse_float(tok, path, line_no) for tok in row]
+        label = values[label_column]
+        features = [v for i, v in enumerate(values) if i != label_column % len(row)]
+        rows.append(features)
+        raw_labels.append(label)
     if not rows:
         raise ParseError("no data rows", path=path)
     widths = {len(r) for r in rows}
@@ -395,33 +402,32 @@ def load_sparse(path) -> LabeledSample:
     parsed = []
     raw_labels = []
     max_index = 0
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            raw_labels.append(_parse_float(tokens[0], path, line_no))
-            entries = []
-            prev = 0
-            for tok in tokens[1:]:
-                if ":" not in tok:
-                    raise ParseError(f"expected idx:val, got {tok!r}", path=path, line=line_no)
-                idx_s, val_s = tok.split(":", 1)
-                try:
-                    idx = int(idx_s)
-                except ValueError:
-                    raise ParseError(f"bad feature index {idx_s!r}", path=path, line=line_no) from None
-                if idx <= prev:
-                    raise ParseError(
-                        f"feature indices must be strictly increasing, got {idx} after {prev}",
-                        path=path, line=line_no,
-                    )
-                val = _parse_float(val_s, path, line_no)
-                entries.append((idx, val))
-                prev = idx
-                max_index = max(max_index, idx)
-            parsed.append(entries)
+    for line_no, line in enumerate(_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        raw_labels.append(_parse_float(tokens[0], path, line_no))
+        entries = []
+        prev = 0
+        for tok in tokens[1:]:
+            if ":" not in tok:
+                raise ParseError(f"expected idx:val, got {tok!r}", path=path, line=line_no)
+            idx_s, val_s = tok.split(":", 1)
+            try:
+                idx = int(idx_s)
+            except ValueError:
+                raise ParseError(f"bad feature index {idx_s!r}", path=path, line=line_no) from None
+            if idx <= prev:
+                raise ParseError(
+                    f"feature indices must be strictly increasing, got {idx} after {prev}",
+                    path=path, line=line_no,
+                )
+            val = _parse_float(val_s, path, line_no)
+            entries.append((idx, val))
+            prev = idx
+            max_index = max(max_index, idx)
+        parsed.append(entries)
     if not parsed:
         raise ParseError("no data rows", path=path)
     d = max(max_index, 1)

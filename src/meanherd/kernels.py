@@ -80,7 +80,10 @@ class KernelSpec:
         """
         text = text.strip()
         if text.startswith("{"):
-            return cls.from_dict(json.loads(text))
+            try:
+                return cls.from_dict(json.loads(text))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise InputError(f"bad kernel JSON {text!r}: {exc}") from None
         parts = text.split(":")
         kind, args = parts[0], parts[1:]
         normalized = False

@@ -56,7 +56,8 @@ def test_train_writes_model(toy_csv, tmp_path):
     assert doc["meta"]["norm"] == pytest.approx(1.0, abs=1e-12)
     assert doc["meta"]["min_linear_loss"] == pytest.approx(0.0, abs=1e-12)
     assert doc["config"]["subcommand"] == "train"
-    assert doc["config"]["seed"] == 0  # default recorded, never implicit
+    assert doc["config"]["label-column"] == -1  # defaults recorded, never implicit
+    assert "seed" not in doc["config"]  # train draws no random numbers
 
 
 def test_train_is_byte_deterministic(toy_csv, tmp_path):
@@ -310,12 +311,15 @@ def test_non_finite_input_exit_3(case, toy_csv, tmp_path, capsys):
     assert "non-finite value in output" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("command", ["train", "eval", "sparse", "noise", "config"])
 def test_non_utf8_input_exit_3(command, toy_csv, tmp_path):
     binary = tmp_path / "bin.csv"
     binary.write_bytes(b"\xff\xfe1.0,0.0,1\n")
     argv = {"train": ["train", "--data", str(binary)],
-            "eval": ["eval", "--model", str(binary), "--data", str(toy_csv)]}[command]
+            "eval": ["eval", "--model", str(binary), "--data", str(toy_csv)],
+            "sparse": ["mmd", "--data", str(binary), "--format", "sparse"],
+            "noise": ["noise", "--dist", str(binary)],
+            "config": ["--config", str(binary), "train", "--data", str(toy_csv)]}[command]
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
@@ -323,6 +327,7 @@ def test_non_utf8_input_exit_3(command, toy_csv, tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
+    assert str(binary) in proc.stderr
 
 
 def test_write_json_rejects_non_finite(tmp_path):
@@ -349,13 +354,72 @@ def test_malformed_document_exit_3(case, toy_csv, tmp_path, capsys):
 
 def test_config_file_precedence(toy_csv, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kernel": "gaussian:2.0", "seed": 7}))
+    cfg.write_text(json.dumps({"kernel": "gaussian:2.0", "format": "csv"}))
     code = main(["--config", str(cfg), "train", "--data", str(toy_csv)])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["config"]["kernel"]["kind"] == "gaussian"
-    assert doc["config"]["seed"] == 7
+    assert doc["config"]["format"] == "csv"
     # explicit flag beats the config file
     main(["--config", str(cfg), "train", "--data", str(toy_csv), "--kernel", "linear"])
     doc = json.loads(capsys.readouterr().out)
     assert doc["config"]["kernel"]["kind"] == "linear"
+
+
+def run_cli(argv) -> int:
+    """``main``'s exit code, whether it returns it or argparse exits with it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("entry", [{"epsilon": "abc"}, {"recursive": "no"}, {"format": "xml"},
+                                   {"parallel": True}, {"kernel": {"kind": "gaussian"}}])
+def test_config_value_rejected_like_its_flag(entry, blob_csv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    out = tmp_path / "herd.json"
+    argv = ["--config", str(cfg), "herd", "--data", str(blob_csv), "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert not out.exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_config_supplies_flags_and_flags_win(blob_csv, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": str(blob_csv), "kernel": "gaussian:1.0", "epsilon": 0.2,
+                               "recursive": True, "min-size": 20}))
+    out = tmp_path / "herd.json"
+    assert main(["--config", str(cfg), "herd", "--epsilon", "0.05", "--out", str(out)]) == 0
+    doc = read_json(out)
+    assert doc["stages"]
+    assert doc["config"]["data"] == str(blob_csv)
+    assert (doc["config"]["epsilon"], doc["config"]["min-size"]) == (0.05, 20)
+
+
+def test_config_json_kernel_and_foreign_keys(toy_csv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    kernel = {"kind": "gaussian", "bandwidth": 2.0}
+    # herd's --epsilon, check's --seed and bounds' --k are not train flags: ignored,
+    # and "k" is no abbreviation of --kernel
+    cfg.write_text(json.dumps({"kernel": kernel, "epsilon": "abc", "seed": 7, "k": 3,
+                               "recursive": False}))
+    assert main(["--config", str(cfg), "train", "--data", str(toy_csv)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kernel"] == doc["config"]["kernel"] == {**kernel, "normalized": False}
+    assert "seed" not in doc["config"] and "epsilon" not in doc["config"]
+
+
+@pytest.mark.parametrize("argv", [["train", "--seed", "1"], ["eval", "--kernel", "linear"],
+                                  ["bounds", "--seed", "1"], ["herd", "--seed", "1"]])
+def test_removed_flags_exit_2(argv, capsys):
+    assert run_cli(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "check"])
+def test_bad_json_kernel_exit_2(command, toy_csv, capsys):
+    argv = {"train": ["train", "--data", str(toy_csv)], "check": ["check", "--suite", "ghosh"]}[command]
+    assert main([*argv, "--kernel", '{"kind": "gaussian", "bandwidth": "wide"}']) == 2
+    assert "bad kernel JSON" in capsys.readouterr().err

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanherd import embedding as emb
-from meanherd.data import DiscreteDistribution, flip_symmetric
+from meanherd.data import DiscreteDistribution, LabeledSample, flip_symmetric, load_csv, load_sparse
+from meanherd.errors import MeanHerdError
 from meanherd.kernels import KernelSpec, cross_gram
 from meanherd.losses import correct_sln, hinge_loss, linear_loss
 
@@ -73,3 +74,26 @@ def test_corrected_loss_pointwise_unbiased(y, v, sigma):
         corrected = correct_sln(loss, sigma)
         noisy = (1 - sigma) * float(corrected(y, v)) + sigma * float(corrected(-y, v))
         assert abs(noisy - float(loss(y, v))) <= 1e-10
+
+
+TOKENS = st.one_of(
+    st.sampled_from(("1", "-1", "0", "nan", "inf", "-inf", "1e400", "")),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds("{}:{}".format, st.integers(-1, 4), st.sampled_from(("0.5", "nan", "x", ""))),
+    st.text(alphabet="ab:#-+.e, \t\"", max_size=4),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(TOKENS, max_size=5), max_size=5), st.sampled_from((-1, 0, 1, 3, -4)))
+def test_loaders_return_a_sample_or_raise_meanherd_errors(tmp_path_factory, rows, label_column):
+    """Malformed rows end in a package error, never in another exception."""
+    path = tmp_path_factory.getbasetemp() / "loader-fuzz.txt"
+    for sep, load in ((",", lambda p: load_csv(p, label_column)), (" ", load_sparse)):
+        path.write_text("\n".join(sep.join(row) for row in rows) + "\n")
+        try:
+            S = load(path)
+        except MeanHerdError:
+            continue
+        assert isinstance(S, LabeledSample)
+        assert np.all(np.isfinite(S.instances)) and set(S.labels.tolist()) <= {-1, 1}
