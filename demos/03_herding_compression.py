@@ -13,7 +13,6 @@ import numpy as np
 from meanherd import (
     HerdingConfig,
     KernelSpec,
-    approximation_error,
     convergence_report,
     fit,
     herd,
@@ -38,7 +37,7 @@ print(f"herded to error 0.01: {h.size} points ({100 * h.size / len(train):.1f}%)
 rep = convergence_report(h.trace)
 print(f"error trace monotone: {rep.monotone}, fitted log-rate {rep.fitted_rate:.3f}/iter")
 
-err = approximation_error(h, train)
+err = h.recomputed_error  # exact: from the herding pass and the herd's own kernel block
 gap = np.max(np.abs(full.scores(test.instances) - sparse.scores(test.instances)))
 print(f"recomputed herd error {err:.6f}; worst score gap on test points {gap:.6f}")
 
@@ -47,7 +46,7 @@ hp = parallel_herd(train, 10, kernel, HerdingConfig(tolerance=0.025, max_iterati
 print(f"\nparallel (10 groups, eps 0.025): {hp.size} points, combined error {hp.error:.6f}")
 
 # Herd the herd: stage errors add by the triangle inequality.
-hr = recursive_herd(train, kernel, tolerance=0.01, min_size=50)
+hr = recursive_herd(train, kernel, min_size=50, config=HerdingConfig(tolerance=0.01))
 print(f"recursive: {hr.size} points after {len(hr.stages)} stages, error {hr.error:.6f}")
 for st in hr.stages:
     print(f"  stage {st.size_before} -> {st.size_after} at error {st.error:.6f}")

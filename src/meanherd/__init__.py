@@ -27,7 +27,6 @@ from .classifier import (
     fit,
     kde_score,
     margin_for_error,
-    margin_risk,
     mean_norm,
     mmd,
     select_kernel,
@@ -68,7 +67,6 @@ from .kernels import (
     KernelSpec,
     cross_gram,
     eval_kernel,
-    eval_label_kernel,
     gram,
     kernel_sums,
 )
@@ -125,7 +123,6 @@ __all__ = [
     "cross_gram",
     "empirical_risk",
     "eval_kernel",
-    "eval_label_kernel",
     "fit",
     "flip_class_conditional",
     "flip_instance_dependent",
@@ -142,7 +139,6 @@ __all__ = [
     "long_servedio",
     "margin_for_error",
     "margin_loss",
-    "margin_risk",
     "mean_norm",
     "mmd",
     "mutually_contaminate",

@@ -175,10 +175,15 @@ def mmd(X_pos, X_neg, kernel: KernelSpec) -> float:
 # Margins
 
 
-def _margins(data, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(y_i f(x_i), f(x_i), weights) over the rows/atoms of the data.
+def margin_for_error(data, f) -> float:
+    """Largest gamma at which margin loss equals misclassification loss.
 
-    ``f`` is a score function or the vector of its values at the rows.
+    On finite supports this is the smallest strictly positive margin
+    y f(x) over atoms with positive weight, or 0 when none is positive:
+    the risk under ``losses.margin_loss(gamma)`` counts {y f(x) < gamma},
+    which equals the misclassification count exactly for gamma up to that
+    minimum.  ``f`` is a score function or the vector of its values at the
+    rows/atoms of the data.
     """
     if isinstance(data, LabeledSample):
         X, y = data.instances, data.labels
@@ -188,32 +193,11 @@ def _margins(data, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         w = data.probabilities
     else:
         raise InputError(f"expected LabeledSample or DiscreteDistribution, got {type(data).__name__}")
-    v = score_values(f, X)
-    return y * v, v, w
-
-
-def margin_for_error(data, f) -> float:
-    """Largest gamma at which margin loss equals misclassification loss.
-
-    On finite supports this is the smallest strictly positive margin
-    y f(x) over atoms with positive weight, or 0 when none is positive:
-    margin risk at gamma counts {y f(x) < gamma}, which equals the
-    misclassification count exactly for gamma up to that minimum.
-    """
-    m, _, w = _margins(data, f)
+    m = y * score_values(f, X)
     positive = m[(m > 0) & (w > 0)]
     if positive.size == 0:
         return 0.0
     return float(positive.min())
-
-
-def margin_risk(data, f, gamma: float) -> float:
-    """Expected margin loss at the given margin (gamma = 0 gives zero-one risk)."""
-    if gamma < 0:
-        raise InputError(f"gamma must be >= 0, got {gamma}")
-    m, v, w = _margins(data, f)
-    errs = (m < gamma) | (v == 0)
-    return float(np.dot(w, errs))
 
 
 # ---------------------------------------------------------------------------

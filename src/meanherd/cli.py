@@ -29,9 +29,9 @@ reads either through ``MeanClassifier.from_dict``.
 
 Kernel sums are evaluated in row blocks (``kernels.kernel_sums``), so
 memory grows as O(block * n), never n^2.  ``herd`` passes over the n^2
-kernel entries once for the herding target and once for the independent
-exact audit in ``recomputed_error``; parallel and recursive herds report
-the exact error they already recomputed.
+kernel entries once, for the herding target; the exact audit in
+``recomputed_error`` reuses that pass and adds only the herd's own m^2
+entries.  Parallel and recursive herds make one exact audit each.
 """
 
 from __future__ import annotations
@@ -57,13 +57,7 @@ from .data import (
     load_sparse,
 )
 from .errors import DataError, InputError, MeanHerdError, ParseError
-from .herding import (
-    HerdingConfig,
-    approximation_error,
-    herd,
-    parallel_herd,
-    recursive_herd,
-)
+from .herding import HerdingConfig, herd, parallel_herd, recursive_herd
 from .kernels import KernelSpec
 from .losses import empirical_risk, hinge_loss, linear_loss, parse_loss
 
@@ -97,8 +91,12 @@ def _read_json(path):
         raise ParseError(f"not JSON: {exc}", path=path) from None
 
 
-def _config_tokens(path) -> list[str]:
-    """The config file's entries as ``--key=value`` tokens for a subcommand's parser."""
+def _config_defaults(command: argparse.ArgumentParser, path) -> dict:
+    """The config file's values, each parsed by ``command`` as the token ``--key=value``.
+
+    A key names its flag in full: "k" must not set --kernel by abbreviation.
+    A value the flag rejects is an InputError naming the file and the key.
+    """
     cfg = _read_json(path)
     if not isinstance(cfg, dict):
         raise ParseError("config file must contain a JSON object", path=path)
@@ -108,7 +106,15 @@ def _config_tokens(path) -> list[str]:
             tokens.append(f"--{key}")
         elif value is not False and value is not None:
             tokens.append(f"--{key}={value if isinstance(value, str) else json.dumps(value)}")
-    return tokens
+    command.allow_abbrev = command.exit_on_error = False
+    try:
+        return vars(command.parse_known_args(tokens)[0])
+    except argparse.ArgumentError as exc:
+        flags = str(exc.argument_name).split("/")
+        key = next((k for k in cfg if f"--{k}" in flags), exc.argument_name)
+        raise InputError(f"{path}: config key {key!r}: {exc.message}") from None
+    finally:
+        command.allow_abbrev = command.exit_on_error = True
 
 
 def _read_doc(path, from_dict):
@@ -181,14 +187,11 @@ def cmd_herd(args) -> int:
     if args.parallel is not None:
         h = parallel_herd(S, args.parallel, args.kernel, hconfig)
     elif args.recursive:
-        h = recursive_herd(S, args.kernel, args.epsilon, min_size=args.min_size, config=hconfig)
+        h = recursive_herd(S, args.kernel, min_size=args.min_size, config=hconfig)
     else:
         h = herd(S, args.kernel, hconfig)
 
     doc = h.to_dict(n_source=len(S))
-    # parallel and recursive herds already recompute their error exactly
-    exact = args.parallel is not None or args.recursive
-    doc["recomputed_error"] = h.error if exact else approximation_error(h, S)
     doc["config"] = _config(args)
     _write_json(args.out, doc)
 
@@ -374,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iterations", type=int, default=10000)
     p.add_argument("--step-rule", choices=("line_search", "uniform"), default="line_search")
     p.add_argument("--parallel", type=int, help="herd this many groups independently")
-    p.add_argument("--recursive", action="store_true", help="herd stages until --min-size")
+    p.add_argument("--recursive", action=argparse.BooleanOptionalAction, default=False,
+                   help="herd stages until --min-size")
     p.add_argument("--min-size", type=int, default=100)
     p.add_argument("--trace-out", help="CSV path for (iteration, error, size)")
 
@@ -413,13 +417,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config is not None:
-            # the file's values become the subcommand's defaults; explicit flags still win.
-            # A key names its flag in full: "k" must not set --kernel by abbreviation.
-            command = args.parser
-            command.allow_abbrev = False
-            file_args, _ = command.parse_known_args(_config_tokens(args.config))
-            command.allow_abbrev = True
-            command.set_defaults(**vars(file_args))
+            # the file's values become the subcommand's defaults; explicit flags still win
+            args.parser.set_defaults(**_config_defaults(args.parser, args.config))
             args = parser.parse_args(argv)
         if "kernel" in args:
             args.kernel = KernelSpec.parse(args.kernel)

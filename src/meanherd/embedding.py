@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DiscreteDistribution, InstanceDistribution, LabeledSample
+from .data import DiscreteDistribution, LabeledSample
 from .errors import ConsistencyError
 from .kernels import KernelSpec, kernel_sums
 
@@ -35,13 +35,6 @@ class Embedding:
     @classmethod
     def from_distribution(cls, P: DiscreteDistribution) -> "Embedding":
         return cls(P.instances_array(), P.probabilities * P.labels_array())
-
-    @classmethod
-    def from_instances(cls, D: InstanceDistribution) -> "Embedding":
-        return cls(D.instances_array(), D.probabilities.copy())
-
-    def scaled(self, factor: float) -> "Embedding":
-        return Embedding(self.points, self.coef * factor)
 
     def merged(self) -> "Embedding":
         """Collapse duplicate points (exact equality), summing coefficients."""

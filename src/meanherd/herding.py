@@ -20,11 +20,19 @@ Only c needs a pass over all n^2 kernel entries, done once in row blocks
 by ``kernels.kernel_sums``; each iteration then evaluates the single
 kernel row it selects.  Memory is one block of kernel entries plus a
 few n-vectors, never n x n.
+
+Every herd also carries ``recomputed_error``, the error evaluated exactly
+from a target pass c, the herd's weights and its m x m kernel block
+instead of through the recurrences for b and q.  A plain herd reuses its
+own c, so it makes one n^2 pass in all; parallel and recursive herds make
+one exact audit each (``approximation_error``) and report it as both
+errors.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,17 +73,19 @@ class StageSummary:
 
 @dataclass(frozen=True)
 class Herd:
-    """Sparse weighted representative set with its tracked approximation error.
+    """Sparse weighted representative set with its approximation error.
 
     A herd is a weighted sample, so it is a mean classifier: ``classifier``
     holds the kernel, the weights and the members' labels and points.  For
     bounded kernels its scores lie within ``error`` of the full mean's
-    everywhere (Cauchy-Schwarz against ||phi(x)|| <= 1).
+    everywhere (Cauchy-Schwarz against ||phi(x)|| <= 1).  ``error`` is the
+    tracked error, ``recomputed_error`` the same quantity evaluated exactly.
     """
 
     classifier: MeanClassifier
     indices: np.ndarray  # the members' indices into the source sample
     error: float
+    recomputed_error: float
     trace: tuple[float, ...]
     termination: str
     sizes: tuple[int, ...]  # distinct members per trace entry
@@ -97,6 +107,7 @@ class Herd:
             for a, i in zip(self.classifier.alphas, self.indices)
         ]
         doc["error"] = float(self.error)
+        doc["recomputed_error"] = float(self.recomputed_error)
         doc["trace"] = list(self.trace)
         doc["termination"] = self.termination
         if self.group_errors:
@@ -119,6 +130,25 @@ def _finite(v: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise DataError("non-finite kernel values in candidate set")
     return v
+
+
+def _target_pass(S: LabeledSample, kernel: KernelSpec, t: np.ndarray) -> tuple[np.ndarray, float]:
+    """c[j] = <omega_target, psi(z_j)> and ||omega_target||^2: the one n^2 pass."""
+    y = S.labels.astype(float)
+    c = _finite(y * kernel_sums(kernel, S.instances, S.instances, y * t))
+    return c, float(t @ c)
+
+
+def _exact_error(clf: MeanClassifier, idx: np.ndarray, c: np.ndarray, target_sq: float) -> float:
+    """||omega_target - omega_clf|| for the classifier on rows ``idx`` of c's sample.
+
+    target_sq - 2 alpha.c[idx] + (alpha y)' K_mm (alpha y), so given the
+    target pass it costs the m^2 kernel entries of the herd alone.
+    """
+    am = clf.alphas * clf.labels
+    herd_sq = float(am @ kernel_sums(clf.kernel, clf.points, clf.points, am))
+    cross = float(clf.alphas @ c[idx])
+    return float(np.sqrt(max(target_sq - 2.0 * cross + herd_sq, 0.0)))
 
 
 def herd(
@@ -145,8 +175,7 @@ def herd(
         """<psi(z_i), psi(z_j)> for every candidate j: one kernel row."""
         return _finite(y[i] * y * cross_gram(kernel, X[i], X)[0])
 
-    c = _finite(y * kernel_sums(kernel, X, X, y * t))  # <omega_target, psi(z_j)>
-    target_sq = float(t @ c)                          # ||omega_target||^2
+    c, target_sq = _target_pass(S, kernel, t)
 
     w = np.zeros(n)
     first = int(np.argmax(c))
@@ -189,33 +218,41 @@ def herd(
     members = np.nonzero(w)[0]
     alphas = w[members]
     alphas = alphas / alphas.sum()  # remove accumulated rounding in the simplex sum
+    clf = MeanClassifier(kernel, alphas, S.labels[members], X[members])
     return Herd(
-        classifier=MeanClassifier(kernel, alphas, S.labels[members], X[members]),
+        classifier=clf,
         indices=members,
         error=trace[-1],
+        recomputed_error=_exact_error(clf, members, c, target_sq),
         trace=tuple(trace),
         termination=termination,
         sizes=tuple(sizes),
     )
 
 
-def approximation_error(herd_: Herd, S: LabeledSample, target_weights=None) -> float:
-    """||omega_target - omega_herd|| recomputed from scratch via kernel sums."""
+class _Members(NamedTuple):
+    """The part of a herd that ``approximation_error`` reads."""
+
+    classifier: MeanClassifier
+    indices: np.ndarray
+
+
+def approximation_error(herd_: Herd | _Members, S: LabeledSample) -> float:
+    """||omega_S - omega_herd|| recomputed from scratch: one n^2 target pass."""
     n = len(S)
     idx = herd_.indices
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise InputError("herd indices out of range for the sample")
-    t = _target_weights(n, target_weights)
-    y = S.labels.astype(float)
     clf = herd_.classifier
-    kernel = clf.kernel
-    am = clf.alphas * clf.labels
+    return _exact_error(clf, idx, *_target_pass(S, clf.kernel, np.full(n, 1.0 / n)))
 
-    u = kernel_sums(kernel, S.instances, S.instances, y * t)  # <omega_target, phi(x_j)>
-    target_sq = float((y * t) @ u)
-    cross = float(am @ u[idx])
-    herd_sq = float(am @ kernel_sums(kernel, clf.points, clf.points, am))
-    return float(np.sqrt(max(target_sq - 2.0 * cross + herd_sq, 0.0)))
+
+def _audited(S: LabeledSample, kernel: KernelSpec, idx, alphas, **fields) -> Herd:
+    """The herd of rows ``idx`` of S weighted by ``alphas``; both errors from one exact audit."""
+    members = _Members(MeanClassifier(kernel, alphas, S.labels[idx], S.instances[idx]), idx)
+    err = approximation_error(members, S)
+    return Herd(*members, error=err, recomputed_error=err, trace=(err,), sizes=(len(idx),),
+                **fields)
 
 
 def parallel_herd(
@@ -246,46 +283,37 @@ def parallel_herd(
         group_alphas.append(h.classifier.alphas * (len(block) / n))
         group_errors.append(h.error)
         terminations.add(h.termination)
-    idx = np.concatenate(group_idx)
     alphas = np.concatenate(group_alphas)
-
-    combined = Herd(
-        classifier=MeanClassifier(kernel, alphas / alphas.sum(), S.labels[idx], S.instances[idx]),
-        indices=idx,
-        error=float("nan"),  # set below from the exact recomputation
-        trace=(),
+    return _audited(
+        S, kernel, np.concatenate(group_idx), alphas / alphas.sum(),
         termination="tolerance" if terminations == {"tolerance"} else "mixed",
         group_errors=tuple(group_errors),
-        sizes=(len(idx),),
     )
-    err = approximation_error(combined, S)
-    return replace(combined, error=err, trace=(err,))
 
 
 def recursive_herd(
     S: LabeledSample,
     kernel: KernelSpec,
-    tolerance: float,
     min_size: int,
     config: HerdingConfig | None = None,
 ) -> Herd:
     """Herd the data, then the herd, and so on, until shrinking stops.
 
-    Each stage approximates the previous stage's weighted mean to the
-    given tolerance using only that stage's members as candidates, so
-    the total error against the original mean is at most the sum of
+    Each stage approximates the previous stage's weighted mean to
+    ``config.tolerance`` using only that stage's members as candidates,
+    so the total error against the original mean is at most the sum of
     stage errors; the reported error is recomputed exactly.
     """
     if min_size < 1:
         raise InputError("min_size must be >= 1")
-    stage_config = replace(config or HerdingConfig(), tolerance=tolerance)
+    config = config or HerdingConfig()
     n = len(S)
     current_idx = np.arange(n)
     current_w = np.full(n, 1.0 / n)
     stages: list[StageSummary] = []
     while len(current_idx) > min_size:
         sub = S.subset(current_idx)
-        h = herd(sub, kernel, stage_config, target_weights=current_w)
+        h = herd(sub, kernel, config, target_weights=current_w)
         new_idx = current_idx[h.indices]
         new_w = h.classifier.alphas
         stages.append(
@@ -301,19 +329,8 @@ def recursive_herd(
         if not shrank:
             break
 
-    final = Herd(
-        classifier=MeanClassifier(
-            kernel, current_w, S.labels[current_idx], S.instances[current_idx]
-        ),
-        indices=current_idx,
-        error=float("nan"),  # set below from the exact recomputation
-        trace=(),
-        termination="recursive",
-        stages=tuple(stages),
-        sizes=(len(current_idx),),
-    )
-    err = approximation_error(final, S)
-    return replace(final, error=err, trace=(err,))
+    return _audited(S, kernel, current_idx, current_w, termination="recursive",
+                    stages=tuple(stages))
 
 
 @dataclass(frozen=True)

@@ -175,19 +175,6 @@ def eval_kernel(spec: KernelSpec, x, x2) -> float:
     return float(cross_gram(spec, x[np.newaxis], x2[np.newaxis])[0, 0])
 
 
-def _check_label(y) -> int:
-    if y not in (-1, 1):
-        raise InputError(f"label must be -1 or +1, got {y!r}")
-    return int(y)
-
-
-def eval_label_kernel(spec: KernelSpec, pair, pair2) -> float:
-    """Label-augmented kernel y y' K(x, x') on labeled points (x, y)."""
-    x, y = pair
-    x2, y2 = pair2
-    return _check_label(y) * _check_label(y2) * eval_kernel(spec, x, x2)
-
-
 def kernel_sums(spec: KernelSpec, X, Z, coef) -> np.ndarray:
     """K(X, Z) @ coef, evaluated one row block of K at a time.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import embedding as emb
-from .classifier import fit, mmd  # noqa: F401  (mmd re-exported for drivers)
+from .classifier import fit
 from .data import (
     DiscreteDistribution,
     InstanceDistribution,
@@ -555,11 +555,11 @@ def run_compression_experiment(
     for eps in eps_list:
         config = HerdingConfig(tolerance=eps, max_iterations=max_iterations)
         if mode == "recursive":
-            h = recursive_herd(train, kernel, eps, min_size=min_size, config=config)
+            h = recursive_herd(train, kernel, min_size=min_size, config=config)
         else:
             groups = max(1, int(np.ceil(len(train) / group_size)))
             h = parallel_herd(train, groups, kernel, config=config)
-        err = h.error  # recomputed exactly against the training mean
+        err = h.recomputed_error
         sparse = h.classifier
         acc = _accuracy(sparse, test)
         gap = float(np.max(np.abs(full_scores - sparse.scores(test.instances))))

@@ -7,7 +7,6 @@ from meanherd.classifier import (
     fit,
     kde_score,
     margin_for_error,
-    margin_risk,
     mean_norm,
     mmd,
     select_kernel,
@@ -15,7 +14,7 @@ from meanherd.classifier import (
 from meanherd.data import DiscreteDistribution, LabeledSample, synth_blobs
 from meanherd.errors import DataError, InputError
 from meanherd.kernels import KernelSpec, cross_gram
-from meanherd.losses import empirical_risk, hinge_loss
+from meanherd.losses import empirical_risk, hinge_loss, margin_loss, risk
 
 
 def toy_sample() -> LabeledSample:
@@ -166,9 +165,9 @@ def test_margin_for_error_and_margin_risk():
     f = lambda x: x[0]  # noqa: E731
     gamma = margin_for_error(P, f)
     assert gamma == pytest.approx(0.2, abs=1e-15)
-    assert margin_risk(P, f, 0.0) == 0.0
-    assert margin_risk(P, f, gamma) == 0.0  # strict inequality at the margin
-    assert margin_risk(P, f, 0.21) == pytest.approx(0.2, abs=1e-15)
+    assert risk(margin_loss(0.0), P, f) == 0.0
+    assert risk(margin_loss(gamma), P, f) == 0.0  # strict inequality at the margin
+    assert risk(margin_loss(0.21), P, f) == pytest.approx(0.2, abs=1e-15)
 
 
 def test_margin_and_risk_accept_precomputed_scores():
@@ -176,7 +175,7 @@ def test_margin_and_risk_accept_precomputed_scores():
     clf = fit(S, KernelSpec("gaussian", bandwidth=1.0))
     v = clf.scores(S.instances)
     assert margin_for_error(S, v) == pytest.approx(margin_for_error(S, clf.score), abs=1e-15)
-    assert margin_risk(S, v, 0.01) == margin_risk(S, clf.score, 0.01)
+    assert empirical_risk(margin_loss(0.01), S, v) == empirical_risk(margin_loss(0.01), S, clf.score)
     assert empirical_risk(hinge_loss, S, v) == pytest.approx(
         empirical_risk(hinge_loss, S, clf.score), abs=1e-15
     )

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from meanherd import herding, kernels
 from meanherd.classifier import margin_for_error
 from meanherd.cli import _write_json, main
 from meanherd.data import DiscreteDistribution, load_csv, synth_blobs
@@ -103,6 +104,28 @@ def test_herd_outputs_and_trace(blob_csv, tmp_path):
     assert errors == sorted(errors, reverse=True)
 
 
+def test_plain_herd_makes_one_n_squared_pass(blob_csv, tmp_path, monkeypatch):
+    # the target pass (n^2), one kernel row per trace entry, the exact
+    # audit's and the document norm's m x m blocks: no second n^2 pass
+    entries = []
+    cross_gram = kernels.cross_gram
+
+    def counted(spec, X, Z):
+        K = cross_gram(spec, X, Z)
+        entries.append(K.size)
+        return K
+
+    monkeypatch.setattr(kernels, "cross_gram", counted)
+    monkeypatch.setattr(herding, "cross_gram", counted)
+    out = tmp_path / "herd.json"
+    assert main(["herd", "--data", str(blob_csv), "--kernel", "gaussian:1.0",
+                 "--epsilon", "0.05", "--out", str(out)]) == 0
+    doc = read_json(out)
+    n, m = 200, len(doc["members"])
+    assert doc["termination"] == "tolerance"
+    assert sum(entries) <= n * n + len(doc["trace"]) * n + 2 * m * m
+
+
 def test_herd_huge_epsilon_single_member(blob_csv, tmp_path):
     out = tmp_path / "herd.json"
     main(["herd", "--data", str(blob_csv), "--kernel", "gaussian:1.0",
@@ -173,7 +196,7 @@ def test_eval_reads_herd_output(mode, blob_csv, tmp_path):
     cfg = HerdingConfig(tolerance=0.05, max_iterations=10000)
     h = {"plain": lambda: herd(S, kernel, cfg),
          "parallel": lambda: parallel_herd(S, 4, kernel, cfg),
-         "recursive": lambda: recursive_herd(S, kernel, 0.05, min_size=20, config=cfg)}[mode]()
+         "recursive": lambda: recursive_herd(S, kernel, min_size=20, config=cfg)}[mode]()
     assert [m["index"] for m in read_json(model)["members"]] == h.indices.tolist()
     scores = h.classifier.scores(S.instances)
     assert doc["accuracy"] == pytest.approx(float(np.mean(S.labels * scores > 0)), abs=1e-12)
@@ -383,7 +406,22 @@ def test_config_value_rejected_like_its_flag(entry, blob_csv, tmp_path, capsys):
     argv = ["--config", str(cfg), "herd", "--data", str(blob_csv), "--out", str(out)]
     assert run_cli(argv) == 2
     assert not out.exists()
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if "kernel" not in entry:  # a value the flag's parser rejects names the file and the key
+        (key,) = entry
+        assert str(cfg) in err and repr(key) in err
+
+
+def test_switch_from_config_turned_off_by_flag(toy_csv, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"recursive": True}))
+    out = tmp_path / "herd.json"
+    assert main(["--config", str(cfg), "herd", "--data", str(toy_csv), "--parallel", "2",
+                 "--no-recursive", "--out", str(out)]) == 0
+    doc = read_json(out)
+    assert len(doc["group_errors"]) == 2
+    assert doc["config"]["recursive"] is False
 
 
 def test_config_supplies_flags_and_flags_win(blob_csv, tmp_path):

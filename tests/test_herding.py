@@ -56,6 +56,14 @@ def test_tracked_error_matches_recomputation():
     assert approximation_error(h, S) == pytest.approx(h.error, abs=1e-8)
 
 
+def test_recomputed_error_is_the_from_scratch_audit():
+    # a uniform plain herd audits itself from its own target pass; the
+    # from-scratch audit recomputes that pass and must agree exactly
+    S = blob_sample()
+    h = herd(S, GAUSS, HerdingConfig(tolerance=0.01, max_iterations=5000))
+    assert h.recomputed_error == approximation_error(h, S)
+
+
 def test_trace_non_increasing_under_line_search():
     S = blob_sample()
     h = herd(S, GAUSS, HerdingConfig(tolerance=0.005, max_iterations=5000))
@@ -125,6 +133,7 @@ def test_streaming_matches_explicit_matrix_reference(weighted):
     assert np.allclose(h.classifier.alphas, alphas, rtol=0, atol=1e-14)
     assert len(h.trace) == len(trace)
     assert np.allclose(h.trace, trace, rtol=0, atol=1e-12)
+    assert h.recomputed_error == pytest.approx(trace[-1], abs=1e-12)
 
 
 def test_max_iterations_reported():
@@ -178,7 +187,7 @@ def test_herd_classifier_holds_its_members(variant):
     cfg = HerdingConfig(tolerance=0.03, max_iterations=2000)
     h = {"plain": lambda: herd(S, GAUSS, cfg),
          "parallel": lambda: parallel_herd(S, 3, GAUSS, cfg),
-         "recursive": lambda: recursive_herd(S, GAUSS, 0.03, min_size=10, config=cfg)}[variant]()
+         "recursive": lambda: recursive_herd(S, GAUSS, min_size=10, config=cfg)}[variant]()
     clf = h.classifier
     assert clf.kernel == GAUSS
     assert clf.alphas.shape == h.indices.shape
@@ -212,7 +221,7 @@ def test_parallel_one_group_matches_plain():
 
 def test_recursive_shrinks_and_reports_stages():
     S = blob_sample(n=300)
-    h = recursive_herd(S, GAUSS, tolerance=0.02, min_size=20,
+    h = recursive_herd(S, GAUSS, min_size=20,
                        config=HerdingConfig(tolerance=0.02, max_iterations=5000))
     assert h.size < 300
     assert h.stages, "at least one stage must be recorded"
@@ -224,7 +233,7 @@ def test_recursive_shrinks_and_reports_stages():
 
 def test_recursive_respects_min_size():
     S = blob_sample(n=100)
-    h = recursive_herd(S, GAUSS, tolerance=0.5, min_size=90)
+    h = recursive_herd(S, GAUSS, min_size=90, config=HerdingConfig(tolerance=0.5))
     assert all(st.size_before > 90 for st in h.stages)
 
 

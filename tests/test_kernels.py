@@ -9,7 +9,6 @@ from meanherd.kernels import (
     KernelSpec,
     cross_gram,
     eval_kernel,
-    eval_label_kernel,
     gram,
     kernel_sums,
 )
@@ -63,15 +62,6 @@ def test_boundedness_metadata():
     assert KernelSpec("gaussian", bandwidth=1.0).bounded
     assert not KernelSpec("linear").bounded
     assert KernelSpec("linear", normalized=True).bounded
-
-
-def test_label_kernel_sign_structure():
-    spec = KernelSpec("linear")
-    k = eval_kernel(spec, [1.0, 2.0], [2.0, 1.0])
-    assert eval_label_kernel(spec, ([1.0, 2.0], 1), ([2.0, 1.0], -1)) == -k
-    assert eval_label_kernel(spec, ([1.0, 2.0], -1), ([2.0, 1.0], -1)) == k
-    with pytest.raises(InputError):
-        eval_label_kernel(spec, ([1.0, 2.0], 0), ([2.0, 1.0], 1))
 
 
 def test_gram_matrix_symmetric_and_psd():
