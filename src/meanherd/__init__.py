@@ -25,7 +25,6 @@ from .classifier import (
     MeanClassifier,
     MeanGeometry,
     fit,
-    kde_score,
     margin_for_error,
     mean_norm,
     mmd,
@@ -67,7 +66,6 @@ from .kernels import (
     KernelSpec,
     cross_gram,
     eval_kernel,
-    gram,
     kernel_sums,
 )
 from .losses import (
@@ -127,10 +125,8 @@ __all__ = [
     "flip_class_conditional",
     "flip_instance_dependent",
     "flip_symmetric",
-    "gram",
     "herd",
     "hinge_loss",
-    "kde_score",
     "kernel_sums",
     "linear_loss",
     "load_csv",

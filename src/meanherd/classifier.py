@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import embedding as emb
-from .data import DiscreteDistribution, LabeledSample
+from .data import DiscreteDistribution, LabeledSample, as_labels
 from .errors import DataError, InputError
 from .kernels import KernelSpec, kernel_sums
 from .losses import score_values
@@ -29,7 +29,7 @@ class MeanClassifier:
 
     def __post_init__(self):
         a = np.asarray(self.alphas, dtype=float)
-        y = np.asarray(self.labels, dtype=int)
+        y = as_labels(self.labels)
         X = np.asarray(self.points, dtype=float)
         if a.shape[0] != y.shape[0] or a.shape[0] != X.shape[0]:
             raise InputError("alphas, labels and points must have equal length")
@@ -37,8 +37,6 @@ class MeanClassifier:
             raise DataError("weights and points must be finite")
         if np.any(a < 0) or abs(a.sum() - 1.0) > 1e-12:
             raise InputError("weights must be non-negative and sum to 1")
-        if not np.all(np.isin(y, (-1, 1))):
-            raise InputError("labels must be -1 or +1")
         object.__setattr__(self, "alphas", a)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "points", X)
@@ -198,29 +196,3 @@ def margin_for_error(data, f) -> float:
     if positive.size == 0:
         return 0.0
     return float(positive.min())
-
-
-# ---------------------------------------------------------------------------
-# Generative view
-
-
-def kde_score(S: LabeledSample, kernel: KernelSpec, x) -> float:
-    """Class-prior-weighted kernel density difference at x.
-
-    Equals the mean-classifier score exactly (both reduce to
-    (1/n) sum_i y_i K(x_i, x)); exposed separately so the
-    discriminative/generative equivalence stays testable.
-    """
-    if kernel.kind != "gaussian":
-        raise InputError("kde_score requires a positive kernel (gaussian)")
-    pos = S.labels == 1
-    neg = S.labels == -1
-    if not pos.any() or not neg.any():
-        raise InputError("kde_score needs both classes present")
-    x = np.asarray(x, dtype=float)[np.newaxis, :]
-    n = len(S)
-    k_pos = kernel_sums(kernel, x, S.instances[pos], np.full(pos.sum(), 1.0 / pos.sum()))[0]
-    k_neg = kernel_sums(kernel, x, S.instances[neg], np.full(neg.sum(), 1.0 / neg.sum()))[0]
-    prior_pos = pos.sum() / n
-    prior_neg = neg.sum() / n
-    return float(prior_pos * k_pos - prior_neg * k_neg)

@@ -29,9 +29,11 @@ reads either through ``MeanClassifier.from_dict``.
 
 Kernel sums are evaluated in row blocks (``kernels.kernel_sums``), so
 memory grows as O(block * n), never n^2.  ``herd`` passes over the n^2
-kernel entries once, for the herding target; the exact audit in
+kernel entries once, for the herding target; the exact error in
 ``recomputed_error`` reuses that pass and adds only the herd's own m^2
-entries.  Parallel and recursive herds make one exact audit each.
+entries.  A recursive herd shares its one pass between its first stage and
+its exact error; a parallel herd makes it once, after its groups' own
+passes.
 """
 
 from __future__ import annotations
@@ -115,6 +117,14 @@ def _config_defaults(command: argparse.ArgumentParser, path) -> dict:
         raise InputError(f"{path}: config key {key!r}: {exc.message}") from None
     finally:
         command.allow_abbrev = command.exit_on_error = True
+
+
+def _kernel(text: str) -> KernelSpec:
+    """The ``--kernel`` type: a KernelSpec, or a message argparse reports with the flag."""
+    try:
+        return KernelSpec.parse(text)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _read_doc(path, from_dict):
@@ -366,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--label-column", type=int, default=-1, help="CSV label column (default: last)")
             p.add_argument("--format", choices=("auto", "csv", "sparse"), default="auto")
         if kernel is not None:
-            p.add_argument("--kernel", default=kernel,
+            p.add_argument("--kernel", type=_kernel, default=kernel,
                            help=f'kernel JSON or shorthand, e.g. "gaussian:1.0" (default: {kernel})')
         return p
 
@@ -420,8 +430,6 @@ def main(argv=None) -> int:
             # the file's values become the subcommand's defaults; explicit flags still win
             args.parser.set_defaults(**_config_defaults(args.parser, args.config))
             args = parser.parse_args(argv)
-        if "kernel" in args:
-            args.kernel = KernelSpec.parse(args.kernel)
         return args.run(args)
     except InputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -21,6 +21,14 @@ from .errors import DataError, InputError, ParseError
 Atom = tuple[tuple[float, ...], int]
 
 
+def as_labels(values) -> np.ndarray:
+    """``values`` as an int array, each checked to be -1 or +1 before the cast."""
+    raw = np.asarray(values)
+    if not np.all(np.isin(raw, (-1, 1))):
+        raise InputError("labels must be -1 or +1")
+    return raw.astype(int)
+
+
 @dataclass(frozen=True)
 class LabeledSample:
     """An ordered sample of (instance, label) rows with labels in {-1, +1}."""
@@ -31,15 +39,13 @@ class LabeledSample:
 
     def __post_init__(self):
         X = np.asarray(self.instances, dtype=float)
-        y = np.asarray(self.labels, dtype=int)
+        y = as_labels(self.labels)
         if X.ndim != 2:
             raise InputError(f"instances must be 2-D, got shape {X.shape}")
         if X.shape[0] != y.shape[0]:
             raise InputError("instances and labels have different lengths")
         if X.shape[0] < 1:
             raise InputError("sample must contain at least one point")
-        if not np.all(np.isin(y, (-1, 1))):
-            raise InputError("labels must be -1 or +1")
         if not np.all(np.isfinite(X)):
             raise DataError("instances must be finite (found nan or inf)")
         object.__setattr__(self, "instances", X)
@@ -128,7 +134,7 @@ class DiscreteDistribution:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DiscreteDistribution":
-        support = tuple((tuple(x), int(y)) for x, y in d["support"])
+        support = tuple((tuple(x), y) for x, y in d["support"])
         return cls(support=support, probabilities=np.asarray(d["prob"], dtype=float))
 
     def to_json(self) -> str:
@@ -161,12 +167,6 @@ class InstanceDistribution:
 
     def instances_array(self) -> np.ndarray:
         return np.array(self.support, dtype=float)
-
-    def with_label(self, y: int) -> DiscreteDistribution:
-        return DiscreteDistribution(
-            support=tuple((x, y) for x in self.support),
-            probabilities=self.probabilities,
-        )
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DiscreteDistribution, LabeledSample
+from .data import DiscreteDistribution
 from .errors import ConsistencyError
 from .kernels import KernelSpec, kernel_sums
 
@@ -27,10 +27,6 @@ class Embedding:
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
         object.__setattr__(self, "coef", np.asarray(self.coef, dtype=float))
-
-    @classmethod
-    def from_sample(cls, S: LabeledSample) -> "Embedding":
-        return cls(S.instances, S.labels / len(S))
 
     @classmethod
     def from_distribution(cls, P: DiscreteDistribution) -> "Embedding":
@@ -55,12 +51,6 @@ def combine(*terms: tuple[float, Embedding]) -> Embedding:
     return Embedding(pts, coef)
 
 
-def dot(spec: KernelSpec, a: Embedding, b: Embedding) -> float:
-    a = a.merged()
-    b = b.merged()
-    return float(a.coef @ kernel_sums(spec, a.points, b.points, b.coef))
-
-
 def squared_norm(spec: KernelSpec, e: Embedding) -> float:
     e = e.merged()
     return float(e.coef @ kernel_sums(spec, e.points, e.points, e.coef))
@@ -77,13 +67,3 @@ def psd_squared_norm(spec: KernelSpec, e: Embedding) -> float:
 def norm(spec: KernelSpec, e: Embedding) -> float:
     """||e|| with tiny negative squared norms (>= -1e-12) clamped to zero."""
     return float(np.sqrt(psd_squared_norm(spec, e)))
-
-
-def score(spec: KernelSpec, e: Embedding, X) -> np.ndarray:
-    """<e, phi(x)> for each row x of X."""
-    X = np.asarray(X, dtype=float)
-    single = X.ndim == 1
-    if single:
-        X = X[np.newaxis, :]
-    out = kernel_sums(spec, X, e.points, e.coef)
-    return float(out[0]) if single else out

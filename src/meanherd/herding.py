@@ -16,30 +16,34 @@ The closed-form line search lambda* = <omega_target - omega_tilde,
 psi(z*) - omega_tilde> / ||psi(z*) - omega_tilde||^2, clipped to [0, 1],
 is the exact minimizer of the quadratic along the segment.
 
-Only c needs a pass over all n^2 kernel entries, done once in row blocks
-by ``kernels.kernel_sums``; each iteration then evaluates the single
-kernel row it selects.  Memory is one block of kernel entries plus a
-few n-vectors, never n x n.
+The target is a mean classifier f = sum_j t_j y_j K(x_j, .) over the
+candidates, so c[j] = y_j f(x_j): the target's scores on its own
+support.  Only c needs a pass over all n^2 kernel entries, done once in
+row blocks by ``MeanClassifier.scores``; each iteration then evaluates
+the single kernel row it selects.  Memory is one block of kernel entries
+plus a few n-vectors, never n x n.
 
 Every herd also carries ``recomputed_error``, the error evaluated exactly
-from a target pass c, the herd's weights and its m x m kernel block
-instead of through the recurrences for b and q.  A plain herd reuses its
-own c, so it makes one n^2 pass in all; parallel and recursive herds make
-one exact audit each (``approximation_error``) and report it as both
-errors.
+from c and the herd's own norm (its scores on its m members) instead of
+through the recurrences for b and q.  So every herd makes one n^2 pass
+over the sample: a plain herd and the first stage of a recursive herd
+herd from their own c, and a recursive herd takes its final error from
+that same c (later stages pass only over the previous stage's members).
+A parallel herd makes the uniform pass once for its error, besides each
+group's own pass.  ``approximation_error`` is the from-scratch audit of
+a herd against a sample; no herding path calls it.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .classifier import MeanClassifier
+from .classifier import MeanClassifier, fit
 from .data import LabeledSample
 from .errors import DataError, InputError
-from .kernels import KernelSpec, cross_gram, kernel_sums
+from .kernels import KernelSpec, cross_gram
 
 STEP_RULES = ("line_search", "uniform")
 
@@ -117,67 +121,41 @@ class Herd:
         return doc
 
 
-def _target_weights(n: int, target_weights) -> np.ndarray:
-    if target_weights is None:
-        return np.full(n, 1.0 / n)
-    t = np.asarray(target_weights, dtype=float)
-    if t.shape != (n,) or np.any(t < 0) or abs(t.sum() - 1.0) > 1e-10:
-        raise InputError("target weights must be a probability vector over the candidates")
-    return t
-
-
 def _finite(v: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise DataError("non-finite kernel values in candidate set")
     return v
 
 
-def _target_pass(S: LabeledSample, kernel: KernelSpec, t: np.ndarray) -> tuple[np.ndarray, float]:
-    """c[j] = <omega_target, psi(z_j)> and ||omega_target||^2: the one n^2 pass."""
-    y = S.labels.astype(float)
-    c = _finite(y * kernel_sums(kernel, S.instances, S.instances, y * t))
-    return c, float(t @ c)
+def _target_pass(target: MeanClassifier) -> tuple[np.ndarray, float]:
+    """c[j] = <omega_target, psi(z_j)> = y_j f(x_j) and ||omega_target||^2: the one n^2 pass."""
+    c = _finite(target.labels * target.scores(target.points))
+    return c, float(target.alphas @ c)
 
 
 def _exact_error(clf: MeanClassifier, idx: np.ndarray, c: np.ndarray, target_sq: float) -> float:
-    """||omega_target - omega_clf|| for the classifier on rows ``idx`` of c's sample.
+    """||omega_target - omega_clf|| for the classifier on rows ``idx`` of c's candidates.
 
-    target_sq - 2 alpha.c[idx] + (alpha y)' K_mm (alpha y), so given the
-    target pass it costs the m^2 kernel entries of the herd alone.
+    target_sq - 2 alpha.c[idx] + ||omega_clf||^2, so given the target pass
+    it costs the m^2 kernel entries of the herd alone.
     """
-    am = clf.alphas * clf.labels
-    herd_sq = float(am @ kernel_sums(clf.kernel, clf.points, clf.points, am))
+    herd_sq = float((clf.alphas * clf.labels) @ clf.scores(clf.points))
     cross = float(clf.alphas @ c[idx])
     return float(np.sqrt(max(target_sq - 2.0 * cross + herd_sq, 0.0)))
 
 
-def herd(
-    S: LabeledSample,
-    kernel: KernelSpec,
-    config: HerdingConfig | None = None,
-    target_weights=None,
-) -> Herd:
-    """Greedy sparse approximation of the (weighted) mean embedding of S.
-
-    The target is sum_j t_j y_j phi(x_j) with t uniform by default, so it
-    lies in the convex hull of the candidates and line-search steps enjoy
-    the geometric convergence rate.  Ties in the greedy argmax break to
-    the lowest candidate index; candidates may be re-selected, in which
-    case their weights accumulate.
-    """
-    config = config or HerdingConfig()
-    n = len(S)
-    X = S.instances
-    y = S.labels.astype(float)
-    t = _target_weights(n, target_weights)
+def _frank_wolfe(target: MeanClassifier, config: HerdingConfig, c: np.ndarray,
+                 target_sq: float) -> Herd:
+    """Herd the target's own support points from its target pass (c, target_sq)."""
+    kernel = target.kernel
+    X = target.points
+    y = target.labels.astype(float)
 
     def row(i: int) -> np.ndarray:
         """<psi(z_i), psi(z_j)> for every candidate j: one kernel row."""
         return _finite(y[i] * y * cross_gram(kernel, X[i], X)[0])
 
-    c, target_sq = _target_pass(S, kernel, t)
-
-    w = np.zeros(n)
+    w = np.zeros(target.n_support)
     first = int(np.argmax(c))
     w[first] = 1.0
     s = row(first)
@@ -218,7 +196,7 @@ def herd(
     members = np.nonzero(w)[0]
     alphas = w[members]
     alphas = alphas / alphas.sum()  # remove accumulated rounding in the simplex sum
-    clf = MeanClassifier(kernel, alphas, S.labels[members], X[members])
+    clf = MeanClassifier(kernel, alphas, target.labels[members], X[members])
     return Herd(
         classifier=clf,
         indices=members,
@@ -230,29 +208,34 @@ def herd(
     )
 
 
-class _Members(NamedTuple):
-    """The part of a herd that ``approximation_error`` reads."""
+def herd(
+    S: LabeledSample,
+    kernel: KernelSpec,
+    config: HerdingConfig | None = None,
+    target_weights=None,
+) -> Herd:
+    """Greedy sparse approximation of the (weighted) mean embedding of S.
 
-    classifier: MeanClassifier
-    indices: np.ndarray
+    The target is sum_j t_j y_j phi(x_j) with t uniform by default, so it
+    lies in the convex hull of the candidates and line-search steps enjoy
+    the geometric convergence rate.  Ties in the greedy argmax break to
+    the lowest candidate index; candidates may be re-selected, in which
+    case their weights accumulate.
+    """
+    if target_weights is None:
+        target = fit(S, kernel)
+    else:
+        target = MeanClassifier(kernel, target_weights, S.labels, S.instances)
+    return _frank_wolfe(target, config or HerdingConfig(), *_target_pass(target))
 
 
-def approximation_error(herd_: Herd | _Members, S: LabeledSample) -> float:
+def approximation_error(herd_: Herd, S: LabeledSample) -> float:
     """||omega_S - omega_herd|| recomputed from scratch: one n^2 target pass."""
-    n = len(S)
     idx = herd_.indices
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
+    if idx.size and (idx.min() < 0 or idx.max() >= len(S)):
         raise InputError("herd indices out of range for the sample")
     clf = herd_.classifier
-    return _exact_error(clf, idx, *_target_pass(S, clf.kernel, np.full(n, 1.0 / n)))
-
-
-def _audited(S: LabeledSample, kernel: KernelSpec, idx, alphas, **fields) -> Herd:
-    """The herd of rows ``idx`` of S weighted by ``alphas``; both errors from one exact audit."""
-    members = _Members(MeanClassifier(kernel, alphas, S.labels[idx], S.instances[idx]), idx)
-    err = approximation_error(members, S)
-    return Herd(*members, error=err, recomputed_error=err, trace=(err,), sizes=(len(idx),),
-                **fields)
+    return _exact_error(clf, idx, *_target_pass(fit(S, clf.kernel)))
 
 
 def parallel_herd(
@@ -265,9 +248,9 @@ def parallel_herd(
 
     The mean is a mean of means, so combining per-group herds with
     weights n_i / n approximates the full mean to the worst per-group
-    tolerance.  The reported error is recomputed exactly against the
-    full uniform mean.  Groups are contiguous index blocks so runs are
-    reproducible without an RNG.
+    tolerance.  The reported error is computed exactly against the full
+    uniform mean, from one target pass.  Groups are contiguous index
+    blocks so runs are reproducible without an RNG.
     """
     config = config or HerdingConfig()
     n = len(S)
@@ -283,12 +266,13 @@ def parallel_herd(
         group_alphas.append(h.classifier.alphas * (len(block) / n))
         group_errors.append(h.error)
         terminations.add(h.termination)
+    idx = np.concatenate(group_idx)
     alphas = np.concatenate(group_alphas)
-    return _audited(
-        S, kernel, np.concatenate(group_idx), alphas / alphas.sum(),
-        termination="tolerance" if terminations == {"tolerance"} else "mixed",
-        group_errors=tuple(group_errors),
-    )
+    clf = MeanClassifier(kernel, alphas / alphas.sum(), S.labels[idx], S.instances[idx])
+    err = _exact_error(clf, idx, *_target_pass(fit(S, kernel)))
+    return Herd(clf, idx, error=err, recomputed_error=err, trace=(err,), sizes=(len(idx),),
+                termination="tolerance" if terminations == {"tolerance"} else "mixed",
+                group_errors=tuple(group_errors))
 
 
 def recursive_herd(
@@ -302,35 +286,27 @@ def recursive_herd(
     Each stage approximates the previous stage's weighted mean to
     ``config.tolerance`` using only that stage's members as candidates,
     so the total error against the original mean is at most the sum of
-    stage errors; the reported error is recomputed exactly.
+    stage errors.  The uniform target pass is made once: stage 1 herds
+    from it and the reported error is computed exactly from it.
     """
     if min_size < 1:
         raise InputError("min_size must be >= 1")
     config = config or HerdingConfig()
-    n = len(S)
-    current_idx = np.arange(n)
-    current_w = np.full(n, 1.0 / n)
+    target = fit(S, kernel)
+    full_pass = _target_pass(target)
+    idx = np.arange(len(S))
     stages: list[StageSummary] = []
-    while len(current_idx) > min_size:
-        sub = S.subset(current_idx)
-        h = herd(sub, kernel, config, target_weights=current_w)
-        new_idx = current_idx[h.indices]
-        new_w = h.classifier.alphas
-        stages.append(
-            StageSummary(
-                size_before=len(current_idx),
-                size_after=len(new_idx),
-                error=h.error,
-                termination=h.termination,
-            )
-        )
-        shrank = len(new_idx) < len(current_idx)
-        current_idx, current_w = new_idx, new_w
-        if not shrank:
+    while target.n_support > min_size:
+        h = _frank_wolfe(target, config, *(_target_pass(target) if stages else full_pass))
+        stages.append(StageSummary(size_before=target.n_support, size_after=h.size,
+                                   error=h.error, termination=h.termination))
+        idx, target = idx[h.indices], h.classifier
+        if h.size == stages[-1].size_before:
             break
 
-    return _audited(S, kernel, current_idx, current_w, termination="recursive",
-                    stages=tuple(stages))
+    err = _exact_error(target, idx, *full_pass)
+    return Herd(target, idx, error=err, recomputed_error=err, trace=(err,), sizes=(len(idx),),
+                termination="recursive", stages=tuple(stages))
 
 
 @dataclass(frozen=True)

@@ -189,12 +189,3 @@ def kernel_sums(spec: KernelSpec, X, Z, coef) -> np.ndarray:
     for lo in range(0, X.shape[0], rows):
         out[lo:lo + rows] = cross_gram(spec, X[lo:lo + rows], Z) @ coef
     return out
-
-
-def gram(spec: KernelSpec, points) -> np.ndarray:
-    """Full dense Gram matrix over a point list; symmetric by construction."""
-    X = _as_matrix(points)
-    if X.shape[0] == 0:
-        raise InputError("gram requires a non-empty point list")
-    K = cross_gram(spec, X, X)
-    return 0.5 * (K + K.T)

@@ -5,7 +5,6 @@ from meanherd import embedding as emb
 from meanherd.classifier import (
     MeanClassifier,
     fit,
-    kde_score,
     margin_for_error,
     mean_norm,
     mmd,
@@ -60,6 +59,18 @@ def test_weights_validation():
             labels=np.array([1, -1]),
             points=np.array([[0.0], [1.0]]),
         )
+
+
+@pytest.mark.parametrize("label", [1.7, -1.9, np.nan])
+def test_labels_checked_before_the_int_cast(label):
+    # 1.7 must not become +1, nor -1.9 become -1
+    points = np.array([[0.0], [1.0]])
+    with pytest.raises(InputError):
+        MeanClassifier(KernelSpec("linear"), np.array([0.5, 0.5]), np.array([label, -1.0]), points)
+    with pytest.raises(InputError):
+        LabeledSample(points, np.array([label, -1.0]))
+    clf = MeanClassifier(KernelSpec("linear"), np.array([0.5, 0.5]), np.array([1.0, -1.0]), points)
+    assert clf.labels.tolist() == [1, -1]
 
 
 @pytest.mark.parametrize("case", ["nan-alpha", "inf-alpha", "nan-point", "inf-point"])
@@ -187,20 +198,3 @@ def test_margin_for_error_no_positive_margin():
     P = DiscreteDistribution(support=(((1.0,), -1),), probabilities=np.array([1.0]))
     assert margin_for_error(P, lambda x: x[0]) == 0.0
 
-
-# ---------------------------------------------------------------------------
-# Generative view
-
-
-def test_kde_score_equals_mean_score():
-    S = synth_blobs(30, 2, 2.0, seed=3)
-    spec = KernelSpec("gaussian", bandwidth=0.9)
-    clf = fit(S, spec)
-    for x in [np.array([0.0, 0.0]), np.array([1.5, -0.3])]:
-        assert kde_score(S, spec, x) == pytest.approx(clf.score(x), abs=1e-15)
-
-
-def test_kde_score_requires_positive_kernel():
-    S = toy_sample()
-    with pytest.raises(InputError):
-        kde_score(S, KernelSpec("linear"), np.array([0.0, 0.0]))

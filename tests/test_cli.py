@@ -75,7 +75,7 @@ def test_train_missing_file_exit_3(tmp_path):
 
 
 def test_bad_kernel_exit_2(toy_csv):
-    code = main(["train", "--data", str(toy_csv), "--kernel", "fourier:1"])
+    code = run_cli(["train", "--data", str(toy_csv), "--kernel", "fourier:1"])
     assert code == 2
 
 
@@ -104,9 +104,13 @@ def test_herd_outputs_and_trace(blob_csv, tmp_path):
     assert errors == sorted(errors, reverse=True)
 
 
-def test_plain_herd_makes_one_n_squared_pass(blob_csv, tmp_path, monkeypatch):
-    # the target pass (n^2), one kernel row per trace entry, the exact
-    # audit's and the document norm's m x m blocks: no second n^2 pass
+@pytest.mark.parametrize("mode", ["plain", "parallel", "recursive"])
+def test_herd_makes_one_n_squared_pass(mode, blob_csv, tmp_path, monkeypatch):
+    # plain: the target pass (n^2), one kernel row per trace entry, the
+    # exact error's and the document norm's m x m blocks.  parallel: each
+    # group's plain herd, then one uniform pass for the exact error.
+    # recursive: stage 1 and the final error share one uniform pass; later
+    # stages pass only over the previous stage's members.
     entries = []
     cross_gram = kernels.cross_gram
 
@@ -117,13 +121,28 @@ def test_plain_herd_makes_one_n_squared_pass(blob_csv, tmp_path, monkeypatch):
 
     monkeypatch.setattr(kernels, "cross_gram", counted)
     monkeypatch.setattr(herding, "cross_gram", counted)
+    flags = {"plain": [], "parallel": ["--parallel", "4"],
+             "recursive": ["--recursive", "--min-size", "20"]}[mode]
     out = tmp_path / "herd.json"
     assert main(["herd", "--data", str(blob_csv), "--kernel", "gaussian:1.0",
-                 "--epsilon", "0.05", "--out", str(out)]) == 0
+                 "--epsilon", "0.05", *flags, "--out", str(out)]) == 0
+    used = sum(entries)
     doc = read_json(out)
     n, m = 200, len(doc["members"])
-    assert doc["termination"] == "tolerance"
-    assert sum(entries) <= n * n + len(doc["trace"]) * n + 2 * m * m
+    if mode == "plain":
+        assert doc["termination"] == "tolerance"
+        assert used <= n * n + len(doc["trace"]) * n + 2 * m * m
+    elif mode == "parallel":
+        # T: the groups' trace entries, one kernel row of at most n each
+        S = load_csv(blob_csv, -1)
+        kernel, cfg = KernelSpec("gaussian", bandwidth=1.0), HerdingConfig(tolerance=0.05)
+        blocks = np.array_split(np.arange(n), 4)
+        T = sum(len(herd(S.subset(block), kernel, cfg).trace) for block in blocks)
+        assert doc["termination"] == "tolerance"
+        assert used <= n * n + sum(len(block) ** 2 for block in blocks) + T * n + 2 * m * m
+    else:
+        assert doc["stages"]
+        assert used < 1.5 * n * n
 
 
 def test_herd_huge_epsilon_single_member(blob_csv, tmp_path):
@@ -210,6 +229,24 @@ def test_eval_dimension_mismatch_exit_2(toy_csv, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,2.0,3.0,1\n-1.0,0.0,0.0,-1\n")
     assert main(["eval", "--model", str(model), "--data", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("command", ["eval", "noise"])
+def test_fractional_label_exit_2(command, toy_csv, tmp_path, capsys):
+    # "y": 1.7 is no +1 label, in a model or in a distribution
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", str(toy_csv), "--out", str(model)]) == 0
+    doc = read_json(model)
+    doc["support"][0]["y"] = 1.7
+    model.write_text(json.dumps(doc))
+    dist = tmp_path / "dist.json"
+    dist.write_text('{"support": [[[0.0], 1.7], [[1.0], -1]], "prob": [0.5, 0.5]}')
+    out = tmp_path / "out.json"
+    argv = {"eval": ["eval", "--model", str(model), "--data", str(toy_csv)],
+            "noise": ["noise", "--dist", str(dist), "--sigma", "0.1"]}[command]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "-1 or +1" in capsys.readouterr().err
 
 
 def test_check_surrogate_regret_suite(tmp_path):
@@ -408,9 +445,8 @@ def test_config_value_rejected_like_its_flag(entry, blob_csv, tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    if "kernel" not in entry:  # a value the flag's parser rejects names the file and the key
-        (key,) = entry
-        assert str(cfg) in err and repr(key) in err
+    (key,) = entry  # a value the flag's parser rejects names the file and the key
+    assert str(cfg) in err and repr(key) in err
 
 
 def test_switch_from_config_turned_off_by_flag(toy_csv, tmp_path):
@@ -459,5 +495,5 @@ def test_removed_flags_exit_2(argv, capsys):
 @pytest.mark.parametrize("command", ["train", "check"])
 def test_bad_json_kernel_exit_2(command, toy_csv, capsys):
     argv = {"train": ["train", "--data", str(toy_csv)], "check": ["check", "--suite", "ghosh"]}[command]
-    assert main([*argv, "--kernel", '{"kind": "gaussian", "bandwidth": "wide"}']) == 2
+    assert run_cli([*argv, "--kernel", '{"kind": "gaussian", "bandwidth": "wide"}']) == 2
     assert "bad kernel JSON" in capsys.readouterr().err

@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 
 from meanherd import embedding as emb
-from meanherd.data import DiscreteDistribution, LabeledSample, flip_symmetric
+from meanherd.data import DiscreteDistribution, flip_symmetric
 from meanherd.errors import ConsistencyError
 from meanherd.kernels import KernelSpec
-
-
-def test_from_sample_coefficients():
-    S = LabeledSample(np.array([[0.0], [1.0]]), np.array([1, -1]))
-    e = emb.Embedding.from_sample(S)
-    assert np.array_equal(e.coef, np.array([0.5, -0.5]))
 
 
 def test_squared_norm_matches_feature_space_linear():
@@ -20,16 +14,6 @@ def test_squared_norm_matches_feature_space_linear():
     e = emb.Embedding(X, y / 7.0)
     explicit = np.linalg.norm(np.mean(y[:, np.newaxis] * X, axis=0)) ** 2
     assert emb.squared_norm(KernelSpec("linear"), e) == pytest.approx(explicit, abs=1e-12)
-
-
-def test_dot_bilinear():
-    spec = KernelSpec("gaussian", bandwidth=1.0)
-    rng = np.random.default_rng(1)
-    a = emb.Embedding(rng.normal(size=(3, 2)), rng.normal(size=3))
-    b = emb.Embedding(rng.normal(size=(4, 2)), rng.normal(size=4))
-    lhs = emb.dot(spec, emb.combine((2.0, a), (1.0, b)), b)
-    rhs = 2.0 * emb.dot(spec, a, b) + emb.dot(spec, b, b)
-    assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_merged_collapses_exact_duplicates():
@@ -74,10 +58,3 @@ def test_norm_rejects_indefinite_quadratic_form():
     else:
         assert emb.norm(bad, e) >= 0.0
 
-
-def test_score_matches_dot_with_point_mass():
-    spec = KernelSpec("gaussian", bandwidth=1.3)
-    e = emb.Embedding(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.6, -0.4]))
-    x = np.array([0.2, 0.8])
-    point = emb.Embedding(x[np.newaxis, :], np.array([1.0]))
-    assert emb.score(spec, e, x) == pytest.approx(emb.dot(spec, e, point), abs=1e-15)

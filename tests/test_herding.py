@@ -15,7 +15,7 @@ from meanherd.herding import (
     parallel_herd,
     recursive_herd,
 )
-from meanherd.kernels import KernelSpec, gram
+from meanherd.kernels import KernelSpec, cross_gram
 
 GAUSS = KernelSpec("gaussian", bandwidth=1.0)
 
@@ -98,7 +98,8 @@ def dense_reference_herd(S, kernel, tolerance, max_iterations, t):
     no tracked scalars, so it checks the streaming engine independently.
     """
     y = S.labels.astype(float)
-    L = np.outer(y, y) * gram(kernel, S.instances)
+    K = cross_gram(kernel, S.instances, S.instances)
+    L = np.outer(y, y) * (0.5 * (K + K.T))  # the symmetrized dense Gram matrix
     c = L @ t
     target_sq = t @ c
 

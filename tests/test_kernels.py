@@ -9,7 +9,6 @@ from meanherd.kernels import (
     KernelSpec,
     cross_gram,
     eval_kernel,
-    gram,
     kernel_sums,
 )
 
@@ -72,7 +71,7 @@ def test_gram_matrix_symmetric_and_psd():
         KernelSpec("gaussian", bandwidth=0.7),
         KernelSpec("polynomial", degree=2, offset=1.0),
     ):
-        G = gram(spec, X)
+        G = cross_gram(spec, X, X)
         assert np.array_equal(G, G.T)
         assert np.linalg.eigvalsh(G)[0] >= -1e-10
 
