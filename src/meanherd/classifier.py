@@ -8,7 +8,6 @@ probability weights from an exact finite-support distribution; herding
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,6 @@ from . import embedding as emb
 from .data import DiscreteDistribution, LabeledSample, as_labels
 from .errors import DataError, InputError
 from .kernels import KernelSpec, kernel_sums
-from .losses import score_values
 
 
 @dataclass(frozen=True)
@@ -60,15 +58,9 @@ class MeanClassifier:
             raise InputError(f"dimension mismatch: {X.shape[1]} vs {self.dim}")
         return kernel_sums(self.kernel, X, self.points, self.alphas * self.labels)
 
-    def score(self, x) -> float:
-        return float(self.scores(np.asarray(x, dtype=float)[np.newaxis, :])[0])
-
     def predict(self, X) -> np.ndarray:
         """Signs of the scores; exact zero is reported as 0 (abstain)."""
         return np.sign(self.scores(X)).astype(int)
-
-    def label(self, x) -> int:
-        return int(np.sign(self.score(x)))
 
     def to_dict(self, n_source: int | None = None) -> dict:
         geo = emb.norm(self.kernel, self.embedding())
@@ -85,9 +77,6 @@ class MeanClassifier:
             },
         }
 
-    def to_json(self, n_source: int | None = None) -> str:
-        return json.dumps(self.to_dict(n_source), sort_keys=True)
-
     @classmethod
     def from_dict(cls, d: dict) -> "MeanClassifier":
         support = d["support"]
@@ -97,10 +86,6 @@ class MeanClassifier:
             labels=np.array([s["y"] for s in support]),
             points=np.array([s["x"] for s in support]),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "MeanClassifier":
-        return cls.from_dict(json.loads(text))
 
 
 def fit(data, kernel: KernelSpec) -> MeanClassifier:
@@ -173,25 +158,27 @@ def mmd(X_pos, X_neg, kernel: KernelSpec) -> float:
 # Margins
 
 
-def margin_for_error(data, f) -> float:
+def margin_for_error(data, v) -> float:
     """Largest gamma at which margin loss equals misclassification loss.
 
     On finite supports this is the smallest strictly positive margin
     y f(x) over atoms with positive weight, or 0 when none is positive:
     the risk under ``losses.margin_loss(gamma)`` counts {y f(x) < gamma},
     which equals the misclassification count exactly for gamma up to that
-    minimum.  ``f`` is a score function or the vector of its values at the
-    rows/atoms of the data.
+    minimum.  ``v`` holds the scores at the rows/atoms of the data.
     """
     if isinstance(data, LabeledSample):
-        X, y = data.instances, data.labels
+        y = data.labels
         w = np.full(len(data), 1.0 / len(data))
     elif isinstance(data, DiscreteDistribution):
-        X, y = data.instances_array(), data.labels_array()
+        y = data.labels_array()
         w = data.probabilities
     else:
         raise InputError(f"expected LabeledSample or DiscreteDistribution, got {type(data).__name__}")
-    m = y * score_values(f, X)
+    v = np.asarray(v, dtype=float)
+    if v.shape != y.shape:
+        raise InputError(f"expected {y.shape[0]} scores, got shape {v.shape}")
+    m = y * v
     positive = m[(m > 0) & (w > 0)]
     if positive.size == 0:
         return 0.0

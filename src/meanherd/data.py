@@ -11,7 +11,6 @@ by a separate in-place flipper.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,13 +135,6 @@ class DiscreteDistribution:
     def from_dict(cls, d: dict) -> "DiscreteDistribution":
         support = tuple((tuple(x), y) for x, y in d["support"])
         return cls(support=support, probabilities=np.asarray(d["prob"], dtype=float))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiscreteDistribution":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,10 @@ over the sample: a plain herd and the first stage of a recursive herd
 herd from their own c, and a recursive herd takes its final error from
 that same c (later stages pass only over the previous stage's members).
 A parallel herd makes the uniform pass once for its error, besides each
-group's own pass.  ``approximation_error`` is the from-scratch audit of
-a herd against a sample; no herding path calls it.
+group's own pass; with one group the two are the same pass.  A recursive
+herd with no stage is its target, with error exactly 0.
+``approximation_error`` is the from-scratch audit of a herd against a
+sample; no herding path calls it.
 """
 
 from __future__ import annotations
@@ -261,7 +263,9 @@ def parallel_herd(
     group_idx, group_alphas, group_errors = [], [], []
     terminations = set()
     for block in blocks:
-        h = herd(S.subset(block), kernel, config)
+        target = fit(S.subset(block), kernel)
+        group_pass = _target_pass(target)
+        h = _frank_wolfe(target, config, *group_pass)
         group_idx.append(block[h.indices])
         group_alphas.append(h.classifier.alphas * (len(block) / n))
         group_errors.append(h.error)
@@ -269,7 +273,9 @@ def parallel_herd(
     idx = np.concatenate(group_idx)
     alphas = np.concatenate(group_alphas)
     clf = MeanClassifier(kernel, alphas / alphas.sum(), S.labels[idx], S.instances[idx])
-    err = _exact_error(clf, idx, *_target_pass(fit(S, kernel)))
+    # One group is the whole sample, so its pass is already the uniform pass.
+    full_pass = group_pass if groups == 1 else _target_pass(fit(S, kernel))
+    err = _exact_error(clf, idx, *full_pass)
     return Herd(clf, idx, error=err, recomputed_error=err, trace=(err,), sizes=(len(idx),),
                 termination="tolerance" if terminations == {"tolerance"} else "mixed",
                 group_errors=tuple(group_errors))
@@ -304,7 +310,8 @@ def recursive_herd(
         if h.size == stages[-1].size_before:
             break
 
-    err = _exact_error(target, idx, *full_pass)
+    # With no stage the herd is the target itself, so its error is exactly 0.
+    err = _exact_error(target, idx, *full_pass) if stages else 0.0
     return Herd(target, idx, error=err, recomputed_error=err, trace=(err,), sizes=(len(idx),),
                 termination="recursive", stages=tuple(stages))
 

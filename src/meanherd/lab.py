@@ -2,9 +2,11 @@
 
 Every check here runs at the population level on exact finite-support
 distributions, so the identities are verified to 1e-10..1e-12 rather
-than statistically.  ``brute_force_min`` is the ground-truth minimizer
-oracle over finite score-table classes; anything cleverer added later
-must match it exactly.
+than statistically.  A function on a finite support is its score array,
+and a class of them is a score table, so one ``losses.risk`` call scores
+the whole class.  ``brute_force_min``, the argmin of that call, is the
+ground-truth minimizer oracle over finite score-table classes; anything
+cleverer added later must match it exactly.
 """
 
 from __future__ import annotations
@@ -68,21 +70,16 @@ class FiniteFunctionClass:
     def size(self) -> int:
         return self.scores.shape[0]
 
-    def column_of(self, x) -> int:
-        key = tuple(float(v) for v in x)
-        try:
-            return self.instances.index(key)
-        except ValueError:
-            raise InputError(f"instance {key} not covered by the function class") from None
-
-    def as_function(self, index: int):
-        row = self.scores[index]
-        lookup = {inst: row[j] for j, inst in enumerate(self.instances)}
-
-        def f(x):
-            return lookup[tuple(float(v) for v in x)]
-
-        return f
+    def table(self, X) -> np.ndarray:
+        """Every member's scores at the rows of X: shape (k, len(X))."""
+        column = {inst: j for j, inst in enumerate(self.instances)}
+        cols = []
+        for x in X:
+            key = tuple(float(v) for v in x)
+            if key not in column:
+                raise InputError(f"instance {key} not covered by the function class")
+            cols.append(column[key])
+        return self.scores[:, cols]
 
 
 @dataclass
@@ -174,40 +171,38 @@ def brute_force_min(loss: Loss, P: DiscreteDistribution, fclass: FiniteFunctionC
 
     Returns (best index, best risk); ties break to the lowest index.
     """
-    cols = np.array([fclass.column_of(x) for x, _ in P.support])
-    labels = P.labels_array()
-    V = fclass.scores[:, cols]  # (k, atoms)
-    L = np.where(labels[np.newaxis, :] == 1, loss(1, V), loss(-1, V))
-    risks = L @ P.probabilities
+    risks = risk(loss, P, fclass.table(P.instances_array()))
     best = int(np.argmin(risks))
     return best, float(risks[best])
 
 
-def _bayes_table(P: DiscreteDistribution) -> dict[tuple[float, ...], float]:
-    """Score table of the Bayes classifier: -1 where 1 - 2 eta >= 0, else +1."""
-    return {x: (-1.0 if 1.0 - 2.0 * eta >= 0.0 else 1.0) for x, eta in P.eta().items()}
+def _atom_scores(P: DiscreteDistribution, f: dict) -> np.ndarray:
+    """An {instance: score} table read into one score per atom of P."""
+    try:
+        return np.array([f[x] for x, _ in P.support], dtype=float)
+    except KeyError as exc:
+        raise InputError(f"no score for instance {exc.args[0]}") from None
 
 
-def _table_fn(table: dict):
-    return lambda x: table[tuple(float(v) for v in x)]
+def _bayes_scores(P: DiscreteDistribution) -> np.ndarray:
+    """The Bayes classifier at P's atoms: -1 where 1 - 2 eta >= 0, else +1."""
+    eta = P.eta()
+    return np.where(1.0 - 2.0 * np.array([eta[x] for x, _ in P.support]) >= 0.0, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
 # Theorem checks
 
 
-def _regret_gap(P: DiscreteDistribution, f_table: dict) -> float:
-    """mis regret minus linear regret for a score table; must be <= 0."""
-    for x, v in f_table.items():
-        if abs(v) > 1.0:
-            raise InputError(f"score {v} at {x} exceeds 1 in magnitude")
-    fP = _bayes_table(P)
-    mis_regret = risk(zero_one_loss, P, _table_fn(f_table)) - risk(
-        zero_one_loss, P, _table_fn(fP)
-    )
-    lin_regret = risk(linear_loss, P, _table_fn(f_table)) - risk(
-        linear_loss, P, _table_fn(fP)
-    )
+def _regret_gap(P: DiscreteDistribution, v: np.ndarray) -> float:
+    """mis regret minus linear regret for scores v at P's atoms; must be <= 0."""
+    too_big = np.flatnonzero(np.abs(v) > 1.0)
+    if too_big.size:
+        i = too_big[0]
+        raise InputError(f"score {v[i]} at {P.support[i][0]} exceeds 1 in magnitude")
+    bayes = _bayes_scores(P)
+    mis_regret = risk(zero_one_loss, P, v) - risk(zero_one_loss, P, bayes)
+    lin_regret = risk(linear_loss, P, v) - risk(linear_loss, P, bayes)
     return mis_regret - lin_regret
 
 
@@ -230,14 +225,15 @@ def check_surrogate_regret(
         inputs={"trials": trials, "seed": seed, "max_support": max_support},
     )
     if P is not None and f is not None:
-        report.check_le("supplied pair: mis_regret - lin_regret", _regret_gap(P, f), 0.0, 1e-12)
+        gap = _regret_gap(P, _atom_scores(P, f))
+        report.check_le("supplied pair: mis_regret - lin_regret", gap, 0.0, 1e-12)
     rng = np.random.default_rng(seed)
     worst = -np.inf
     for _ in range(trials):
         Q = random_distribution(rng, max_support=max_support)
         instances = sorted(set(x for x, _ in Q.support))
-        f_table = {x: float(rng.uniform(-1, 1)) for x in instances}
-        worst = max(worst, _regret_gap(Q, f_table))
+        f = {x: float(rng.uniform(-1, 1)) for x in instances}
+        worst = max(worst, _regret_gap(Q, _atom_scores(Q, f)))
     report.check_le("max(mis_regret - lin_regret)", worst, 0.0, tolerance=1e-12)
     return report
 
@@ -334,23 +330,17 @@ def check_ber_immunity(
     t_pos, t_neg = mutually_contaminate(P_pos, P_neg, alpha, beta)
     slope = 1.0 - alpha - beta
     intercept = (alpha + beta) / 2.0 * C
-    clean_vals = []
-    noisy_vals = []
-    worst = 0.0
-    for i in range(fclass.size):
-        f = fclass.as_function(i)
-        ber_clean = balanced_error(loss, P_pos, P_neg, f)
-        ber_noisy = balanced_error(loss, t_pos, t_neg, f)
-        clean_vals.append(ber_clean)
-        noisy_vals.append(ber_noisy)
-        worst = max(worst, abs(ber_noisy - (slope * ber_clean + intercept)))
+
+    def ber(A: InstanceDistribution, B: InstanceDistribution) -> np.ndarray:
+        """The balanced error of every member of the class."""
+        return balanced_error(loss, A, B, fclass.table(A.instances_array()),
+                              fclass.table(B.instances_array()))
+
+    clean = ber(P_pos, P_neg)
+    noisy = ber(t_pos, t_neg)
+    worst = float(np.max(np.abs(noisy - (slope * clean + intercept))))
     report.check_le("max affine-identity residual", worst, 0.0, tolerance=1e-10)
-    report.check(
-        "argmin invariance",
-        int(np.argmin(clean_vals)),
-        int(np.argmin(noisy_vals)),
-        0.0,
-    )
+    report.check("argmin invariance", int(np.argmin(clean)), int(np.argmin(noisy)), 0.0)
     report.extras["slope"] = slope
     report.extras["intercept"] = intercept
     return report
@@ -372,12 +362,11 @@ def check_ghosh_bound(
     report = ExperimentReport(
         name="ghosh-bound", inputs={"loss": loss.name, "class_size": fclass.size}
     )
-    corrupted = flip_instance_dependent(P, table)
-    i_noisy, _ = brute_force_min(loss, corrupted, fclass)
-    i_clean, clean_min = brute_force_min(loss, P, fclass)
-    clean_of_noisy = risk(loss, P, fclass.as_function(i_noisy))
-    bound = clean_min / table.min_signal()
-    report.check_le("clean risk of corrupted minimizer vs bound", clean_of_noisy, bound, 1e-12)
+    i_noisy, _ = brute_force_min(loss, flip_instance_dependent(P, table), fclass)
+    clean = risk(loss, P, fclass.table(P.instances_array()))
+    i_clean = int(np.argmin(clean))
+    bound = float(clean[i_clean]) / table.min_signal()
+    report.check_le("clean risk of corrupted minimizer vs bound", clean[i_noisy], bound, 1e-12)
     report.extras["clean_minimizer"] = i_clean
     report.extras["corrupted_minimizer"] = i_noisy
     return report
@@ -392,13 +381,11 @@ def order_reversal_witness(loss: Loss, sigma: float, seed: int = 0, trials: int 
     rng = np.random.default_rng(seed)
 
     def expect(atoms, probs, corrupted):
-        total = 0.0
-        for (v, y), p in zip(atoms, probs):
-            if corrupted:
-                total += p * ((1 - sigma) * float(loss(y, v)) + sigma * float(loss(-y, v)))
-            else:
-                total += p * float(loss(y, v))
-        return total
+        v, y = np.array(atoms).T
+        losses = loss(y, v)
+        if corrupted:
+            losses = (1 - sigma) * losses + sigma * loss(-y, v)
+        return float(np.sum(np.array(probs) * losses))
 
     for _ in range(trials):
         pair = []

@@ -1,8 +1,13 @@
 """Binary-margin losses, corruption corrections and robustness analysis.
 
 Score convention: a loss maps (y, v) with y in {-1, +1} and v a real
-score.  A score of exactly zero is an abstention and is counted as an
-error by the zero-one loss (both labels pay 1 at v = 0).
+score; y and v may be arrays, broadcast against each other.  A score of
+exactly zero is an abstention and is counted as an error by the zero-one
+loss (both labels pay 1 at v = 0).
+
+A function on a finite support is its score array: one score per atom,
+shape (m,), or one row per function of a class, shape (k, m).  The risks
+below take such arrays and return one risk per row.
 
 The "sum constancy" checks below test l(1, v) + l(-1, v) = C on a finite
 symmetric grid.  The abstention convention double-counts the single
@@ -28,12 +33,13 @@ class Loss:
     """A named binary-margin loss with a declared convexity flag."""
 
     name: str
-    fn: Callable[[int, np.ndarray], np.ndarray]
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     convex: bool
 
-    def __call__(self, y: int, v):
-        if y not in (-1, 1):
-            raise InputError(f"label must be -1 or +1, got {y!r}")
+    def __call__(self, y, v):
+        y = np.asarray(y)
+        if not np.all((y == 1) | (y == -1)):
+            raise InputError(f"labels must be -1 or +1, got {y!r}")
         return self.fn(y, np.asarray(v, dtype=float))
 
 
@@ -82,7 +88,7 @@ BUILTIN_LOSSES = {
 class EvaluationGrid:
     """Symmetric finite score grid standing in for 'for all v in R' checks."""
 
-    limit: float = 3.0
+    limit: float = 3.0  # must extend beyond |v| = 1 so hinge's non-constant tail is visible
     step: float = 0.01
 
     def __post_init__(self):
@@ -96,50 +102,47 @@ class EvaluationGrid:
         return self.step * np.arange(-half, half + 1)
 
 
-def default_grid() -> EvaluationGrid:
-    # Must extend beyond |v| = 1 so hinge's non-constant tail is visible.
-    return EvaluationGrid(limit=3.0, step=0.01)
-
-
 # ---------------------------------------------------------------------------
 # Risks
 
 
-def score_values(f, X) -> np.ndarray:
-    """f(x) for each row x of X; f may instead be that vector, already computed."""
-    if callable(f):
-        return np.array([float(f(x)) for x in X])
-    v = np.asarray(f, dtype=float)
-    if v.shape != (len(X),):
-        raise InputError(f"expected {len(X)} precomputed scores, got shape {v.shape}")
+def _scores(v, m: int) -> np.ndarray:
+    """Scores at m atoms: shape (m,) for one function or (k, m) for k."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[-1] != m:
+        raise InputError(f"expected scores of shape ({m},) or (k, {m}), got {v.shape}")
     return v
 
 
-def risk(loss: Loss, P: DiscreteDistribution, f) -> float:
-    """Exact expectation of loss(y, f(x)) over the finite support of P.
+def _one_or_many(r: np.ndarray):
+    """A float for one function's scores, k values for a (k, m) table."""
+    return float(r) if r.ndim == 0 else r
 
-    ``f`` is a score function or its values at ``P.instances_array()``.
+
+def risk(loss: Loss, P: DiscreteDistribution, V):
+    """Exact expectation of loss(y, v) over the finite support of P.
+
+    ``V`` holds the scores at ``P``'s atoms, shape (m,), or a class's
+    score table, shape (k, m); the result is a float or k risks.
     """
-    y = P.labels_array()
-    v = score_values(f, P.instances_array())
-    vals = np.where(y == 1, loss(1, v), loss(-1, v))
-    return float(np.dot(P.probabilities, vals))
+    return _one_or_many(loss(P.labels_array(), _scores(V, len(P))) @ P.probabilities)
 
 
-def empirical_risk(loss: Loss, S: LabeledSample, f) -> float:
-    """Mean of loss(y_i, f(x_i)); ``f`` is a score function or its values at the rows."""
-    v = score_values(f, S.instances)
-    vals = np.where(S.labels == 1, loss(1, v), loss(-1, v))
-    return float(np.mean(vals))
+def empirical_risk(loss: Loss, S: LabeledSample, V):
+    """Mean of loss(y_i, v_i) over the rows of S; ``V`` is (n,) or (k, n)."""
+    return _one_or_many(np.mean(loss(S.labels, _scores(V, len(S))), axis=-1))
 
 
-def balanced_error(loss: Loss, P_pos: InstanceDistribution, P_neg: InstanceDistribution, f) -> float:
-    """Average of the per-class risks, weighting both classes equally."""
-    vp = np.array([float(f(x)) for x in P_pos.instances_array()])
-    vn = np.array([float(f(x)) for x in P_neg.instances_array()])
-    pos = float(np.dot(P_pos.probabilities, loss(1, vp)))
-    neg = float(np.dot(P_neg.probabilities, loss(-1, vn)))
-    return 0.5 * pos + 0.5 * neg
+def balanced_error(loss: Loss, P_pos: InstanceDistribution, P_neg: InstanceDistribution,
+                   v_pos, v_neg):
+    """Average of the per-class risks, weighting both classes equally.
+
+    ``v_pos`` and ``v_neg`` are the scores at each class's atoms, shaped
+    as in ``risk``.
+    """
+    pos = loss(1, _scores(v_pos, len(P_pos.support))) @ P_pos.probabilities
+    neg = loss(-1, _scores(v_neg, len(P_neg.support))) @ P_neg.probabilities
+    return _one_or_many(0.5 * pos + 0.5 * neg)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +171,8 @@ def correct_cc(loss: Loss, sigma_neg: float, sigma_pos: float) -> Loss:
     denom = 1.0 - sigma_neg - sigma_pos
 
     def fn(y, v):
-        s_y = sigma_pos if y == 1 else sigma_neg
-        s_my = sigma_neg if y == 1 else sigma_pos
+        s_y = np.where(y == 1, sigma_pos, sigma_neg)
+        s_my = np.where(y == 1, sigma_neg, sigma_pos)
         return ((1.0 - s_my) * loss.fn(y, v) - s_y * loss.fn(-y, v)) / denom
 
     return Loss(f"cc-corrected:{loss.name}:{sigma_neg:g}:{sigma_pos:g}", fn, convex=False)
@@ -199,7 +202,7 @@ def _constancy_grid(grid: EvaluationGrid) -> np.ndarray:
 
 def sln_robustness_check(loss: Loss, grid: EvaluationGrid | None = None) -> RobustnessVerdict:
     """Noise robustness iff l(1, v) + l(-1, v) is constant over the grid."""
-    grid = grid or default_grid()
+    grid = grid or EvaluationGrid()
     v = _constancy_grid(grid)
     pos = loss(1, v)
     neg = loss(-1, v)
@@ -230,7 +233,7 @@ def order_equivalence_fit(loss1: Loss, loss2: Loss, grid: EvaluationGrid | None 
     Order equivalence of two losses is exactly a positive affine relation
     between them, so a zero-residual fit with alpha > 0 certifies it.
     """
-    grid = grid or default_grid()
+    grid = grid or EvaluationGrid()
     v = grid.values
     a = np.concatenate([loss1(1, v), loss1(-1, v)])
     b = np.concatenate([loss2(1, v), loss2(-1, v)])
@@ -258,7 +261,7 @@ def cc_ratio_check(
     loss is a positive affine image of the original, and the affine fit
     is returned as the certificate.
     """
-    grid = grid or default_grid()
+    grid = grid or EvaluationGrid()
     v = _constancy_grid(grid)
     weighted = sigma_pos * loss(-1, v) + sigma_neg * loss(1, v)
     c = float(np.median(weighted))
@@ -274,7 +277,7 @@ def linearity_slopes(loss: Loss, grid: EvaluationGrid | None = None) -> tuple[fl
     For a convex noise-robust loss the slopes must be exact negatives:
     such losses are affine in v with l(y, v) = lambda y v + g(y).
     """
-    grid = grid or default_grid()
+    grid = grid or EvaluationGrid()
     v = grid.values
     A = np.column_stack([v, np.ones_like(v)])
     slopes = []

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ def test_fit_scores_match_kernel_sum():
     expected = float(
         np.mean(S.labels * cross_gram(spec, x[np.newaxis], S.instances)[0])
     )
-    assert clf.score(x) == pytest.approx(expected, abs=1e-15)
+    assert clf.scores(x)[0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_fit_distribution_uses_probabilities():
@@ -40,15 +42,15 @@ def test_fit_distribution_uses_probabilities():
     )
     clf = fit(P, KernelSpec("linear"))
     # score(x) = 0.9 * x - 0.1 * (-1) * (-x) ... = 0.9 x + 0.1 x = x
-    assert clf.score(np.array([2.0])) == pytest.approx(2.0, abs=1e-15)
+    assert clf.scores(np.array([2.0]))[0] == pytest.approx(2.0, abs=1e-15)
 
 
 def test_predict_sign_and_abstention():
     S = LabeledSample(np.array([[1.0], [-1.0]]), np.array([1, -1]))
     clf = fit(S, KernelSpec("linear"))
-    assert clf.label(np.array([0.5])) == 1
-    assert clf.label(np.array([-0.5])) == -1
-    assert clf.label(np.array([0.0])) == 0
+    assert clf.predict(np.array([0.5]))[0] == 1
+    assert clf.predict(np.array([-0.5]))[0] == -1
+    assert clf.predict(np.array([0.0]))[0] == 0
 
 
 def test_weights_validation():
@@ -85,11 +87,11 @@ def test_non_finite_model_rejected(case):
 
 def test_json_roundtrip_deterministic():
     clf = fit(toy_sample(), KernelSpec("gaussian", bandwidth=2.0))
-    text = clf.to_json()
-    assert text == clf.to_json()
-    back = MeanClassifier.from_json(text)
+    text = json.dumps(clf.to_dict(), sort_keys=True)
+    assert text == json.dumps(clf.to_dict(), sort_keys=True)
+    back = MeanClassifier.from_dict(json.loads(text))
     x = np.array([0.1, -0.7])
-    assert back.score(x) == pytest.approx(clf.score(x), abs=1e-15)
+    assert back.scores(x)[0] == pytest.approx(clf.scores(x)[0], abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +175,7 @@ def test_margin_for_error_and_margin_risk():
         support=(((1.0,), 1), ((0.2,), 1), ((-1.0,), -1)),
         probabilities=np.array([0.4, 0.2, 0.4]),
     )
-    f = lambda x: x[0]  # noqa: E731
+    f = P.instances_array()[:, 0]
     gamma = margin_for_error(P, f)
     assert gamma == pytest.approx(0.2, abs=1e-15)
     assert risk(margin_loss(0.0), P, f) == 0.0
@@ -185,10 +187,11 @@ def test_margin_and_risk_accept_precomputed_scores():
     S = synth_blobs(60, 2, 2.0, seed=4)
     clf = fit(S, KernelSpec("gaussian", bandwidth=1.0))
     v = clf.scores(S.instances)
-    assert margin_for_error(S, v) == pytest.approx(margin_for_error(S, clf.score), abs=1e-15)
-    assert empirical_risk(margin_loss(0.01), S, v) == empirical_risk(margin_loss(0.01), S, clf.score)
+    per_row = np.array([clf.scores(x)[0] for x in S.instances])
+    assert margin_for_error(S, v) == pytest.approx(margin_for_error(S, per_row), abs=1e-15)
+    assert empirical_risk(margin_loss(0.01), S, v) == empirical_risk(margin_loss(0.01), S, per_row)
     assert empirical_risk(hinge_loss, S, v) == pytest.approx(
-        empirical_risk(hinge_loss, S, clf.score), abs=1e-15
+        empirical_risk(hinge_loss, S, per_row), abs=1e-15
     )
     with pytest.raises(InputError):
         empirical_risk(hinge_loss, S, v[:-1])
@@ -196,5 +199,5 @@ def test_margin_and_risk_accept_precomputed_scores():
 
 def test_margin_for_error_no_positive_margin():
     P = DiscreteDistribution(support=(((1.0,), -1),), probabilities=np.array([1.0]))
-    assert margin_for_error(P, lambda x: x[0]) == 0.0
+    assert margin_for_error(P, P.instances_array()[:, 0]) == 0.0
 

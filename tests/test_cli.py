@@ -10,7 +10,7 @@ import pytest
 
 from meanherd import herding, kernels
 from meanherd.classifier import margin_for_error
-from meanherd.cli import _write_json, main
+from meanherd.cli import ALL_SUITES, _write_json, main
 from meanherd.data import DiscreteDistribution, load_csv, synth_blobs
 from meanherd.errors import DataError
 from meanherd.herding import (
@@ -104,13 +104,18 @@ def test_herd_outputs_and_trace(blob_csv, tmp_path):
     assert errors == sorted(errors, reverse=True)
 
 
-@pytest.mark.parametrize("mode", ["plain", "parallel", "recursive"])
+@pytest.mark.parametrize("mode", ["plain", "parallel", "parallel-1", "recursive",
+                                  "recursive-no-stage"])
 def test_herd_makes_one_n_squared_pass(mode, blob_csv, tmp_path, monkeypatch):
     # plain: the target pass (n^2), one kernel row per trace entry, the
     # exact error's and the document norm's m x m blocks.  parallel: each
-    # group's plain herd, then one uniform pass for the exact error.
+    # group's plain herd, then one uniform pass for the exact error; with
+    # one group that group's pass is the uniform pass, so only the combined
+    # herd's m x m exact error is added to a plain herd's count.
     # recursive: stage 1 and the final error share one uniform pass; later
-    # stages pass only over the previous stage's members.
+    # stages pass only over the previous stage's members.  With no stage
+    # the herd is the sample itself: its error is 0 without a second pass,
+    # and only the document norm's m x m block (m = n) is added.
     entries = []
     cross_gram = kernels.cross_gram
 
@@ -121,8 +126,9 @@ def test_herd_makes_one_n_squared_pass(mode, blob_csv, tmp_path, monkeypatch):
 
     monkeypatch.setattr(kernels, "cross_gram", counted)
     monkeypatch.setattr(herding, "cross_gram", counted)
-    flags = {"plain": [], "parallel": ["--parallel", "4"],
-             "recursive": ["--recursive", "--min-size", "20"]}[mode]
+    flags = {"plain": [], "parallel": ["--parallel", "4"], "parallel-1": ["--parallel", "1"],
+             "recursive": ["--recursive", "--min-size", "20"],
+             "recursive-no-stage": ["--recursive", "--min-size", "200"]}[mode]
     out = tmp_path / "herd.json"
     assert main(["herd", "--data", str(blob_csv), "--kernel", "gaussian:1.0",
                  "--epsilon", "0.05", *flags, "--out", str(out)]) == 0
@@ -140,9 +146,17 @@ def test_herd_makes_one_n_squared_pass(mode, blob_csv, tmp_path, monkeypatch):
         T = sum(len(herd(S.subset(block), kernel, cfg).trace) for block in blocks)
         assert doc["termination"] == "tolerance"
         assert used <= n * n + sum(len(block) ** 2 for block in blocks) + T * n + 2 * m * m
-    else:
+    elif mode == "parallel-1":
+        S = load_csv(blob_csv, -1)
+        T = len(herd(S, KernelSpec("gaussian", bandwidth=1.0), HerdingConfig(tolerance=0.05)).trace)
+        assert doc["termination"] == "tolerance"
+        assert used <= n * n + T * n + 2 * m * m + m * m
+    elif mode == "recursive":
         assert doc["stages"]
         assert used < 1.5 * n * n
+    else:
+        assert "stages" not in doc and doc["recomputed_error"] == 0.0
+        assert used <= n * n + m * m
 
 
 def test_herd_huge_epsilon_single_member(blob_csv, tmp_path):
@@ -200,8 +214,9 @@ def test_eval_on_training_data(toy_csv, tmp_path):
 
 @pytest.mark.parametrize("mode", ["plain", "parallel", "recursive"])
 def test_eval_reads_herd_output(mode, blob_csv, tmp_path):
-    flags = {"plain": [], "parallel": ["--parallel", "4"],
-             "recursive": ["--recursive", "--min-size", "20"]}[mode]
+    flags = {"plain": [], "parallel": ["--parallel", "4"], "parallel-1": ["--parallel", "1"],
+             "recursive": ["--recursive", "--min-size", "20"],
+             "recursive-no-stage": ["--recursive", "--min-size", "200"]}[mode]
     model = tmp_path / "herd.json"
     assert main(["herd", "--data", str(blob_csv), "--kernel", "gaussian:1.0",
                  "--epsilon", "0.05", *flags, "--out", str(model)]) == 0
@@ -256,6 +271,14 @@ def test_check_surrogate_regret_suite(tmp_path):
     doc = read_json(out)
     assert doc["passed"] is True
     assert doc["config"]["seed"] == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("suite", ALL_SUITES)
+def test_check_suite_passes(suite, seed, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["check", "--suite", suite, "--seed", str(seed), "--out", str(out)]) == 0
+    assert read_json(out)["passed"] is True
 
 
 @pytest.mark.parametrize("seed", [2, 3])

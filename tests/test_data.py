@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -183,7 +185,7 @@ def test_long_servedio_geometry():
 
 def test_distribution_json_roundtrip():
     P = two_point()
-    Q = DiscreteDistribution.from_json(P.to_json())
+    Q = DiscreteDistribution.from_dict(json.loads(json.dumps(P.to_dict())))
     assert Q.support == P.support
     assert np.array_equal(Q.probabilities, P.probabilities)
 

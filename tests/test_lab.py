@@ -10,7 +10,7 @@ from meanherd.data import (
 )
 from meanherd.errors import InputError
 from meanherd.kernels import KernelSpec
-from meanherd.losses import hinge_loss, linear_loss, zero_one_loss
+from meanherd.losses import hinge_loss, linear_loss, risk, zero_one_loss
 
 GAUSS = KernelSpec("gaussian", bandwidth=1.0)
 
@@ -53,6 +53,29 @@ def test_brute_force_min_ties_break_low():
     fclass = lab.FiniteFunctionClass(instances, scores)
     idx, _ = lab.brute_force_min(linear_loss, P, fclass)
     assert idx == 0
+
+
+def test_risk_of_a_table_is_its_rows_risks():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        P = lab.random_distribution(rng)
+        instances = tuple(sorted(set(x for x, _ in P.support)))
+        fclass = lab.random_function_class(rng, instances, k=6)
+        V = fclass.table(P.instances_array())
+        for loss in (linear_loss, hinge_loss, zero_one_loss):
+            risks = risk(loss, P, V)
+            assert risks.shape == (fclass.size,)
+            for row, r in zip(V, risks):
+                assert r == pytest.approx(risk(loss, P, row), abs=1e-15)
+            best = int(np.argmin(risks))
+            assert lab.brute_force_min(loss, P, fclass) == (best, float(risks[best]))
+
+
+def test_function_class_table_rejects_uncovered_instance():
+    fclass = lab.FiniteFunctionClass(((0.0,), (1.0,)), np.array([[1.0, -1.0]]))
+    assert fclass.table(np.array([[1.0], [0.0]])).tolist() == [[-1.0, 1.0]]
+    with pytest.raises(InputError):
+        fclass.table(np.array([[0.0], [2.0]]))
 
 
 def test_brute_force_respects_theorem_floor():
@@ -184,9 +207,8 @@ def test_ghosh_bound_separable_recovers_zero_loss():
     report = lab.check_ghosh_bound(P, table, linear_loss, fclass)
     assert report.passed
     i_noisy = report.extras["corrupted_minimizer"]
-    from meanherd.losses import risk
-
-    assert risk(linear_loss, P, fclass.as_function(i_noisy)) == pytest.approx(0.0, abs=1e-12)
+    scores = fclass.table(P.instances_array())[i_noisy]
+    assert risk(linear_loss, P, scores) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ghosh_bound_rejects_non_robust_loss():

@@ -37,6 +37,14 @@ def test_builtin_loss_values():
     assert zero_one_loss(-1, 0.0) == 1.0
 
 
+@pytest.mark.parametrize("bad", [0, 1.7])
+def test_loss_rejects_labels_other_than_plus_minus_one(bad):
+    y = np.array([1, bad, -1])
+    for loss in (linear_loss, zero_one_loss, correct_cc(hinge_loss, 0.1, 0.2)):
+        with pytest.raises(InputError):
+            loss(y, np.zeros(3))
+
+
 def test_margin_loss():
     m = margin_loss(0.5)
     assert m(1, 0.4) == 1.0
@@ -156,7 +164,7 @@ def test_risk_and_balanced_error():
     P = DiscreteDistribution(
         support=(((0.0,), 1), ((1.0,), -1)), probabilities=np.array([0.5, 0.5])
     )
-    f = lambda x: 1.0  # noqa: E731
+    f = np.ones(2)
     assert risk(zero_one_loss, P, f) == pytest.approx(0.5, abs=1e-15)
     assert risk(linear_loss, P, f) == pytest.approx(1.0, abs=1e-15)
 
@@ -190,8 +198,9 @@ def test_balanced_error_equal_class_weighting():
 
     P_pos = InstanceDistribution(((1.0,),), np.array([1.0]))
     P_neg = InstanceDistribution(((-1.0,),), np.array([1.0]))
-    f = lambda x: x[0]  # noqa: E731
+    # f(x) = x[0] at each class's atom, and g = -f
+    f_pos, f_neg = np.array([1.0]), np.array([-1.0])
     # both classes perfectly classified: linear loss 0 on each
-    assert balanced_error(linear_loss, P_pos, P_neg, f) == pytest.approx(0.0, abs=1e-15)
-    g = lambda x: -x[0]  # noqa: E731
-    assert balanced_error(linear_loss, P_pos, P_neg, g) == pytest.approx(2.0, abs=1e-15)
+    assert balanced_error(linear_loss, P_pos, P_neg, f_pos, f_neg) == pytest.approx(0.0, abs=1e-15)
+    g_pos, g_neg = -f_pos, -f_neg
+    assert balanced_error(linear_loss, P_pos, P_neg, g_pos, g_neg) == pytest.approx(2.0, abs=1e-15)
