@@ -28,8 +28,10 @@ from meanherd import embedding as emb
 from meanherd.data import DiscreteDistribution
 from meanherd.lab import run_long_servedio
 
+# Atom i is (instances[i], labels[i]) with mass probabilities[i].
 P = DiscreteDistribution(
-    support=(((0.3, -1.2), 1), ((2.0, 0.5), -1), ((-0.7, 0.9), 1)),
+    instances=np.array([[0.3, -1.2], [2.0, 0.5], [-0.7, 0.9]]),
+    labels=np.array([1, -1, 1]),
     probabilities=np.array([0.2, 0.5, 0.3]),
 )
 kernel = KernelSpec("gaussian", bandwidth=1.0)

@@ -102,8 +102,8 @@ def fit(data, kernel: KernelSpec) -> MeanClassifier:
         return MeanClassifier(
             kernel=kernel,
             alphas=data.probabilities.copy(),
-            labels=data.labels_array(),
-            points=data.instances_array(),
+            labels=data.labels,
+            points=data.instances,
         )
     raise InputError(f"cannot fit on {type(data).__name__}")
 
@@ -171,7 +171,7 @@ def margin_for_error(data, v) -> float:
         y = data.labels
         w = np.full(len(data), 1.0 / len(data))
     elif isinstance(data, DiscreteDistribution):
-        y = data.labels_array()
+        y = data.labels
         w = data.probabilities
     else:
         raise InputError(f"expected LabeledSample or DiscreteDistribution, got {type(data).__name__}")

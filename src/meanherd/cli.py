@@ -57,6 +57,7 @@ from .data import (
     flip_symmetric,
     load_csv,
     load_sparse,
+    sorted_instances,
 )
 from .errors import DataError, InputError, MeanHerdError, ParseError
 from .herding import HerdingConfig, herd, parallel_herd, recursive_herd
@@ -261,8 +262,7 @@ def _suite_reports(name: str, seed: int, kernel: KernelSpec) -> list[lab.Experim
         for _ in range(20):
             P_pos = lab.random_distribution(rng).instance_marginal()
             P_neg = lab.random_distribution(rng).instance_marginal()
-            instances = tuple(sorted(set(P_pos.support) | set(P_neg.support)))
-            fclass = lab.random_function_class(rng, instances, k=8)
+            fclass = lab.random_function_class(rng, sorted_instances(P_pos, P_neg), k=8)
             alpha = float(rng.uniform(0, 0.4))
             beta = float(rng.uniform(0, 0.4))
             reports.append(lab.check_ber_immunity(linear_loss, P_pos, P_neg, alpha, beta, fclass))
@@ -271,9 +271,8 @@ def _suite_reports(name: str, seed: int, kernel: KernelSpec) -> list[lab.Experim
         reports = []
         for _ in range(50):
             P = lab.random_distribution(rng)
-            table = NoiseFunctionTable({i: float(rng.uniform(0, 0.45)) for i in range(len(P))})
-            instances = tuple(sorted(set(x for x, _ in P.support)))
-            fclass = lab.random_function_class(rng, instances, k=10)
+            table = NoiseFunctionTable([float(rng.uniform(0, 0.45)) for _ in range(len(P))])
+            fclass = lab.random_function_class(rng, sorted_instances(P), k=10)
             reports.append(lab.check_ghosh_bound(P, table, linear_loss, fclass))
         return reports
     if name == "long-servedio":

@@ -1,31 +1,71 @@
 """Labeled samples, exact finite-support distributions and corruption processes.
 
+A finite distribution is arrays, as a sample is: atom i is the pair
+(``instances[i]``, ``labels[i]``) with mass ``probabilities[i]``.
 Population-level objects (``DiscreteDistribution``) make the label-noise
 identities testable to machine precision: every corruption operation
-below builds the corrupted distribution as an *exact* finite mixture,
-merging duplicate atoms by exact equality.  Empirical noise is obtained
-by sampling from the corrupted population (``sample_from``) rather than
-by a separate in-place flipper.
+below builds the corrupted distribution as an *exact* finite mixture, and
+one merge, ``_merge``, collapses duplicate atoms by exact equality in the
+order they first occur.  Empirical noise is obtained by sampling from the
+corrupted population (``sample_from``) rather than by a separate in-place
+flipper.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, InputError, ParseError
 
-Atom = tuple[tuple[float, ...], int]
-
 
 def as_labels(values) -> np.ndarray:
     """``values`` as an int array, each checked to be -1 or +1 before the cast."""
     raw = np.asarray(values)
-    if not np.all(np.isin(raw, (-1, 1))):
+    if not ((raw == 1) | (raw == -1)).all():
         raise InputError("labels must be -1 or +1")
     return raw.astype(int)
+
+
+def _merge(keys: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the equal rows of ``keys`` and sum the ``weights`` of each group.
+
+    Rows are equal when their entries are (so -0.0 == 0.0).  Groups come in
+    the order their first row occurs, and each sum adds its weights in input
+    order, exactly as accumulating into a dict keyed by row tuples would.
+    Returns each group's first row index, each row's group and the sums.
+    """
+    first: dict[tuple, int] = {}
+    owner = [first.setdefault(row, i) for i, row in enumerate(map(tuple, keys.tolist()))]
+    rows = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    group = np.searchsorted(rows, owner)
+    return rows, group, np.bincount(group, weights=weights, minlength=rows.size)
+
+
+def _atoms(instances, probabilities, labels=None) -> tuple[np.ndarray, np.ndarray]:
+    """Checked (m, d) instances and (m,) probabilities of a finite distribution.
+
+    The atoms (instance rows, with their labels if given) must be pairwise
+    distinct.  Non-finite values are a DataError, found before duplicates.
+    """
+    X = np.asarray(instances, dtype=float)
+    p = np.asarray(probabilities, dtype=float)
+    m = p.shape[0] if p.ndim == 1 else -1
+    if m < 1 or X.ndim != 2 or X.shape[0] != m or (labels is not None and labels.shape != (m,)):
+        raise InputError(f"need m > 0 atoms: (m, d) instances, (m,) labels and (m,) "
+                         f"probabilities, got shapes {X.shape} and {p.shape}")
+    if not (np.isfinite(X).all() and np.isfinite(p).all()):
+        raise DataError("instances and probabilities must be finite (found nan or inf)")
+    if (p < 0).any():
+        raise InputError("probabilities must be non-negative")
+    if abs(p.sum() - 1.0) > 1e-12:
+        raise InputError(f"probabilities sum to {p.sum()!r}, not 1")
+    keys = X if labels is None else np.column_stack([X, labels])
+    if len(set(map(tuple, keys.tolist()))) != m:
+        raise InputError("support entries must be pairwise distinct")
+    return X, p
 
 
 @dataclass(frozen=True)
@@ -63,163 +103,132 @@ class LabeledSample:
 
     def to_distribution(self) -> "DiscreteDistribution":
         """Empirical distribution with weight 1/n per row (duplicates merged)."""
-        atoms = [(tuple(x), int(y)) for x, y in zip(self.instances, self.labels)]
-        p = 1.0 / len(atoms)
-        return _merged_distribution([(a, p) for a in atoms])
+        return _mixture(self.instances, self.labels, np.full(len(self), 1.0 / len(self)))
 
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Exact finite-support distribution over (instance, label) pairs."""
+    """Exact finite-support distribution over (instance, label) pairs.
 
-    support: tuple[Atom, ...]
+    ``instances`` is (m, d), ``labels`` (m,) in {-1, +1} and
+    ``probabilities`` (m,); the m atoms are pairwise distinct.
+    """
+
+    instances: np.ndarray
+    labels: np.ndarray
     probabilities: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
-        if len(self.support) != p.shape[0]:
-            raise InputError("support and probabilities have different lengths")
-        if len(self.support) == 0:
-            raise InputError("distribution needs non-empty support")
-        if not np.all(np.isfinite(p)):
-            raise DataError("probabilities must be finite (found nan or inf)")
-        if np.any(p < 0):
-            raise InputError("probabilities must be non-negative")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise InputError(f"probabilities sum to {p.sum()!r}, not 1")
-        if len(set(self.support)) != len(self.support):
-            raise InputError("support entries must be pairwise distinct")
-        for x, y in self.support:
-            if y not in (-1, 1):
-                raise InputError(f"label must be -1 or +1, got {y!r}")
-        object.__setattr__(self, "support", tuple((tuple(map(float, x)), int(y)) for x, y in self.support))
+        y = as_labels(self.labels)
+        X, p = _atoms(self.instances, self.probabilities, y)
+        object.__setattr__(self, "instances", X)
+        object.__setattr__(self, "labels", y)
         object.__setattr__(self, "probabilities", p)
 
     def __len__(self) -> int:
-        return len(self.support)
+        return self.instances.shape[0]
 
     @property
     def dim(self) -> int:
-        return len(self.support[0][0])
-
-    def instances_array(self) -> np.ndarray:
-        return np.array([x for x, _ in self.support], dtype=float)
-
-    def labels_array(self) -> np.ndarray:
-        return np.array([y for _, y in self.support], dtype=int)
+        return self.instances.shape[1]
 
     def instance_marginal(self) -> "InstanceDistribution":
         """Marginal over instances, summing probability across labels."""
-        acc: dict[tuple[float, ...], float] = {}
-        for (x, _), p in zip(self.support, self.probabilities):
-            acc[x] = acc.get(x, 0.0) + p
-        return InstanceDistribution(tuple(acc.keys()), np.array(list(acc.values())))
+        rows, _, mass = _merge(self.instances, self.probabilities)
+        return InstanceDistribution(self.instances[rows], mass)
 
-    def eta(self) -> dict[tuple[float, ...], float]:
-        """P(Y = +1 | X = x) for every instance appearing in the support."""
-        mass: dict[tuple[float, ...], float] = {}
-        pos: dict[tuple[float, ...], float] = {}
-        for (x, y), p in zip(self.support, self.probabilities):
-            mass[x] = mass.get(x, 0.0) + p
-            if y == 1:
-                pos[x] = pos.get(x, 0.0) + p
-        return {x: (pos.get(x, 0.0) / m if m > 0 else 0.0) for x, m in mass.items()}
+    def eta(self) -> np.ndarray:
+        """P(Y = +1 | X = x_i) at every atom i: the posterior of its instance."""
+        _, group, mass = _merge(self.instances, self.probabilities)
+        pos = np.bincount(group, weights=np.where(self.labels == 1, self.probabilities, 0.0),
+                          minlength=mass.size)
+        return np.divide(pos, mass, out=np.zeros_like(mass), where=mass > 0)[group]
 
     def to_dict(self) -> dict:
         return {
-            "support": [[list(x), y] for x, y in self.support],
-            "prob": [float(p) for p in self.probabilities],
+            "support": [[x, y] for x, y in zip(self.instances.tolist(), self.labels.tolist())],
+            "prob": self.probabilities.tolist(),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "DiscreteDistribution":
-        support = tuple((tuple(x), y) for x, y in d["support"])
-        return cls(support=support, probabilities=np.asarray(d["prob"], dtype=float))
+        atoms = [(list(map(float, x)), y) for x, y in d["support"]]
+        return cls(instances=np.array([x for x, _ in atoms]),
+                   labels=[y for _, y in atoms],
+                   probabilities=np.asarray(d["prob"], dtype=float))
 
 
 @dataclass(frozen=True)
 class InstanceDistribution:
     """Finite-support distribution over instances only (no labels)."""
 
-    support: tuple[tuple[float, ...], ...]
+    instances: np.ndarray
     probabilities: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
-        if len(self.support) != p.shape[0] or len(self.support) == 0:
-            raise InputError("support and probabilities must be non-empty and aligned")
-        if not np.all(np.isfinite(p)):
-            raise DataError("probabilities must be finite (found nan or inf)")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
-            raise InputError("probabilities must be non-negative and sum to 1")
-        if len(set(self.support)) != len(self.support):
-            raise InputError("support entries must be pairwise distinct")
-        object.__setattr__(self, "support", tuple(tuple(map(float, x)) for x in self.support))
+        X, p = _atoms(self.instances, self.probabilities)
+        object.__setattr__(self, "instances", X)
         object.__setattr__(self, "probabilities", p)
 
-    def instances_array(self) -> np.ndarray:
-        return np.array(self.support, dtype=float)
+    def __len__(self) -> int:
+        return self.instances.shape[0]
 
 
 @dataclass(frozen=True)
 class NoiseFunctionTable:
-    """Per-support-atom flip probabilities sigma(x, y) in [0, 1/2)."""
+    """Flip probabilities sigma(x, y) in [0, 1/2), one per atom of a distribution."""
 
-    rates: dict[int, float] = field(default_factory=dict)
+    rates: np.ndarray
 
     def __post_init__(self):
-        for i, s in self.rates.items():
-            if not (0.0 <= s < 0.5):
-                raise InputError(f"flip probability at index {i} must lie in [0, 0.5), got {s}")
-
-    def rate(self, index: int) -> float:
-        if index not in self.rates:
-            raise InputError(f"noise table missing entry for support index {index}")
-        return self.rates[index]
+        r = np.asarray(self.rates, dtype=float)
+        if r.ndim != 1 or not ((r >= 0.0) & (r < 0.5)).all():
+            raise InputError(f"need one flip probability in [0, 0.5) per atom, got {r}")
+        object.__setattr__(self, "rates", r)
 
     def min_signal(self) -> float:
-        """min over covered atoms of 1 - 2 sigma."""
-        if not self.rates:
-            return 1.0
-        return min(1.0 - 2.0 * s for s in self.rates.values())
+        """min over atoms of 1 - 2 sigma."""
+        return float(np.min(1.0 - 2.0 * self.rates, initial=1.0))
 
 
-def _merged_distribution(contributions) -> DiscreteDistribution:
-    """Merge (atom, probability) contributions by exact atom equality.
+def sorted_instances(*dists) -> np.ndarray:
+    """The distinct instances of the given distributions, in lexicographic order."""
+    return np.array(sorted(set(map(tuple, np.vstack([D.instances for D in dists]).tolist()))))
 
-    Insertion order of first occurrence is preserved; zero-probability
-    contributions are dropped so that sigma = 0 reproduces the input.
+
+def _mixture(X: np.ndarray, y: np.ndarray, p: np.ndarray) -> DiscreteDistribution:
+    """The exact mixture of weighted atoms (X[i], y[i], p[i]), equal atoms merged.
+
+    Zero-probability contributions are dropped first, so that sigma = 0
+    reproduces the input.
     """
-    acc: dict[Atom, float] = {}
-    for atom, p in contributions:
-        if p == 0.0:
-            continue
-        key = (tuple(atom[0]), int(atom[1]))
-        acc[key] = acc.get(key, 0.0) + p
-    atoms = tuple(acc.keys())
-    probs = np.array(list(acc.values()), dtype=float)
+    keep = p != 0.0
+    X, y = X[keep], y[keep]
+    rows, _, probs = _merge(np.column_stack([X, y]), p[keep])
     total = probs.sum()
     if abs(total - 1.0) > 1e-12:
         # Corruption ops only redistribute mass; renormalization here would
         # hide a bug upstream.
         raise InputError(f"merged probabilities sum to {total}, not 1")
-    return DiscreteDistribution(support=atoms, probabilities=probs)
+    return DiscreteDistribution(X[rows], y[rows], probs)
 
 
 def _flip(P: DiscreteDistribution, rates) -> DiscreteDistribution:
-    """Move the fraction rates[i] of atom i's mass to its flipped label."""
-    out = []
-    for (x, y), p, s in zip(P.support, P.probabilities, rates):
-        out.append(((x, y), (1.0 - s) * p))
-        out.append(((x, -y), s * p))
-    return _merged_distribution(out)
+    """Move the fraction rates[i] of atom i's mass to its flipped label.
+
+    Atom i contributes (x_i, y_i) and then (x_i, -y_i), atom by atom.
+    """
+    p = P.probabilities
+    return _mixture(np.repeat(P.instances, 2, axis=0),
+                    np.column_stack([P.labels, -P.labels]).ravel(),
+                    np.column_stack([(1.0 - rates) * p, rates * p]).ravel())
 
 
 def flip_symmetric(P: DiscreteDistribution, sigma: float) -> DiscreteDistribution:
     """Exact mixture (1 - sigma) P + sigma P' with P' the label-flipped P."""
     if not (0.0 <= sigma < 0.5):
         raise InputError(f"sigma must lie in [0, 0.5), got {sigma}")
-    return _flip(P, [sigma] * len(P))
+    return _flip(P, np.full(len(P), sigma))
 
 
 def flip_class_conditional(
@@ -230,14 +239,16 @@ def flip_class_conditional(
         raise InputError(
             f"class-conditional rates must be >= 0 with sum < 1, got ({sigma_neg}, {sigma_pos})"
         )
-    return _flip(P, [sigma_pos if y == 1 else sigma_neg for _, y in P.support])
+    return _flip(P, np.where(P.labels == 1, sigma_pos, sigma_neg))
 
 
 def flip_instance_dependent(
     P: DiscreteDistribution, table: NoiseFunctionTable
 ) -> DiscreteDistribution:
     """Per-atom flip probabilities sigma(x, y) from the table."""
-    return _flip(P, [table.rate(i) for i in range(len(P))])
+    if len(table.rates) != len(P):
+        raise InputError(f"noise table has {len(table.rates)} rates for {len(P)} atoms")
+    return _flip(P, table.rates)
 
 
 def contaminate(
@@ -248,9 +259,9 @@ def contaminate(
         raise InputError(f"sigma must lie in [0, 1], got {sigma}")
     if P.dim != Q.dim:
         raise InputError(f"dimension mismatch: {P.dim} vs {Q.dim}")
-    out = [(a, (1.0 - sigma) * p) for a, p in zip(P.support, P.probabilities)]
-    out += [(a, sigma * p) for a, p in zip(Q.support, Q.probabilities)]
-    return _merged_distribution(out)
+    return _mixture(np.vstack([P.instances, Q.instances]),
+                    np.concatenate([P.labels, Q.labels]),
+                    np.concatenate([(1.0 - sigma) * P.probabilities, sigma * Q.probabilities]))
 
 
 def mutually_contaminate(
@@ -262,20 +273,17 @@ def mutually_contaminate(
     """Mutual contamination of the two class-conditional instance distributions."""
     if alpha < 0 or beta < 0 or alpha + beta >= 1.0:
         raise InputError(f"need alpha, beta >= 0 with alpha + beta < 1, got ({alpha}, {beta})")
+    if P_pos.instances.shape[1] != P_neg.instances.shape[1]:
+        raise InputError("the two class-conditional distributions differ in dimension")
+    X = np.vstack([P_pos.instances, P_neg.instances])
 
-    def mix(A: InstanceDistribution, wa: float, B: InstanceDistribution, wb: float):
-        acc: dict[tuple[float, ...], float] = {}
-        for x, p in zip(A.support, A.probabilities):
-            if wa * p != 0.0:
-                acc[x] = acc.get(x, 0.0) + wa * p
-        for x, p in zip(B.support, B.probabilities):
-            if wb * p != 0.0:
-                acc[x] = acc.get(x, 0.0) + wb * p
-        return InstanceDistribution(tuple(acc.keys()), np.array(list(acc.values())))
+    def mix(wa: float, wb: float) -> InstanceDistribution:
+        p = np.concatenate([wa * P_pos.probabilities, wb * P_neg.probabilities])
+        keep = p != 0.0
+        rows, _, mass = _merge(X[keep], p[keep])
+        return InstanceDistribution(X[keep][rows], mass)
 
-    tilde_pos = mix(P_pos, 1.0 - alpha, P_neg, alpha)
-    tilde_neg = mix(P_pos, beta, P_neg, 1.0 - beta)
-    return tilde_pos, tilde_neg
+    return mix(1.0 - alpha, alpha), mix(beta, 1.0 - beta)
 
 
 def sample_from(P: DiscreteDistribution, n: int, seed: int) -> LabeledSample:
@@ -284,9 +292,7 @@ def sample_from(P: DiscreteDistribution, n: int, seed: int) -> LabeledSample:
         raise InputError("n must be >= 1")
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(P), size=n, p=P.probabilities)
-    X = P.instances_array()[idx]
-    y = P.labels_array()[idx]
-    return LabeledSample(X, y, source=f"sample_from(seed={seed})")
+    return LabeledSample(P.instances[idx], P.labels[idx], source=f"sample_from(seed={seed})")
 
 
 def synth_blobs(n: int, d: int, separation: float, seed: int) -> LabeledSample:
@@ -320,12 +326,11 @@ def long_servedio(gamma: float) -> DiscreteDistribution:
     """
     if not (0.0 < gamma < 1.0 / 6.0):
         raise InputError(f"gamma must lie in (0, 1/6), got {gamma}")
-    support = (
-        ((gamma, -gamma), 1),
-        ((1.0, 0.0), 1),
-        ((gamma, 5.0 * gamma), 1),
+    return DiscreteDistribution(
+        instances=np.array([[gamma, -gamma], [1.0, 0.0], [gamma, 5.0 * gamma]]),
+        labels=np.ones(3, dtype=int),
+        probabilities=np.array([0.5, 0.25, 0.25]),
     )
-    return DiscreteDistribution(support=support, probabilities=np.array([0.5, 0.25, 0.25]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 An embedding here is a formal combination sum_i c_i phi(x_i); inner
 products and norms reduce to quadratic forms in the kernel matrix, so
 nothing ever materializes feature vectors.  ``merged`` collapses
-duplicate points by exact equality before any quadratic form, which is
-what lets identities like "noisy mean = (1 - 2 sigma) clean mean" come
-out at the 1e-12 level instead of sqrt(eps).
+duplicate points by exact equality before any quadratic form, with the
+same merge (``data._merge``) that builds exact mixtures, which is what
+lets identities like "noisy mean = (1 - 2 sigma) clean mean" come out at
+the 1e-12 level instead of sqrt(eps).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DiscreteDistribution
+from .data import DiscreteDistribution, _merge
 from .errors import ConsistencyError
 from .kernels import KernelSpec, kernel_sums
 
@@ -30,18 +31,12 @@ class Embedding:
 
     @classmethod
     def from_distribution(cls, P: DiscreteDistribution) -> "Embedding":
-        return cls(P.instances_array(), P.probabilities * P.labels_array())
+        return cls(P.instances, P.probabilities * P.labels)
 
     def merged(self) -> "Embedding":
         """Collapse duplicate points (exact equality), summing coefficients."""
-        acc: dict[tuple, float] = {}
-        for x, c in zip(self.points, self.coef):
-            key = tuple(x)
-            acc[key] = acc.get(key, 0.0) + c
-        pts = np.array(list(acc.keys()), dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(len(acc), -1)
-        return Embedding(pts, np.array(list(acc.values())))
+        rows, _, coef = _merge(self.points, self.coef)
+        return Embedding(self.points[rows], coef)
 
 
 def combine(*terms: tuple[float, Embedding]) -> Embedding:

@@ -30,7 +30,9 @@ over the sample: a plain herd and the first stage of a recursive herd
 herd from their own c, and a recursive herd takes its final error from
 that same c (later stages pass only over the previous stage's members).
 A parallel herd makes the uniform pass once for its error, besides each
-group's own pass; with one group the two are the same pass.  A recursive
+group's own pass; with one group the two are the same pass.  Groups and
+stages carry no exact error of their own, so a parallel herd with one
+group evaluates exactly the kernel entries of a plain herd.  A recursive
 herd with no stage is its target, with error exactly 0.
 ``approximation_error`` is the from-scratch audit of a herd against a
 sample; no herding path calls it.
@@ -146,9 +148,12 @@ def _exact_error(clf: MeanClassifier, idx: np.ndarray, c: np.ndarray, target_sq:
     return float(np.sqrt(max(target_sq - 2.0 * cross + herd_sq, 0.0)))
 
 
-def _frank_wolfe(target: MeanClassifier, config: HerdingConfig, c: np.ndarray,
-                 target_sq: float) -> Herd:
-    """Herd the target's own support points from its target pass (c, target_sq)."""
+def _frank_wolfe(target: MeanClassifier, config: HerdingConfig, c: np.ndarray, target_sq: float):
+    """Herd the target's own support points from its target pass (c, target_sq).
+
+    Returns (classifier, member indices, trace, sizes, termination): a Herd
+    without its exact error, which only ``herd`` computes.
+    """
     kernel = target.kernel
     X = target.points
     y = target.labels.astype(float)
@@ -199,15 +204,7 @@ def _frank_wolfe(target: MeanClassifier, config: HerdingConfig, c: np.ndarray,
     alphas = w[members]
     alphas = alphas / alphas.sum()  # remove accumulated rounding in the simplex sum
     clf = MeanClassifier(kernel, alphas, target.labels[members], X[members])
-    return Herd(
-        classifier=clf,
-        indices=members,
-        error=trace[-1],
-        recomputed_error=_exact_error(clf, members, c, target_sq),
-        trace=tuple(trace),
-        termination=termination,
-        sizes=tuple(sizes),
-    )
+    return clf, members, tuple(trace), tuple(sizes), termination
 
 
 def herd(
@@ -228,7 +225,11 @@ def herd(
         target = fit(S, kernel)
     else:
         target = MeanClassifier(kernel, target_weights, S.labels, S.instances)
-    return _frank_wolfe(target, config or HerdingConfig(), *_target_pass(target))
+    c, target_sq = _target_pass(target)
+    clf, members, trace, sizes, end = _frank_wolfe(target, config or HerdingConfig(), c, target_sq)
+    return Herd(clf, members, error=trace[-1],
+                recomputed_error=_exact_error(clf, members, c, target_sq),
+                trace=trace, termination=end, sizes=sizes)
 
 
 def approximation_error(herd_: Herd, S: LabeledSample) -> float:
@@ -265,11 +266,11 @@ def parallel_herd(
     for block in blocks:
         target = fit(S.subset(block), kernel)
         group_pass = _target_pass(target)
-        h = _frank_wolfe(target, config, *group_pass)
-        group_idx.append(block[h.indices])
-        group_alphas.append(h.classifier.alphas * (len(block) / n))
-        group_errors.append(h.error)
-        terminations.add(h.termination)
+        clf, members, trace, _, termination = _frank_wolfe(target, config, *group_pass)
+        group_idx.append(block[members])
+        group_alphas.append(clf.alphas * (len(block) / n))
+        group_errors.append(trace[-1])
+        terminations.add(termination)
     idx = np.concatenate(group_idx)
     alphas = np.concatenate(group_alphas)
     clf = MeanClassifier(kernel, alphas / alphas.sum(), S.labels[idx], S.instances[idx])
@@ -303,11 +304,12 @@ def recursive_herd(
     idx = np.arange(len(S))
     stages: list[StageSummary] = []
     while target.n_support > min_size:
-        h = _frank_wolfe(target, config, *(_target_pass(target) if stages else full_pass))
-        stages.append(StageSummary(size_before=target.n_support, size_after=h.size,
-                                   error=h.error, termination=h.termination))
-        idx, target = idx[h.indices], h.classifier
-        if h.size == stages[-1].size_before:
+        clf, members, trace, _, termination = _frank_wolfe(
+            target, config, *(_target_pass(target) if stages else full_pass))
+        stages.append(StageSummary(size_before=target.n_support, size_after=members.size,
+                                   error=trace[-1], termination=termination))
+        idx, target = idx[members], clf
+        if members.size == stages[-1].size_before:
             break
 
     # With no stage the herd is the target itself, so its error is exactly 0.

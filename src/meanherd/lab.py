@@ -27,6 +27,7 @@ from .data import (
     contaminate,
     long_servedio,
     mutually_contaminate,
+    sorted_instances,
     synth_blobs,
 )
 from .errors import InputError
@@ -53,10 +54,11 @@ _ZERO_SCORE_TOL = 1e-12  # scores below this magnitude count as abstentions
 class FiniteFunctionClass:
     """Candidate classifiers as score tables over a fixed instance list."""
 
-    instances: tuple[tuple[float, ...], ...]
+    instances: np.ndarray  # (m, d)
     scores: np.ndarray  # (k, m)
 
     def __post_init__(self):
+        object.__setattr__(self, "instances", np.asarray(self.instances, dtype=float))
         s = np.asarray(self.scores, dtype=float)
         if s.ndim != 2 or s.shape[1] != len(self.instances):
             raise InputError("scores must be (k, len(instances))")
@@ -72,10 +74,9 @@ class FiniteFunctionClass:
 
     def table(self, X) -> np.ndarray:
         """Every member's scores at the rows of X: shape (k, len(X))."""
-        column = {inst: j for j, inst in enumerate(self.instances)}
+        column = {inst: j for j, inst in enumerate(map(tuple, self.instances.tolist()))}
         cols = []
-        for x in X:
-            key = tuple(float(v) for v in x)
+        for key in map(tuple, np.asarray(X, dtype=float).tolist()):
             if key not in column:
                 raise InputError(f"instance {key} not covered by the function class")
             cols.append(column[key])
@@ -153,13 +154,12 @@ def random_distribution(rng, max_support=6, min_support=2, d=2) -> DiscreteDistr
     X = rng.normal(size=(m, d))
     y = rng.choice((-1, 1), size=m)
     p = rng.dirichlet(np.ones(m))
-    support = tuple((tuple(x), int(lbl)) for x, lbl in zip(X, y))
-    return DiscreteDistribution(support=support, probabilities=p)
+    return DiscreteDistribution(instances=X, labels=y, probabilities=p)
 
 
 def random_function_class(rng, instances, k, bound=1.0) -> FiniteFunctionClass:
     scores = rng.uniform(-bound, bound, size=(k, len(instances)))
-    return FiniteFunctionClass(instances=tuple(instances), scores=scores)
+    return FiniteFunctionClass(instances=instances, scores=scores)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ def brute_force_min(loss: Loss, P: DiscreteDistribution, fclass: FiniteFunctionC
 
     Returns (best index, best risk); ties break to the lowest index.
     """
-    risks = risk(loss, P, fclass.table(P.instances_array()))
+    risks = risk(loss, P, fclass.table(P.instances))
     best = int(np.argmin(risks))
     return best, float(risks[best])
 
@@ -179,15 +179,14 @@ def brute_force_min(loss: Loss, P: DiscreteDistribution, fclass: FiniteFunctionC
 def _atom_scores(P: DiscreteDistribution, f: dict) -> np.ndarray:
     """An {instance: score} table read into one score per atom of P."""
     try:
-        return np.array([f[x] for x, _ in P.support], dtype=float)
+        return np.array([f[x] for x in map(tuple, P.instances.tolist())], dtype=float)
     except KeyError as exc:
         raise InputError(f"no score for instance {exc.args[0]}") from None
 
 
 def _bayes_scores(P: DiscreteDistribution) -> np.ndarray:
     """The Bayes classifier at P's atoms: -1 where 1 - 2 eta >= 0, else +1."""
-    eta = P.eta()
-    return np.where(1.0 - 2.0 * np.array([eta[x] for x, _ in P.support]) >= 0.0, -1.0, 1.0)
+    return np.where(1.0 - 2.0 * P.eta() >= 0.0, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +198,7 @@ def _regret_gap(P: DiscreteDistribution, v: np.ndarray) -> float:
     too_big = np.flatnonzero(np.abs(v) > 1.0)
     if too_big.size:
         i = too_big[0]
-        raise InputError(f"score {v[i]} at {P.support[i][0]} exceeds 1 in magnitude")
+        raise InputError(f"score {v[i]} at {P.instances[i].tolist()} exceeds 1 in magnitude")
     bayes = _bayes_scores(P)
     mis_regret = risk(zero_one_loss, P, v) - risk(zero_one_loss, P, bayes)
     lin_regret = risk(linear_loss, P, v) - risk(linear_loss, P, bayes)
@@ -231,8 +230,7 @@ def check_surrogate_regret(
     worst = -np.inf
     for _ in range(trials):
         Q = random_distribution(rng, max_support=max_support)
-        instances = sorted(set(x for x, _ in Q.support))
-        f = {x: float(rng.uniform(-1, 1)) for x in instances}
+        f = {x: float(rng.uniform(-1, 1)) for x in map(tuple, sorted_instances(Q).tolist())}
         worst = max(worst, _regret_gap(Q, _atom_scores(Q, f)))
     report.check_le("max(mis_regret - lin_regret)", worst, 0.0, tolerance=1e-12)
     return report
@@ -246,7 +244,7 @@ def check_sln_immunity(
         name="sln-immunity", inputs={"sigmas": list(sigmas), "kernel": kernel.to_dict()}
     )
     clean = fit(P, kernel)
-    X = P.instances_array()
+    X = P.instances
     clean_scores = clean.scores(X)
     for sigma in sigmas:
         if not (0.0 < sigma < 0.5):
@@ -283,7 +281,7 @@ def check_contamination(
     report = ExperimentReport(
         name="contamination", inputs={"sigma": sigma, "kernel": kernel.to_dict()}
     )
-    X = P.instances_array()
+    X = P.instances
     clean_scores = fit(P, kernel).scores(X)
     perturbation = sigma * emb.norm(
         kernel,
@@ -333,8 +331,7 @@ def check_ber_immunity(
 
     def ber(A: InstanceDistribution, B: InstanceDistribution) -> np.ndarray:
         """The balanced error of every member of the class."""
-        return balanced_error(loss, A, B, fclass.table(A.instances_array()),
-                              fclass.table(B.instances_array()))
+        return balanced_error(loss, A, B, fclass.table(A.instances), fclass.table(B.instances))
 
     clean = ber(P_pos, P_neg)
     noisy = ber(t_pos, t_neg)
@@ -363,7 +360,7 @@ def check_ghosh_bound(
         name="ghosh-bound", inputs={"loss": loss.name, "class_size": fclass.size}
     )
     i_noisy, _ = brute_force_min(loss, flip_instance_dependent(P, table), fclass)
-    clean = risk(loss, P, fclass.table(P.instances_array()))
+    clean = risk(loss, P, fclass.table(P.instances))
     i_clean = int(np.argmin(clean))
     bound = float(clean[i_clean]) / table.min_signal()
     report.check_le("clean risk of corrupted minimizer vs bound", clean[i_noisy], bound, 1e-12)
@@ -455,7 +452,7 @@ def run_long_servedio(
         inputs={"gamma": gamma, "sigma_grid": list(sigma_grid), "angle_step": angle_step},
     )
     P = long_servedio(gamma)
-    atoms = P.instances_array()
+    atoms = P.instances
     probs = P.probabilities
     kernel = KernelSpec("linear")
 

@@ -125,7 +125,7 @@ def risk(loss: Loss, P: DiscreteDistribution, V):
     ``V`` holds the scores at ``P``'s atoms, shape (m,), or a class's
     score table, shape (k, m); the result is a float or k risks.
     """
-    return _one_or_many(loss(P.labels_array(), _scores(V, len(P))) @ P.probabilities)
+    return _one_or_many(loss(P.labels, _scores(V, len(P))) @ P.probabilities)
 
 
 def empirical_risk(loss: Loss, S: LabeledSample, V):
@@ -140,8 +140,8 @@ def balanced_error(loss: Loss, P_pos: InstanceDistribution, P_neg: InstanceDistr
     ``v_pos`` and ``v_neg`` are the scores at each class's atoms, shaped
     as in ``risk``.
     """
-    pos = loss(1, _scores(v_pos, len(P_pos.support))) @ P_pos.probabilities
-    neg = loss(-1, _scores(v_neg, len(P_neg.support))) @ P_neg.probabilities
+    pos = loss(1, _scores(v_pos, len(P_pos))) @ P_pos.probabilities
+    neg = loss(-1, _scores(v_neg, len(P_neg))) @ P_neg.probabilities
     return _one_or_many(0.5 * pos + 0.5 * neg)
 
 

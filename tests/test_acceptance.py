@@ -18,6 +18,7 @@ from meanherd.classifier import fit, mean_norm
 from meanherd.data import (
     DiscreteDistribution,
     NoiseFunctionTable,
+    sorted_instances,
     synth_blobs,
 )
 from meanherd.herding import (
@@ -205,26 +206,27 @@ def test_11_ghosh_bound(capsys):
     for _ in range(200):
         P = lab.random_distribution(rng)
         table = NoiseFunctionTable(
-            {i: float(rng.uniform(0, 0.45)) for i in range(len(P))}
+            [float(rng.uniform(0, 0.45)) for _ in range(len(P))]
         )
-        instances = tuple(sorted(set(x for x, _ in P.support)))
+        instances = sorted_instances(P)
         k = int(rng.integers(2, 51))
         fclass = lab.random_function_class(rng, instances, k=k)
         rep = lab.check_ghosh_bound(P, table, linear_loss, fclass)
         ok &= rep.passed
     # separable case: corrupted minimization still recovers zero clean loss
     P = DiscreteDistribution(
-        support=(((0.0,), 1), ((1.0,), -1)), probabilities=np.array([0.5, 0.5])
+        instances=np.array([[0.0], [1.0]]), labels=np.array([1, -1]),
+        probabilities=np.array([0.5, 0.5]),
     )
     fclass = lab.FiniteFunctionClass(
         ((0.0,), (1.0,)), np.array([[1.0, -1.0], [0.2, -0.1], [-1.0, 1.0]])
     )
     rep = lab.check_ghosh_bound(
-        P, NoiseFunctionTable({0: 0.3, 1: 0.45}), linear_loss, fclass
+        P, NoiseFunctionTable([0.3, 0.45]), linear_loss, fclass
     )
     from meanherd.losses import risk
 
-    scores = fclass.table(P.instances_array())[rep.extras["corrupted_minimizer"]]
+    scores = fclass.table(P.instances)[rep.extras["corrupted_minimizer"]]
     zero = risk(linear_loss, P, scores)
     ok &= rep.passed and zero == 0.0
     _report(capsys, 11, "instance-noise degradation bound", ok)
@@ -236,7 +238,7 @@ def test_12_ber_immunity(capsys):
     for _ in range(100):
         P_pos = lab.random_distribution(rng).instance_marginal()
         P_neg = lab.random_distribution(rng).instance_marginal()
-        instances = tuple(sorted(set(P_pos.support) | set(P_neg.support)))
+        instances = sorted_instances(P_pos, P_neg)
         fclass = lab.random_function_class(rng, instances, k=6)
         alpha = float(rng.uniform(0, 0.45))
         beta = float(rng.uniform(0, 0.45))

@@ -38,7 +38,8 @@ def test_fit_scores_match_kernel_sum():
 
 def test_fit_distribution_uses_probabilities():
     P = DiscreteDistribution(
-        support=(((1.0,), 1), ((-1.0,), -1)), probabilities=np.array([0.9, 0.1])
+        instances=np.array([[1.0], [-1.0]]), labels=np.array([1, -1]),
+        probabilities=np.array([0.9, 0.1]),
     )
     clf = fit(P, KernelSpec("linear"))
     # score(x) = 0.9 * x - 0.1 * (-1) * (-x) ... = 0.9 x + 0.1 x = x
@@ -172,10 +173,10 @@ def test_mmd_equals_mean_norm_for_balanced_sample():
 
 def test_margin_for_error_and_margin_risk():
     P = DiscreteDistribution(
-        support=(((1.0,), 1), ((0.2,), 1), ((-1.0,), -1)),
+        instances=np.array([[1.0], [0.2], [-1.0]]), labels=np.array([1, 1, -1]),
         probabilities=np.array([0.4, 0.2, 0.4]),
     )
-    f = P.instances_array()[:, 0]
+    f = P.instances[:, 0]
     gamma = margin_for_error(P, f)
     assert gamma == pytest.approx(0.2, abs=1e-15)
     assert risk(margin_loss(0.0), P, f) == 0.0
@@ -198,6 +199,6 @@ def test_margin_and_risk_accept_precomputed_scores():
 
 
 def test_margin_for_error_no_positive_margin():
-    P = DiscreteDistribution(support=(((1.0,), -1),), probabilities=np.array([1.0]))
-    assert margin_for_error(P, P.instances_array()[:, 0]) == 0.0
+    P = DiscreteDistribution(np.array([[1.0]]), np.array([-1]), np.array([1.0]))
+    assert margin_for_error(P, P.instances[:, 0]) == 0.0
 

@@ -109,9 +109,9 @@ def test_herd_outputs_and_trace(blob_csv, tmp_path):
 def test_herd_makes_one_n_squared_pass(mode, blob_csv, tmp_path, monkeypatch):
     # plain: the target pass (n^2), one kernel row per trace entry, the
     # exact error's and the document norm's m x m blocks.  parallel: each
-    # group's plain herd, then one uniform pass for the exact error; with
-    # one group that group's pass is the uniform pass, so only the combined
-    # herd's m x m exact error is added to a plain herd's count.
+    # group's plain herd without its exact error, then one uniform pass for
+    # the combined herd's exact error; with one group that group's pass is
+    # the uniform pass, so the count is a plain herd's.
     # recursive: stage 1 and the final error share one uniform pass; later
     # stages pass only over the previous stage's members.  With no stage
     # the herd is the sample itself: its error is 0 without a second pass,
@@ -150,7 +150,7 @@ def test_herd_makes_one_n_squared_pass(mode, blob_csv, tmp_path, monkeypatch):
         S = load_csv(blob_csv, -1)
         T = len(herd(S, KernelSpec("gaussian", bandwidth=1.0), HerdingConfig(tolerance=0.05)).trace)
         assert doc["termination"] == "tolerance"
-        assert used <= n * n + T * n + 2 * m * m + m * m
+        assert used <= n * n + T * n + 2 * m * m
     elif mode == "recursive":
         assert doc["stages"]
         assert used < 1.5 * n * n
@@ -344,7 +344,8 @@ def test_mmd_command(blob_csv, capsys):
 
 def test_noise_command_sln(tmp_path, capsys):
     P = DiscreteDistribution(
-        support=(((0.0,), 1), ((1.0,), -1)), probabilities=np.array([0.5, 0.5])
+        instances=np.array([[0.0], [1.0]]), labels=np.array([1, -1]),
+        probabilities=np.array([0.5, 0.5]),
     )
     dist = tmp_path / "dist.json"
     dist.write_text(json.dumps(P.to_dict()))
@@ -352,24 +353,30 @@ def test_noise_command_sln(tmp_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     back = DiscreteDistribution.from_dict(doc)
-    probs = dict(zip(back.support, back.probabilities))
+    atoms = zip(map(tuple, back.instances.tolist()), back.labels.tolist())
+    probs = dict(zip(atoms, back.probabilities))
     assert probs[((0.0,), -1)] == pytest.approx(0.125, abs=1e-15)
 
 
 def test_noise_command_requires_q_for_contamination(tmp_path):
-    P = DiscreteDistribution(support=(((0.0,), 1),), probabilities=np.array([1.0]))
+    P = DiscreteDistribution(np.array([[0.0]]), np.array([1]), np.array([1.0]))
     dist = tmp_path / "dist.json"
     dist.write_text(json.dumps(P.to_dict()))
     assert main(["noise", "--dist", str(dist), "--model", "contaminate"]) == 2
 
 
 @pytest.mark.parametrize("case", ["train-nan", "mmd-nan", "train-inf", "noise-nan-prob",
+                                  "noise-nan-point", "noise-inf-point",
                                   "eval-nan-alpha", "eval-inf-alpha", "eval-nan-point"])
 def test_non_finite_input_exit_3(case, toy_csv, tmp_path, capsys):
     data = tmp_path / "bad.csv"
     data.write_text(("inf" if case.endswith("inf") else "nan") + ",0.5,-1\n1.0,0.0,1\n")
     dist = tmp_path / "dist.json"
-    dist.write_text('{"support": [[[0.0], 1], [[1.0], -1]], "prob": [NaN, 1.0]}')
+    # two nan atoms that are otherwise equal: finiteness is checked before distinctness
+    dist.write_text({
+        "noise-nan-point": '{"support": [[[NaN], 1], [[NaN], 1]], "prob": [0.5, 0.5]}',
+        "noise-inf-point": '{"support": [[[Infinity], 1], [[1.0], -1]], "prob": [0.5, 0.5]}',
+    }.get(case, '{"support": [[[0.0], 1], [[1.0], -1]], "prob": [NaN, 1.0]}'))
     model = tmp_path / "model.json"
     assert main(["train", "--data", str(toy_csv), "--out", str(model)]) == 0
     doc = read_json(model)
@@ -386,8 +393,9 @@ def test_non_finite_input_exit_3(case, toy_csv, tmp_path, capsys):
         "train-nan": ["train", "--data", str(data)],
         "mmd-nan": ["mmd", "--data", str(data)],
         "train-inf": ["train", "--data", str(data)],
-        "noise-nan-prob": ["noise", "--dist", str(dist), "--model", "sln", "--sigma", "0.1"],
     }.get(case, ["eval", "--model", str(model), "--data", str(toy_csv)])
+    if case.startswith("noise"):
+        argv = ["noise", "--dist", str(dist), "--model", "sln", "--sigma", "0.1"]
     assert main([*argv, "--out", str(out)]) == 3
     assert not out.exists()
     # a bad model is rejected when read, not by the guard on the output
@@ -433,6 +441,20 @@ def test_malformed_document_exit_3(case, toy_csv, tmp_path, capsys):
     assert main([*argv, "--out", str(out)]) == 3
     assert not out.exists()
     assert str(doc) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ragged", ["dist", "q"])
+def test_ragged_support_exit_3(ragged, tmp_path, capsys):
+    # atoms of different dimension are a malformed document, as P and as Q
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text('{"support": [[[0.0], 1], [[2.0], -1]], "prob": [0.5, 0.5]}')
+    bad.write_text('{"support": [[[0.0, 1.0], 1], [[2.0], -1]], "prob": [0.5, 0.5]}')
+    out = tmp_path / "out.json"
+    P, Q = (bad, good) if ragged == "dist" else (good, bad)
+    argv = ["noise", "--dist", str(P), "--model", "contaminate", "--q", str(Q), "--sigma", "0.5"]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert not out.exists()
+    assert str(bad) in capsys.readouterr().err
 
 
 def test_config_file_precedence(toy_csv, tmp_path, capsys):

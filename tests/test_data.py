@@ -22,11 +22,19 @@ from meanherd.data import (
 from meanherd.errors import DataError, InputError, ParseError
 
 
+def dist(instances, labels, probabilities) -> DiscreteDistribution:
+    return DiscreteDistribution(np.array(instances, dtype=float), np.array(labels),
+                                np.array(probabilities, dtype=float))
+
+
+def masses(P) -> dict:
+    """P's probabilities keyed by atom: (instance tuple, label)."""
+    atoms = zip(map(tuple, P.instances.tolist()), P.labels.tolist())
+    return dict(zip(atoms, P.probabilities))
+
+
 def two_point() -> DiscreteDistribution:
-    return DiscreteDistribution(
-        support=(((0.0, 0.0), 1), ((1.0, 1.0), -1)),
-        probabilities=np.array([0.6, 0.4]),
-    )
+    return dist([[0.0, 0.0], [1.0, 1.0]], [1, -1], [0.6, 0.4])
 
 
 def test_sample_validation():
@@ -43,42 +51,37 @@ def test_sample_validation():
 
 def test_distribution_validation():
     with pytest.raises(InputError):
-        DiscreteDistribution(support=(((0.0,), 1),), probabilities=np.array([0.5]))
+        dist([[0.0]], [1], [0.5])
     with pytest.raises(InputError):
-        DiscreteDistribution(
-            support=(((0.0,), 1), ((0.0,), 1)), probabilities=np.array([0.5, 0.5])
-        )
+        dist([[0.0], [0.0]], [1, 1], [0.5, 0.5])
     with pytest.raises(InputError):
-        DiscreteDistribution(support=(((0.0,), 2),), probabilities=np.array([1.0]))
+        dist([[0.0]], [2], [1.0])
     # nan slips past both the sign and the sum check
     with pytest.raises(DataError):
-        DiscreteDistribution(support=(((0.0,), 1),), probabilities=np.array([np.nan]))
+        dist([[0.0]], [1], [np.nan])
     with pytest.raises(DataError):
-        InstanceDistribution(support=((0.0,),), probabilities=np.array([np.nan]))
+        InstanceDistribution(instances=np.array([[0.0]]), probabilities=np.array([np.nan]))
 
 
 def test_to_distribution_merges_duplicates():
     S = LabeledSample(np.array([[0.0], [0.0], [1.0]]), np.array([1, 1, -1]))
     P = S.to_distribution()
     assert len(P) == 2
-    probs = dict(zip(P.support, P.probabilities))
+    probs = masses(P)
     assert probs[((0.0,), 1)] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def test_eta_posterior():
-    P = DiscreteDistribution(
-        support=(((0.0,), 1), ((0.0,), -1), ((1.0,), -1)),
-        probabilities=np.array([0.3, 0.1, 0.6]),
-    )
+    P = dist([[0.0], [0.0], [1.0]], [1, -1, -1], [0.3, 0.1, 0.6])
     eta = P.eta()
-    assert eta[(0.0,)] == pytest.approx(0.75, abs=1e-15)
-    assert eta[(1.0,)] == 0.0
+    assert eta[0] == eta[1] == pytest.approx(0.75, abs=1e-15)
+    assert eta[2] == 0.0
 
 
 def test_flip_symmetric_exact_mixture():
     P = two_point()
     P_s = flip_symmetric(P, 0.25)
-    probs = dict(zip(P_s.support, P_s.probabilities))
+    probs = masses(P_s)
     assert probs[((0.0, 0.0), 1)] == pytest.approx(0.45, abs=1e-15)
     assert probs[((0.0, 0.0), -1)] == pytest.approx(0.15, abs=1e-15)
     assert probs[((1.0, 1.0), -1)] == pytest.approx(0.30, abs=1e-15)
@@ -88,14 +91,13 @@ def test_flip_symmetric_exact_mixture():
 def test_flip_symmetric_zero_is_identity():
     P = two_point()
     P0 = flip_symmetric(P, 0.0)
-    assert P0.support == P.support
+    assert np.array_equal(P0.instances, P.instances)
+    assert np.array_equal(P0.labels, P.labels)
     assert np.array_equal(P0.probabilities, P.probabilities)
 
 
 def test_flip_symmetric_merges_colliding_atoms():
-    P = DiscreteDistribution(
-        support=(((0.0,), 1), ((0.0,), -1)), probabilities=np.array([0.5, 0.5])
-    )
+    P = dist([[0.0], [0.0]], [1, -1], [0.5, 0.5])
     P_s = flip_symmetric(P, 0.3)
     # flipping maps the support onto itself
     assert len(P_s) == 2
@@ -105,7 +107,7 @@ def test_flip_symmetric_merges_colliding_atoms():
 def test_flip_class_conditional():
     P = two_point()
     P_cc = flip_class_conditional(P, sigma_neg=0.0, sigma_pos=0.2)
-    probs = dict(zip(P_cc.support, P_cc.probabilities))
+    probs = masses(P_cc)
     assert probs[((0.0, 0.0), -1)] == pytest.approx(0.12, abs=1e-15)
     assert probs[((1.0, 1.0), -1)] == pytest.approx(0.4, abs=1e-15)
     with pytest.raises(InputError):
@@ -114,38 +116,41 @@ def test_flip_class_conditional():
 
 def test_flip_instance_dependent_and_table():
     P = two_point()
-    table = NoiseFunctionTable({0: 0.1, 1: 0.4})
+    table = NoiseFunctionTable([0.1, 0.4])
     assert table.min_signal() == pytest.approx(0.2, abs=1e-15)
     P_t = flip_instance_dependent(P, table)
-    probs = dict(zip(P_t.support, P_t.probabilities))
+    probs = masses(P_t)
     assert probs[((0.0, 0.0), -1)] == pytest.approx(0.06, abs=1e-15)
     assert probs[((1.0, 1.0), 1)] == pytest.approx(0.16, abs=1e-15)
     with pytest.raises(InputError):
-        flip_instance_dependent(P, NoiseFunctionTable({0: 0.1}))
+        flip_instance_dependent(P, NoiseFunctionTable([0.1]))
     with pytest.raises(InputError):
-        NoiseFunctionTable({0: 0.5})
+        NoiseFunctionTable([0.5])
 
 
 def test_contaminate():
     P = two_point()
-    Q = DiscreteDistribution(support=(((5.0, 5.0), -1),), probabilities=np.array([1.0]))
+    Q = dist([[5.0, 5.0]], [-1], [1.0])
     mix = contaminate(P, Q, 0.1)
-    probs = dict(zip(mix.support, mix.probabilities))
+    probs = masses(mix)
     assert probs[((5.0, 5.0), -1)] == pytest.approx(0.1, abs=1e-15)
-    assert contaminate(P, Q, 0.0).support == P.support
+    P0 = contaminate(P, Q, 0.0)
+    assert np.array_equal(P0.instances, P.instances) and np.array_equal(P0.labels, P.labels)
 
 
 def test_mutually_contaminate():
-    P_pos = InstanceDistribution(((0.0,), (1.0,)), np.array([0.5, 0.5]))
-    P_neg = InstanceDistribution(((2.0,),), np.array([1.0]))
+    P_pos = InstanceDistribution(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+    P_neg = InstanceDistribution(np.array([[2.0]]), np.array([1.0]))
     t_pos, t_neg = mutually_contaminate(P_pos, P_neg, alpha=0.2, beta=0.1)
-    pos = dict(zip(t_pos.support, t_pos.probabilities))
-    assert pos[(2.0,)] == pytest.approx(0.2, abs=1e-15)
-    assert pos[(0.0,)] == pytest.approx(0.4, abs=1e-15)
-    neg = dict(zip(t_neg.support, t_neg.probabilities))
-    assert neg[(2.0,)] == pytest.approx(0.9, abs=1e-15)
+    pos = dict(zip(t_pos.instances[:, 0].tolist(), t_pos.probabilities))
+    assert pos[2.0] == pytest.approx(0.2, abs=1e-15)
+    assert pos[0.0] == pytest.approx(0.4, abs=1e-15)
+    neg = dict(zip(t_neg.instances[:, 0].tolist(), t_neg.probabilities))
+    assert neg[2.0] == pytest.approx(0.9, abs=1e-15)
     with pytest.raises(InputError):
         mutually_contaminate(P_pos, P_neg, 0.6, 0.4)
+    with pytest.raises(InputError):
+        mutually_contaminate(P_pos, InstanceDistribution(np.zeros((1, 2)), np.ones(1)), 0.1, 0.1)
 
 
 def test_sample_from_deterministic():
@@ -155,7 +160,7 @@ def test_sample_from_deterministic():
     assert np.array_equal(S1.instances, S2.instances)
     assert np.array_equal(S1.labels, S2.labels)
     support_atoms = {(tuple(x), int(y)) for x, y in zip(S1.instances, S1.labels)}
-    assert support_atoms <= set(P.support)
+    assert support_atoms <= masses(P).keys()
 
 
 def test_synth_blobs_shape_and_determinism():
@@ -173,11 +178,8 @@ def test_synth_blobs_shape_and_determinism():
 def test_long_servedio_geometry():
     gamma = 1.0 / 24.0
     P = long_servedio(gamma)
-    assert P.support == (
-        ((gamma, -gamma), 1),
-        ((1.0, 0.0), 1),
-        ((gamma, 5.0 * gamma), 1),
-    )
+    assert P.instances.tolist() == [[gamma, -gamma], [1.0, 0.0], [gamma, 5.0 * gamma]]
+    assert P.labels.tolist() == [1, 1, 1]
     assert np.array_equal(P.probabilities, np.array([0.5, 0.25, 0.25]))
     with pytest.raises(InputError):
         long_servedio(0.2)
@@ -186,7 +188,8 @@ def test_long_servedio_geometry():
 def test_distribution_json_roundtrip():
     P = two_point()
     Q = DiscreteDistribution.from_dict(json.loads(json.dumps(P.to_dict())))
-    assert Q.support == P.support
+    assert np.array_equal(Q.instances, P.instances)
+    assert np.array_equal(Q.labels, P.labels)
     assert np.array_equal(Q.probabilities, P.probabilities)
 
 

@@ -28,7 +28,8 @@ def test_noise_scaling_identity_machine_precision():
     # The reason merged() exists: coefficient-level cancellation gives
     # ~1e-17 norms instead of sqrt(eps).
     P = DiscreteDistribution(
-        support=(((0.3, -1.2), 1), ((2.0, 0.5), -1), ((-0.7, 0.9), 1)),
+        instances=np.array([[0.3, -1.2], [2.0, 0.5], [-0.7, 0.9]]),
+        labels=np.array([1, -1, 1]),
         probabilities=np.array([0.2, 0.5, 0.3]),
     )
     spec = KernelSpec("gaussian", bandwidth=1.0)

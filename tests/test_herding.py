@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from meanherd import herding, kernels
 from meanherd.classifier import MeanClassifier, fit, mean_norm
 from meanherd.data import LabeledSample, synth_blobs
 from meanherd.errors import InputError
@@ -218,6 +219,26 @@ def test_parallel_one_group_matches_plain():
     par = parallel_herd(S, 1, GAUSS, cfg)
     assert np.array_equal(np.sort(plain.indices), np.sort(par.indices))
     assert par.error == pytest.approx(plain.error, abs=1e-10)
+
+
+def test_parallel_one_group_evaluates_a_plain_herds_kernel_entries(monkeypatch):
+    # a group carries no exact error of its own, so one group costs one plain herd
+    entries = []
+
+    def counted(spec, X, Z):
+        K = cross_gram(spec, X, Z)
+        entries.append(K.size)
+        return K
+
+    monkeypatch.setattr(kernels, "cross_gram", counted)
+    monkeypatch.setattr(herding, "cross_gram", counted)
+    S = blob_sample(n=150)
+    cfg = HerdingConfig(tolerance=0.03, max_iterations=2000)
+    herd(S, GAUSS, cfg)
+    plain = sum(entries)
+    entries.clear()
+    parallel_herd(S, 1, GAUSS, cfg)
+    assert sum(entries) == plain
 
 
 def test_recursive_shrinks_and_reports_stages():

@@ -7,6 +7,7 @@ from meanherd.data import (
     InstanceDistribution,
     NoiseFunctionTable,
     flip_symmetric,
+    sorted_instances,
 )
 from meanherd.errors import InputError
 from meanherd.kernels import KernelSpec
@@ -15,9 +16,15 @@ from meanherd.losses import hinge_loss, linear_loss, risk, zero_one_loss
 GAUSS = KernelSpec("gaussian", bandwidth=1.0)
 
 
+def rows(X) -> list[tuple]:
+    """The rows of X as tuples, the keys of an {instance: score} table."""
+    return list(map(tuple, np.asarray(X).tolist()))
+
+
 def small_P() -> DiscreteDistribution:
     return DiscreteDistribution(
-        support=(((0.0, 1.0), 1), ((1.0, 0.0), -1), ((-1.0, -1.0), 1)),
+        instances=np.array([[0.0, 1.0], [1.0, 0.0], [-1.0, -1.0]]),
+        labels=np.array([1, -1, 1]),
         probabilities=np.array([0.5, 0.3, 0.2]),
     )
 
@@ -28,7 +35,7 @@ def small_P() -> DiscreteDistribution:
 
 def test_brute_force_min_single_member():
     P = small_P()
-    instances = tuple(sorted(set(x for x, _ in P.support)))
+    instances = sorted_instances(P)
     fclass = lab.FiniteFunctionClass(instances, np.zeros((1, 3)) + 0.5)
     idx, r = lab.brute_force_min(linear_loss, P, fclass)
     assert idx == 0
@@ -36,9 +43,9 @@ def test_brute_force_min_single_member():
 
 def test_brute_force_min_finds_bayes_table():
     P = small_P()
-    instances = tuple(sorted(set(x for x, _ in P.support)))
-    eta = P.eta()
-    bayes_row = np.array([1.0 if eta[x] >= 0.5 else -1.0 for x in instances])
+    instances = sorted_instances(P)
+    eta = dict(zip(rows(P.instances), P.eta()))
+    bayes_row = np.array([1.0 if eta[x] >= 0.5 else -1.0 for x in rows(instances)])
     scores = np.vstack([-bayes_row, bayes_row, np.zeros(3) + 0.1])
     fclass = lab.FiniteFunctionClass(instances, scores)
     idx, r = lab.brute_force_min(zero_one_loss, P, fclass)
@@ -48,7 +55,7 @@ def test_brute_force_min_finds_bayes_table():
 
 def test_brute_force_min_ties_break_low():
     P = small_P()
-    instances = tuple(sorted(set(x for x, _ in P.support)))
+    instances = sorted_instances(P)
     scores = np.vstack([np.zeros(3) + 0.5, np.zeros(3) + 0.5])
     fclass = lab.FiniteFunctionClass(instances, scores)
     idx, _ = lab.brute_force_min(linear_loss, P, fclass)
@@ -59,9 +66,9 @@ def test_risk_of_a_table_is_its_rows_risks():
     rng = np.random.default_rng(3)
     for _ in range(20):
         P = lab.random_distribution(rng)
-        instances = tuple(sorted(set(x for x, _ in P.support)))
+        instances = sorted_instances(P)
         fclass = lab.random_function_class(rng, instances, k=6)
-        V = fclass.table(P.instances_array())
+        V = fclass.table(P.instances)
         for loss in (linear_loss, hinge_loss, zero_one_loss):
             risks = risk(loss, P, V)
             assert risks.shape == (fclass.size,)
@@ -85,16 +92,15 @@ def test_brute_force_respects_theorem_floor():
     rng = np.random.default_rng(0)
     P = lab.random_distribution(rng)
     floor = mean_norm(P, KernelSpec("linear", normalized=False)).min_linear_loss
-    X = P.instances_array()
-    instances = tuple(sorted(set(x for x, _ in P.support)))
-    order = {x: i for i, x in enumerate(instances)}
-    rows = []
+    X = P.instances
+    instances = sorted_instances(P)
+    table = []
     for _ in range(100):
         w = rng.normal(size=2)
         w /= np.linalg.norm(w)
         scores_by_instance = {tuple(x): float(x @ w) for x in X}
-        rows.append([scores_by_instance[x] for x in instances])
-    fclass = lab.FiniteFunctionClass(instances, np.array(rows))
+        table.append([scores_by_instance[x] for x in rows(instances)])
+    fclass = lab.FiniteFunctionClass(instances, np.array(table))
     _, best = lab.brute_force_min(linear_loss, P, fclass)
     assert best >= floor - 1e-10
 
@@ -110,10 +116,10 @@ def test_surrogate_regret_random_audit():
 
 def test_surrogate_regret_supplied_pair_and_bound_guard():
     P = small_P()
-    f = {x: 0.5 for x, _ in P.support}
+    f = {x: 0.5 for x in rows(P.instances)}
     assert lab.check_surrogate_regret(P, f, trials=1, seed=0).passed
     with pytest.raises(InputError):
-        lab.check_surrogate_regret(P, {x: 2.0 for x, _ in P.support}, trials=1)
+        lab.check_surrogate_regret(P, {x: 2.0 for x in rows(P.instances)}, trials=1)
 
 
 def test_sln_immunity_report():
@@ -125,7 +131,8 @@ def test_sln_immunity_report():
 
 def test_sln_immunity_degenerate_zero_mean():
     P = DiscreteDistribution(
-        support=(((1.0,), 1), ((1.0,), -1)), probabilities=np.array([0.5, 0.5])
+        instances=np.array([[1.0], [1.0]]), labels=np.array([1, -1]),
+        probabilities=np.array([0.5, 0.5]),
     )
     report = lab.check_sln_immunity(P, (0.25,), KernelSpec("gaussian", bandwidth=1.0))
     assert report.passed  # both classifiers abstain everywhere
@@ -142,7 +149,7 @@ def test_contamination_one_way_no_assertion():
     P = small_P()
     flipped = flip_symmetric(P, 0.49999999)  # nearly erases the mean
     Q = DiscreteDistribution(
-        support=tuple((x, -y) for x, y in P.support), probabilities=P.probabilities
+        instances=P.instances, labels=-P.labels, probabilities=P.probabilities
     )
     report = lab.check_contamination(P, Q, 1.0, GAUSS)
     del flipped
@@ -155,7 +162,7 @@ def test_ber_immunity_identity_and_argmin():
     rng = np.random.default_rng(2)
     P_pos = lab.random_distribution(rng).instance_marginal()
     P_neg = lab.random_distribution(rng).instance_marginal()
-    instances = tuple(sorted(set(P_pos.support) | set(P_neg.support)))
+    instances = sorted_instances(P_pos, P_neg)
     fclass = lab.random_function_class(rng, instances, k=6)
     report = lab.check_ber_immunity(linear_loss, P_pos, P_neg, 0.2, 0.1, fclass)
     assert report.passed
@@ -167,7 +174,7 @@ def test_ber_immunity_zero_noise_slope_one():
     rng = np.random.default_rng(3)
     P_pos = lab.random_distribution(rng).instance_marginal()
     P_neg = lab.random_distribution(rng).instance_marginal()
-    instances = tuple(sorted(set(P_pos.support) | set(P_neg.support)))
+    instances = sorted_instances(P_pos, P_neg)
     fclass = lab.random_function_class(rng, instances, k=4)
     report = lab.check_ber_immunity(linear_loss, P_pos, P_neg, 0.0, 0.0, fclass)
     assert report.passed
@@ -186,8 +193,8 @@ def test_ber_immunity_rejects_hinge():
 def test_ghosh_bound_zero_table_tight():
     rng = np.random.default_rng(4)
     P = lab.random_distribution(rng)
-    table = NoiseFunctionTable({i: 0.0 for i in range(len(P))})
-    instances = tuple(sorted(set(x for x, _ in P.support)))
+    table = NoiseFunctionTable(np.zeros(len(P)))
+    instances = sorted_instances(P)
     fclass = lab.random_function_class(rng, instances, k=5)
     report = lab.check_ghosh_bound(P, table, linear_loss, fclass)
     assert report.passed
@@ -198,25 +205,26 @@ def test_ghosh_bound_separable_recovers_zero_loss():
     # a class containing a zero-linear-loss table: corrupted minimization
     # still recovers a zero-clean-loss classifier
     P = DiscreteDistribution(
-        support=(((0.0,), 1), ((1.0,), -1)), probabilities=np.array([0.5, 0.5])
+        instances=np.array([[0.0], [1.0]]), labels=np.array([1, -1]),
+        probabilities=np.array([0.5, 0.5]),
     )
     instances = ((0.0,), (1.0,))
     scores = np.array([[1.0, -1.0], [0.3, 0.1], [-0.5, 0.5]])
     fclass = lab.FiniteFunctionClass(instances, scores)
-    table = NoiseFunctionTable({0: 0.3, 1: 0.45})
+    table = NoiseFunctionTable([0.3, 0.45])
     report = lab.check_ghosh_bound(P, table, linear_loss, fclass)
     assert report.passed
     i_noisy = report.extras["corrupted_minimizer"]
-    scores = fclass.table(P.instances_array())[i_noisy]
+    scores = fclass.table(P.instances)[i_noisy]
     assert risk(linear_loss, P, scores) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ghosh_bound_rejects_non_robust_loss():
     P = small_P()
-    instances = tuple(sorted(set(x for x, _ in P.support)))
+    instances = sorted_instances(P)
     fclass = lab.FiniteFunctionClass(instances, np.zeros((1, 3)))
     with pytest.raises(InputError):
-        lab.check_ghosh_bound(P, NoiseFunctionTable({i: 0.1 for i in range(3)}), hinge_loss, fclass)
+        lab.check_ghosh_bound(P, NoiseFunctionTable([0.1] * 3), hinge_loss, fclass)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +236,7 @@ def test_linear_loss_argmin_invariant_under_sln(sigma):
     rng = np.random.default_rng(6)
     for _ in range(100):
         P = lab.random_distribution(rng)
-        instances = tuple(sorted(set(x for x, _ in P.support)))
+        instances = sorted_instances(P)
         fclass = lab.random_function_class(rng, instances, k=7)
         i_clean, _ = lab.brute_force_min(linear_loss, P, fclass)
         i_noisy, _ = lab.brute_force_min(linear_loss, flip_symmetric(P, sigma), fclass)

@@ -162,7 +162,8 @@ def test_cc_ratio_check():
 
 def test_risk_and_balanced_error():
     P = DiscreteDistribution(
-        support=(((0.0,), 1), ((1.0,), -1)), probabilities=np.array([0.5, 0.5])
+        instances=np.array([[0.0], [1.0]]), labels=np.array([1, -1]),
+        probabilities=np.array([0.5, 0.5]),
     )
     f = np.ones(2)
     assert risk(zero_one_loss, P, f) == pytest.approx(0.5, abs=1e-15)

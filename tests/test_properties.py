@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanherd import embedding as emb
-from meanherd.data import DiscreteDistribution, LabeledSample, flip_symmetric, load_csv, load_sparse
+from meanherd.data import (
+    DiscreteDistribution,
+    LabeledSample,
+    _merge,
+    flip_symmetric,
+    load_csv,
+    load_sparse,
+)
 from meanherd.errors import MeanHerdError
 from meanherd.kernels import KernelSpec, cross_gram
 from meanherd.losses import correct_sln, hinge_loss, linear_loss
@@ -15,16 +22,11 @@ finite = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 
 def distributions():
     def build(points, labels, weights):
-        atoms = []
-        seen = set()
-        for (a, b), y in zip(points, labels):
-            key = ((a, b), y)
-            if key not in seen:
-                seen.add(key)
-                atoms.append(key)
+        atoms = list(dict.fromkeys(zip(points, labels)))  # distinct, in first-occurrence order
         w = np.asarray(weights[: len(atoms)], dtype=float) + 1e-3
         w = w / w.sum()
-        return DiscreteDistribution(support=tuple(atoms), probabilities=w)
+        return DiscreteDistribution(instances=np.array([x for x, _ in atoms], dtype=float),
+                                    labels=np.array([y for _, y in atoms]), probabilities=w)
 
     return st.builds(
         build,
@@ -40,6 +42,40 @@ def test_flip_symmetric_conserves_mass(P, sigma):
     P_s = flip_symmetric(P, sigma)
     assert abs(P_s.probabilities.sum() - 1.0) <= 1e-12
     assert np.all(P_s.probabilities >= 0)
+
+
+@st.composite
+def keyed_weights(draw):
+    """Rows in 1-3 dimensions, drawn from few values so that many repeat, with weights."""
+    d = draw(st.integers(1, 3))
+    value = st.sampled_from((0.0, -0.0, 1.0, -2.5)) | finite
+    rows = draw(st.lists(st.tuples(*[value] * d), min_size=1, max_size=12))
+    weights = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(rows), max_size=len(rows)))
+    return np.array(rows, dtype=float), np.array(weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(keyed_weights())
+def test_merge_is_dict_accumulation_in_first_occurrence_order(keyed):
+    keys, weights = keyed
+    acc: dict[tuple, float] = {}
+    for row, w in zip(map(tuple, keys.tolist()), weights.tolist()):
+        acc[row] = acc.get(row, 0.0) + w
+    rows, group, sums = _merge(keys, weights)
+    # bitwise: the first row of each group (so -0.0 stays -0.0) and each sum
+    assert keys[rows].tobytes() == np.array(list(acc), dtype=float).tobytes()
+    assert sums.tobytes() == np.array(list(acc.values())).tobytes()
+    # each group starts where its first row occurs, and holds equal rows only
+    assert rows.tolist() == [int(np.argmax(group == g)) for g in range(rows.size)]
+    assert np.array_equal(keys[rows][group], keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(distributions())
+def test_flip_symmetric_zero_returns_the_same_arrays(P):
+    P0 = flip_symmetric(P, 0.0)
+    for name in ("instances", "labels", "probabilities"):
+        assert getattr(P0, name).tobytes() == getattr(P, name).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
