@@ -63,7 +63,11 @@ class MeanClassifier:
         return np.sign(self.scores(X)).astype(int)
 
     def to_dict(self, n_source: int | None = None) -> dict:
-        geo = emb.norm(self.kernel, self.embedding())
+        return self._document(n_source, emb.squared_norm(self.kernel, self.embedding()))
+
+    def _document(self, n_source: int | None, squared_norm: float) -> dict:
+        """The model document, given ||omega||^2 (checked and clamped as in ``emb.norm``)."""
+        geo = float(np.sqrt(emb.psd(squared_norm)))
         return {
             "kernel": self.kernel.to_dict(),
             "support": [

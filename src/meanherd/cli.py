@@ -27,13 +27,15 @@ herd's members (indices into the data file), error, trace, termination
 and, for parallel and recursive herds, group errors or stages.  ``eval``
 reads either through ``MeanClassifier.from_dict``.
 
-Kernel sums are evaluated in row blocks (``kernels.kernel_sums``), so
-memory grows as O(block * n), never n^2.  ``herd`` passes over the n^2
-kernel entries once, for the herding target; the exact error in
-``recomputed_error`` reuses that pass and adds only the herd's own m^2
-entries.  A recursive herd shares its one pass between its first stage and
-its exact error; a parallel herd makes it once, after its groups' own
-passes.
+Kernel sums are evaluated in row blocks (``kernels.kernel_sums``, and
+``kernels.self_sums`` for a sum over a support's own points), so memory
+grows as O(block * n), never n^2.  ``herd`` makes one pass over the n x n
+kernel matrix, for the herding target, and that pass evaluates only its
+upper triangle, about n^2 / 2 entries; the exact error in
+``recomputed_error`` reuses that pass and adds only the herd's own self-sum
+over its m members, whose value is also the document's ``meta.norm``.  A
+recursive herd shares its one pass between its first stage and its exact
+error; a parallel herd makes it once, after its groups' own passes.
 """
 
 from __future__ import annotations

@@ -44,11 +44,13 @@ def _merge(keys: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return rows, group, np.bincount(group, weights=weights, minlength=rows.size)
 
 
-def _atoms(instances, probabilities, labels=None) -> tuple[np.ndarray, np.ndarray]:
+def _atoms(instances, probabilities, labels=None,
+           distinct: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Checked (m, d) instances and (m,) probabilities of a finite distribution.
 
     The atoms (instance rows, with their labels if given) must be pairwise
-    distinct.  Non-finite values are a DataError, found before duplicates.
+    distinct; ``distinct=True`` says they are known to be, and skips that
+    check.  Non-finite values are a DataError, found before duplicates.
     """
     X = np.asarray(instances, dtype=float)
     p = np.asarray(probabilities, dtype=float)
@@ -63,7 +65,7 @@ def _atoms(instances, probabilities, labels=None) -> tuple[np.ndarray, np.ndarra
     if abs(p.sum() - 1.0) > 1e-12:
         raise InputError(f"probabilities sum to {p.sum()!r}, not 1")
     keys = X if labels is None else np.column_stack([X, labels])
-    if len(set(map(tuple, keys.tolist()))) != m:
+    if not distinct and len(set(map(tuple, keys.tolist()))) != m:
         raise InputError("support entries must be pairwise distinct")
     return X, p
 
@@ -118,12 +120,21 @@ class DiscreteDistribution:
     labels: np.ndarray
     probabilities: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, distinct: bool = False):
         y = as_labels(self.labels)
-        X, p = _atoms(self.instances, self.probabilities, y)
+        X, p = _atoms(self.instances, self.probabilities, y, distinct)
         object.__setattr__(self, "instances", X)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "probabilities", p)
+
+    @classmethod
+    def _of_distinct_atoms(cls, X, y, p) -> "DiscreteDistribution":
+        """Every check of the constructor but distinctness, for atoms ``_merge`` made distinct."""
+        P = object.__new__(cls)
+        for name, value in (("instances", X), ("labels", y), ("probabilities", p)):
+            object.__setattr__(P, name, value)
+        P.__post_init__(distinct=True)
+        return P
 
     def __len__(self) -> int:
         return self.instances.shape[0]
@@ -210,7 +221,7 @@ def _mixture(X: np.ndarray, y: np.ndarray, p: np.ndarray) -> DiscreteDistributio
         # Corruption ops only redistribute mass; renormalization here would
         # hide a bug upstream.
         raise InputError(f"merged probabilities sum to {total}, not 1")
-    return DiscreteDistribution(X[rows], y[rows], probs)
+    return DiscreteDistribution._of_distinct_atoms(X[rows], y[rows], probs)
 
 
 def _flip(P: DiscreteDistribution, rates) -> DiscreteDistribution:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import DiscreteDistribution, _merge
 from .errors import ConsistencyError
-from .kernels import KernelSpec, kernel_sums
+from .kernels import KernelSpec, self_sums
 
 
 @dataclass(frozen=True)
@@ -48,15 +48,19 @@ def combine(*terms: tuple[float, Embedding]) -> Embedding:
 
 def squared_norm(spec: KernelSpec, e: Embedding) -> float:
     e = e.merged()
-    return float(e.coef @ kernel_sums(spec, e.points, e.points, e.coef))
+    return float(e.coef @ self_sums(spec, e.points, e.coef))
+
+
+def psd(sq: float) -> float:
+    """A squared norm with tiny negative values (>= -1e-12) clamped to zero."""
+    if sq < -1e-12:
+        raise ConsistencyError(f"squared norm {sq} below -1e-12; kernel is not PSD")
+    return max(sq, 0.0)
 
 
 def psd_squared_norm(spec: KernelSpec, e: Embedding) -> float:
     """||e||^2 with tiny negative values (>= -1e-12) clamped to zero."""
-    sq = squared_norm(spec, e)
-    if sq < -1e-12:
-        raise ConsistencyError(f"squared norm {sq} below -1e-12; kernel is not PSD")
-    return max(sq, 0.0)
+    return psd(squared_norm(spec, e))
 
 
 def norm(spec: KernelSpec, e: Embedding) -> float:

@@ -18,22 +18,26 @@ is the exact minimizer of the quadratic along the segment.
 
 The target is a mean classifier f = sum_j t_j y_j K(x_j, .) over the
 candidates, so c[j] = y_j f(x_j): the target's scores on its own
-support.  Only c needs a pass over all n^2 kernel entries, done once in
-row blocks by ``MeanClassifier.scores``; each iteration then evaluates
-the single kernel row it selects.  Memory is one block of kernel entries
-plus a few n-vectors, never n x n.
+support.  Only c needs a pass over the n x n kernel matrix, done once by
+``kernels.self_sums``, which evaluates its upper triangle, about n^2 / 2
+entries, in row blocks; each iteration then evaluates the single kernel
+row it selects (``kernels.kernel_rows``, from points prepared once).
+Memory is one block of kernel entries plus a few n-vectors, never n x n.
 
 Every herd also carries ``recomputed_error``, the error evaluated exactly
-from c and the herd's own norm (its scores on its m members) instead of
-through the recurrences for b and q.  So every herd makes one n^2 pass
-over the sample: a plain herd and the first stage of a recursive herd
-herd from their own c, and a recursive herd takes its final error from
-that same c (later stages pass only over the previous stage's members).
+from c and the herd's own squared norm (a self-sum over its m members)
+instead of through the recurrences for b and q, and that squared norm,
+which the herd's model document reports as its ``meta.norm``.  So every
+herd makes one n^2 pass over the sample: a plain herd and the first stage
+of a recursive herd herd from their own c, and a recursive herd takes its
+final error from that same c (later stages pass only over the previous
+stage's members).
 A parallel herd makes the uniform pass once for its error, besides each
 group's own pass; with one group the two are the same pass.  Groups and
 stages carry no exact error of their own, so a parallel herd with one
 group evaluates exactly the kernel entries of a plain herd.  A recursive
-herd with no stage is its target, with error exactly 0.
+herd with no stage is its target, with error exactly 0 and the target
+pass's squared norm.
 ``approximation_error`` is the from-scratch audit of a herd against a
 sample; no herding path calls it.
 """
@@ -47,7 +51,7 @@ import numpy as np
 from .classifier import MeanClassifier, fit
 from .data import LabeledSample
 from .errors import DataError, InputError
-from .kernels import KernelSpec, cross_gram
+from .kernels import KernelSpec, kernel_rows, self_sums
 
 STEP_RULES = ("line_search", "uniform")
 
@@ -87,13 +91,16 @@ class Herd:
     holds the kernel, the weights and the members' labels and points.  For
     bounded kernels its scores lie within ``error`` of the full mean's
     everywhere (Cauchy-Schwarz against ||phi(x)|| <= 1).  ``error`` is the
-    tracked error, ``recomputed_error`` the same quantity evaluated exactly.
+    tracked error, ``recomputed_error`` the same quantity evaluated exactly,
+    and ``squared_norm`` the herd's ||omega||^2 from that evaluation, which
+    the model document reports as ``meta.norm``.
     """
 
     classifier: MeanClassifier
     indices: np.ndarray  # the members' indices into the source sample
     error: float
     recomputed_error: float
+    squared_norm: float
     trace: tuple[float, ...]
     termination: str
     sizes: tuple[int, ...]  # distinct members per trace entry
@@ -109,7 +116,7 @@ class Herd:
 
         ``MeanClassifier.from_dict`` reads it like a ``train`` document.
         """
-        doc = self.classifier.to_dict(n_source)
+        doc = self.classifier._document(n_source, self.squared_norm)
         doc["members"] = [
             {"alpha": float(a), "index": int(i)}
             for a, i in zip(self.classifier.alphas, self.indices)
@@ -133,19 +140,22 @@ def _finite(v: np.ndarray) -> np.ndarray:
 
 def _target_pass(target: MeanClassifier) -> tuple[np.ndarray, float]:
     """c[j] = <omega_target, psi(z_j)> = y_j f(x_j) and ||omega_target||^2: the one n^2 pass."""
-    c = _finite(target.labels * target.scores(target.points))
+    c = _finite(target.labels * self_sums(target.kernel, target.points,
+                                          target.alphas * target.labels))
     return c, float(target.alphas @ c)
 
 
-def _exact_error(clf: MeanClassifier, idx: np.ndarray, c: np.ndarray, target_sq: float) -> float:
-    """||omega_target - omega_clf|| for the classifier on rows ``idx`` of c's candidates.
+def _exact_error(clf: MeanClassifier, idx: np.ndarray, c: np.ndarray,
+                 target_sq: float) -> tuple[float, float]:
+    """||omega_target - omega_clf|| and ||omega_clf||^2, for the classifier on rows ``idx``.
 
     target_sq - 2 alpha.c[idx] + ||omega_clf||^2, so given the target pass
-    it costs the m^2 kernel entries of the herd alone.
+    it costs the kernel entries of the herd's own self-sum alone.
     """
-    herd_sq = float((clf.alphas * clf.labels) @ clf.scores(clf.points))
+    coef = clf.alphas * clf.labels
+    herd_sq = float(coef @ self_sums(clf.kernel, clf.points, coef))
     cross = float(clf.alphas @ c[idx])
-    return float(np.sqrt(max(target_sq - 2.0 * cross + herd_sq, 0.0)))
+    return float(np.sqrt(max(target_sq - 2.0 * cross + herd_sq, 0.0))), herd_sq
 
 
 def _frank_wolfe(target: MeanClassifier, config: HerdingConfig, c: np.ndarray, target_sq: float):
@@ -157,10 +167,11 @@ def _frank_wolfe(target: MeanClassifier, config: HerdingConfig, c: np.ndarray, t
     kernel = target.kernel
     X = target.points
     y = target.labels.astype(float)
+    kernel_row = kernel_rows(kernel, X)
 
     def row(i: int) -> np.ndarray:
         """<psi(z_i), psi(z_j)> for every candidate j: one kernel row."""
-        return _finite(y[i] * y * cross_gram(kernel, X[i], X)[0])
+        return _finite(y[i] * y * kernel_row(i))
 
     w = np.zeros(target.n_support)
     first = int(np.argmax(c))
@@ -227,8 +238,8 @@ def herd(
         target = MeanClassifier(kernel, target_weights, S.labels, S.instances)
     c, target_sq = _target_pass(target)
     clf, members, trace, sizes, end = _frank_wolfe(target, config or HerdingConfig(), c, target_sq)
-    return Herd(clf, members, error=trace[-1],
-                recomputed_error=_exact_error(clf, members, c, target_sq),
+    err, herd_sq = _exact_error(clf, members, c, target_sq)
+    return Herd(clf, members, error=trace[-1], recomputed_error=err, squared_norm=herd_sq,
                 trace=trace, termination=end, sizes=sizes)
 
 
@@ -238,7 +249,7 @@ def approximation_error(herd_: Herd, S: LabeledSample) -> float:
     if idx.size and (idx.min() < 0 or idx.max() >= len(S)):
         raise InputError("herd indices out of range for the sample")
     clf = herd_.classifier
-    return _exact_error(clf, idx, *_target_pass(fit(S, clf.kernel)))
+    return _exact_error(clf, idx, *_target_pass(fit(S, clf.kernel)))[0]
 
 
 def parallel_herd(
@@ -276,8 +287,9 @@ def parallel_herd(
     clf = MeanClassifier(kernel, alphas / alphas.sum(), S.labels[idx], S.instances[idx])
     # One group is the whole sample, so its pass is already the uniform pass.
     full_pass = group_pass if groups == 1 else _target_pass(fit(S, kernel))
-    err = _exact_error(clf, idx, *full_pass)
-    return Herd(clf, idx, error=err, recomputed_error=err, trace=(err,), sizes=(len(idx),),
+    err, herd_sq = _exact_error(clf, idx, *full_pass)
+    return Herd(clf, idx, error=err, recomputed_error=err, squared_norm=herd_sq,
+                trace=(err,), sizes=(len(idx),),
                 termination="tolerance" if terminations == {"tolerance"} else "mixed",
                 group_errors=tuple(group_errors))
 
@@ -312,10 +324,11 @@ def recursive_herd(
         if members.size == stages[-1].size_before:
             break
 
-    # With no stage the herd is the target itself, so its error is exactly 0.
-    err = _exact_error(target, idx, *full_pass) if stages else 0.0
-    return Herd(target, idx, error=err, recomputed_error=err, trace=(err,), sizes=(len(idx),),
-                termination="recursive", stages=tuple(stages))
+    # With no stage the herd is the target itself: its error is exactly 0,
+    # and its squared norm is the target pass's.
+    err, herd_sq = _exact_error(target, idx, *full_pass) if stages else (0.0, full_pass[1])
+    return Herd(target, idx, error=err, recomputed_error=err, squared_norm=herd_sq,
+                trace=(err,), sizes=(len(idx),), termination="recursive", stages=tuple(stages))
 
 
 @dataclass(frozen=True)

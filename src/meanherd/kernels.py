@@ -1,10 +1,17 @@
-"""Kernel functions, label-augmented kernels and blocked kernel sums.
+"""Kernel functions and blocked kernel sums.
 
 All classifiers in this package score by weighted kernel sums, so every
-other module funnels through the evaluators here.  The theory modules
-assume bounded feature maps (|K(x,x')| <= 1); the gaussian kernel is
-bounded by construction, linear and polynomial kernels only after opting
-in to cosine normalization via ``normalized=True``.
+other module funnels through the evaluators here: ``kernel_sums`` for
+K(X, Z) @ coef, ``self_sums`` for K(X, X) @ coef over the upper triangle
+of the symmetric K (about n^2 / 2 entries), and ``kernel_rows`` for the
+single rows herding selects.  All three, and ``cross_gram``, evaluate one
+block evaluator, ``_block``, on points prepared once per call (scaled,
+with their norms or diagonals), so no row or block recomputes a per-point
+term.
+
+The theory modules assume bounded feature maps (|K(x,x')| <= 1); the
+gaussian kernel is bounded by construction, linear and polynomial kernels
+only after opting in to cosine normalization via ``normalized=True``.
 
 Gaussian convention: K(x,x') = exp(-||x - x'||^2 / (2 h^2)) with h the
 bandwidth.  This is fixed once here and used everywhere.
@@ -14,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +29,8 @@ from .errors import InputError
 
 VALID_KINDS = ("linear", "gaussian", "polynomial")
 
-# Kernel entries per row block in ``kernel_sums``: 2**21 float64 = 16 MiB.
+# Kernel entries per row block in ``kernel_sums`` and ``self_sums``:
+# 2**21 float64 = 16 MiB.
 BLOCK_ENTRIES = 2**21
 
 
@@ -119,51 +128,72 @@ def _as_matrix(X) -> np.ndarray:
     return X
 
 
-def _raw_cross(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    if spec.kind == "linear":
-        return X @ Z.T
+class _Points(NamedTuple):
+    """Points with their per-point kernel terms, computed once per call.
+
+    For gaussian, ``x`` holds the points scaled by 1/h and ``t`` half their
+    squared norms; for normalized kernels, ``t`` is the raw kernel's
+    diagonal K(x, x).
+    """
+
+    x: np.ndarray
+    t: np.ndarray | None
+
+    def rows(self, lo: int, hi: int) -> "_Points":
+        return _Points(self.x[lo:hi], None if self.t is None else self.t[lo:hi])
+
+
+def _prepare(spec: KernelSpec, X: np.ndarray) -> _Points:
+    if spec.kind == "gaussian":
+        Xr = X / spec.bandwidth
+        return _Points(Xr, 0.5 * np.sum(Xr * Xr, axis=1))
+    if not spec.normalized:
+        return _Points(X, None)
+    sq = np.sum(X * X, axis=1)
+    return _Points(X, sq if spec.kind == "linear" else (sq + spec.offset) ** spec.degree)
+
+
+def _block(spec: KernelSpec, a: _Points, b: _Points) -> np.ndarray:
+    """K(a, b) for prepared points: the one kernel block evaluator.
+
+    Gaussian: exp(min(xr.zr - (|xr|^2/2 + |zr|^2/2), 0)) with xr = x/h, in
+    place after the gemm.  The two norm terms are summed into one outer term
+    before the subtraction, so K(X, X) is exactly symmetric; for a
+    power-of-two h the scaling is exact and the block is bitwise
+    exp(-max(|x|^2 + |z|^2 - 2 x.z, 0) / (2 h^2)).
+    """
+    K = a.x @ b.x.T
+    if spec.kind == "gaussian":
+        K -= a.t[:, None] + b.t[None, :]
+        np.minimum(K, 0.0, out=K)
+        return np.exp(K, out=K)
     if spec.kind == "polynomial":
-        return (X @ Z.T + spec.offset) ** spec.degree
-    # gaussian: exp(-max(|x|^2 + |z|^2 - 2 x.z, 0) / (2 h^2)) with the same
-    # operations in the same order, bit for bit, but in place, so a block
-    # needs two temporaries of its size instead of three
-    sq = np.sum(X * X, axis=1)[:, None] + np.sum(Z * Z, axis=1)[None, :]
-    xz = X @ Z.T
-    xz *= 2.0
-    sq -= xz
-    del xz
-    np.maximum(sq, 0.0, out=sq)
-    np.negative(sq, out=sq)
-    sq /= 2.0 * spec.bandwidth**2
-    return np.exp(sq, out=sq)
-
-
-def _raw_diag(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
-    if spec.kind == "linear":
-        return np.sum(X * X, axis=1)
-    if spec.kind == "polynomial":
-        return (np.sum(X * X, axis=1) + spec.offset) ** spec.degree
-    return np.ones(X.shape[0])
-
-
-def cross_gram(spec: KernelSpec, X, Z) -> np.ndarray:
-    """Kernel matrix K[i, j] = K(X[i], Z[j]) including normalization."""
-    X = _as_matrix(X)
-    Z = _as_matrix(Z)
-    if X.shape[1] != Z.shape[1]:
-        raise InputError(f"dimension mismatch: {X.shape[1]} vs {Z.shape[1]}")
-    K = _raw_cross(spec, X, Z)
-    if spec.normalized and spec.kind != "gaussian":
-        dx = _raw_diag(spec, X)
-        dz = _raw_diag(spec, Z)
-        denom = np.sqrt(np.outer(dx, dz))
+        K += spec.offset
+        K **= spec.degree
+    if spec.normalized:
+        denom = np.sqrt(np.outer(a.t, b.t))
         with np.errstate(invalid="ignore", divide="ignore"):
             K = np.where(denom > 0, K / np.where(denom > 0, denom, 1.0), 0.0)
         # A zero-norm point only matches itself: both diagonals zero means
         # both points are the zero vector, so K is defined as 1 there.
-        both_zero = np.outer(dx == 0, dz == 0)
-        K[both_zero] = 1.0
+        K[np.outer(a.t == 0, b.t == 0)] = 1.0
     return K
+
+
+def _checked(X, Z) -> tuple[np.ndarray, np.ndarray]:
+    X = _as_matrix(X)
+    Z = _as_matrix(Z)
+    if X.shape[1] != Z.shape[1]:
+        raise InputError(f"dimension mismatch: {X.shape[1]} vs {Z.shape[1]}")
+    return X, Z
+
+
+def cross_gram(spec: KernelSpec, X, Z) -> np.ndarray:
+    """Kernel matrix K[i, j] = K(X[i], Z[j]) including normalization."""
+    X, Z = _checked(X, Z)
+    a = _prepare(spec, X)
+    # the same prepared array on both sides keeps K(X, X) exactly symmetric
+    return _block(spec, a, a if Z is X else _prepare(spec, Z))
 
 
 def eval_kernel(spec: KernelSpec, x, x2) -> float:
@@ -178,14 +208,47 @@ def eval_kernel(spec: KernelSpec, x, x2) -> float:
 def kernel_sums(spec: KernelSpec, X, Z, coef) -> np.ndarray:
     """K(X, Z) @ coef, evaluated one row block of K at a time.
 
-    Every kernel sum in the package goes through here.  A block holds at
-    most ``BLOCK_ENTRIES`` kernel entries, so K(X, Z) is never held whole.
+    Every rectangular kernel sum (scores on other points) goes through here.
+    A block holds at most ``BLOCK_ENTRIES`` kernel entries, so K(X, Z) is
+    never held whole.  Z is prepared once per call.
     """
-    X = _as_matrix(X)
-    Z = _as_matrix(Z)
+    X, Z = _checked(X, Z)
     coef = np.asarray(coef, dtype=float)
+    a, b = _prepare(spec, X), _prepare(spec, Z)
     rows = max(1, BLOCK_ENTRIES // max(1, Z.shape[0]))
     out = np.empty(X.shape[0])
     for lo in range(0, X.shape[0], rows):
-        out[lo:lo + rows] = cross_gram(spec, X[lo:lo + rows], Z) @ coef
+        out[lo:lo + rows] = _block(spec, a.rows(lo, lo + rows), b) @ coef
     return out
+
+
+def self_sums(spec: KernelSpec, X, coef) -> np.ndarray:
+    """K(X, X) @ coef from the upper triangle of K only.
+
+    Each row block B = K(X[lo:hi], X[lo:]) adds B @ coef[lo:] to its own
+    rows and its off-diagonal part, transposed, to the later rows.  With r =
+    ``BLOCK_ENTRIES // n`` rows per block that is at most n (n + r) / 2
+    kernel entries, about half of ``kernel_sums(spec, X, X, coef)``'s, in
+    blocks of at most ``BLOCK_ENTRIES`` entries.  A support of at most r
+    points is one square block.
+    """
+    X = _as_matrix(X)
+    coef = np.asarray(coef, dtype=float)
+    n = X.shape[0]
+    a = _prepare(spec, X)
+    rows = max(1, BLOCK_ENTRIES // max(1, n))
+    if rows >= n:
+        return _block(spec, a, a) @ coef
+    out = np.zeros(n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        B = _block(spec, a.rows(lo, hi), a.rows(lo, n))
+        out[lo:hi] += B @ coef[lo:]
+        out[hi:] += B[:, hi - lo:].T @ coef[lo:hi]
+    return out
+
+
+def kernel_rows(spec: KernelSpec, X):
+    """The function i -> K(X[i], X), one kernel row, from X prepared once."""
+    a = _prepare(spec, _as_matrix(X))
+    return lambda i: _block(spec, a.rows(i, i + 1), a)[0]

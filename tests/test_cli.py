@@ -107,56 +107,78 @@ def test_herd_outputs_and_trace(blob_csv, tmp_path):
 @pytest.mark.parametrize("mode", ["plain", "parallel", "parallel-1", "recursive",
                                   "recursive-no-stage"])
 def test_herd_makes_one_n_squared_pass(mode, blob_csv, tmp_path, monkeypatch):
-    # plain: the target pass (n^2), one kernel row per trace entry, the
-    # exact error's and the document norm's m x m blocks.  parallel: each
-    # group's plain herd without its exact error, then one uniform pass for
-    # the combined herd's exact error; with one group that group's pass is
-    # the uniform pass, so the count is a plain herd's.
-    # recursive: stage 1 and the final error share one uniform pass; later
-    # stages pass only over the previous stage's members.  With no stage
-    # the herd is the sample itself: its error is 0 without a second pass,
-    # and only the document norm's m x m block (m = n) is added.
-    entries = []
-    cross_gram = kernels.cross_gram
+    # Every kernel block goes through kernels._block.  A self-sum over k
+    # points with r = BLOCK_ENTRIES // k rows per block evaluates at most
+    # tri(k) = k (k + r) / 2 entries (k^2 when one block holds them all).
+    # plain: the target pass, one kernel row per trace entry, and the exact
+    # error's self-sum over the m members, whose squared norm is also the
+    # document's; parallel: each group's plain herd without its exact error,
+    # then one uniform pass for the combined herd's exact error; with one
+    # group that group's pass is the uniform pass, so the count is a plain
+    # herd's.  recursive: stage 1 and the final error share one uniform
+    # pass; later stages pass only over the previous stage's members.  With
+    # no stage the herd is the sample itself: its error is 0 and its norm
+    # the target pass's, so the target pass is all.
+    n = 200
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 25 * n)  # n spans 8 blocks of 25 rows
+    entries, rows = [], []
+    block, kernel_rows = kernels._block, herding.kernel_rows
 
-    def counted(spec, X, Z):
-        K = cross_gram(spec, X, Z)
+    def counted(spec, a, b):
+        K = block(spec, a, b)
         entries.append(K.size)
         return K
 
-    monkeypatch.setattr(kernels, "cross_gram", counted)
-    monkeypatch.setattr(herding, "cross_gram", counted)
+    def counted_rows(spec, X):
+        row = kernel_rows(spec, X)
+
+        def counted_row(i):
+            v = row(i)
+            rows.append(v.size)
+            return v
+        return counted_row
+
+    def tri(k):
+        return k * (k + min(k, kernels.BLOCK_ENTRIES // k)) // 2
+
+    monkeypatch.setattr(kernels, "_block", counted)
+    monkeypatch.setattr(herding, "kernel_rows", counted_rows)
     flags = {"plain": [], "parallel": ["--parallel", "4"], "parallel-1": ["--parallel", "1"],
              "recursive": ["--recursive", "--min-size", "20"],
              "recursive-no-stage": ["--recursive", "--min-size", "200"]}[mode]
     out = tmp_path / "herd.json"
     assert main(["herd", "--data", str(blob_csv), "--kernel", "gaussian:1.0",
                  "--epsilon", "0.05", *flags, "--out", str(out)]) == 0
-    used = sum(entries)
+    used, made = sum(entries), list(rows)  # before the reference herds below add to them
     doc = read_json(out)
-    n, m = 200, len(doc["members"])
+    m = len(doc["members"])
     if mode == "plain":
         assert doc["termination"] == "tolerance"
-        assert used <= n * n + len(doc["trace"]) * n + 2 * m * m
+        assert made == [n] * len(doc["trace"])
+        assert used <= tri(n) + len(doc["trace"]) * n + tri(m)
     elif mode == "parallel":
-        # T: the groups' trace entries, one kernel row of at most n each
+        # T_g: group g's trace entries, one kernel row of n_g entries each
         S = load_csv(blob_csv, -1)
         kernel, cfg = KernelSpec("gaussian", bandwidth=1.0), HerdingConfig(tolerance=0.05)
         blocks = np.array_split(np.arange(n), 4)
-        T = sum(len(herd(S.subset(block), kernel, cfg).trace) for block in blocks)
+        TN = sum(len(herd(S.subset(g), kernel, cfg).trace) * len(g) for g in blocks)
         assert doc["termination"] == "tolerance"
-        assert used <= n * n + sum(len(block) ** 2 for block in blocks) + T * n + 2 * m * m
+        assert sum(made) == TN
+        assert used <= tri(n) + sum(tri(len(g)) for g in blocks) + TN + tri(m)
     elif mode == "parallel-1":
         S = load_csv(blob_csv, -1)
         T = len(herd(S, KernelSpec("gaussian", bandwidth=1.0), HerdingConfig(tolerance=0.05)).trace)
         assert doc["termination"] == "tolerance"
-        assert used <= n * n + T * n + 2 * m * m
+        assert made == [n] * T
+        assert used <= tri(n) + T * n + tri(m)
     elif mode == "recursive":
-        assert doc["stages"]
-        assert used < 1.5 * n * n
+        stages = [st["size_before"] for st in doc["stages"]]
+        assert stages[0] == n and set(made) <= set(stages)
+        assert used - sum(made) <= tri(n) + sum(tri(k) for k in stages[1:]) + tri(m)
+        assert used < tri(n) + 0.5 * n * n
     else:
         assert "stages" not in doc and doc["recomputed_error"] == 0.0
-        assert used <= n * n + m * m
+        assert made == [] and used <= tri(n)
 
 
 def test_herd_huge_epsilon_single_member(blob_csv, tmp_path):

@@ -63,6 +63,20 @@ def test_distribution_validation():
         InstanceDistribution(instances=np.array([[0.0]]), probabilities=np.array([np.nan]))
 
 
+def test_only_merged_mixtures_skip_the_distinctness_check():
+    # the public constructor rejects duplicate atoms ...
+    with pytest.raises(InputError, match="pairwise distinct"):
+        dist([[0.0], [1.0], [0.0]], [1, -1, 1], [0.2, 0.3, 0.5])
+    # ... which a mixture merges before it builds its result
+    P = flip_symmetric(dist([[0.0], [0.0]], [1, -1], [0.5, 0.5]), 0.25)
+    assert len(P) == 2 and np.array_equal(P.probabilities, [0.5, 0.5])
+    # the path that skips distinctness keeps every other check
+    with pytest.raises(DataError):
+        DiscreteDistribution._of_distinct_atoms(np.array([[np.nan]]), np.array([1]), np.array([1.0]))
+    with pytest.raises(InputError):
+        DiscreteDistribution._of_distinct_atoms(np.array([[0.0]]), np.array([2]), np.array([1.0]))
+
+
 def test_to_distribution_merges_duplicates():
     S = LabeledSample(np.array([[0.0], [0.0], [1.0]]), np.array([1, 1, -1]))
     P = S.to_distribution()

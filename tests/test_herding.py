@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from meanherd import herding, kernels
+from meanherd import kernels
 from meanherd.classifier import MeanClassifier, fit, mean_norm
 from meanherd.data import LabeledSample, synth_blobs
 from meanherd.errors import InputError
@@ -222,20 +222,25 @@ def test_parallel_one_group_matches_plain():
 
 
 def test_parallel_one_group_evaluates_a_plain_herds_kernel_entries(monkeypatch):
-    # a group carries no exact error of its own, so one group costs one plain herd
+    # a group carries no exact error of its own, so one group costs one plain
+    # herd: a target pass over half of K (blocks of 20 rows), its Frank-Wolfe
+    # rows and the m-member self-sum of the exact error
+    n = 150
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 20 * n)
     entries = []
+    block = kernels._block
 
-    def counted(spec, X, Z):
-        K = cross_gram(spec, X, Z)
+    def counted(spec, a, b):
+        K = block(spec, a, b)
         entries.append(K.size)
         return K
 
-    monkeypatch.setattr(kernels, "cross_gram", counted)
-    monkeypatch.setattr(herding, "cross_gram", counted)
-    S = blob_sample(n=150)
+    monkeypatch.setattr(kernels, "_block", counted)
+    S = blob_sample(n=n)
     cfg = HerdingConfig(tolerance=0.03, max_iterations=2000)
-    herd(S, GAUSS, cfg)
+    h = herd(S, GAUSS, cfg)
     plain = sum(entries)
+    assert plain <= n * (n + 20) // 2 + len(h.trace) * n + h.size ** 2
     entries.clear()
     parallel_herd(S, 1, GAUSS, cfg)
     assert sum(entries) == plain

@@ -9,8 +9,12 @@ from meanherd.kernels import (
     KernelSpec,
     cross_gram,
     eval_kernel,
+    kernel_rows,
     kernel_sums,
+    self_sums,
 )
+
+KERNELS = ["linear", "linear:norm", "gaussian:0.8", "poly:3:1.0", "poly:2:0.5:norm"]
 
 
 def test_linear_kernel_is_dot_product():
@@ -76,9 +80,7 @@ def test_gram_matrix_symmetric_and_psd():
         assert np.linalg.eigvalsh(G)[0] >= -1e-10
 
 
-@pytest.mark.parametrize(
-    "text", ["linear", "linear:norm", "gaussian:0.8", "poly:3:1.0", "poly:2:0.5:norm"]
-)
+@pytest.mark.parametrize("text", KERNELS)
 def test_kernel_sums_match_dense_product_across_blocks(monkeypatch, text):
     # 64 entries per block over 7 columns gives blocks of 9 rows, so the
     # 50 rows end in a partial block.
@@ -91,6 +93,70 @@ def test_kernel_sums_match_dense_product_across_blocks(monkeypatch, text):
     coef = rng.normal(size=7)
     expected = cross_gram(spec, X, Z) @ coef
     assert np.allclose(kernel_sums(spec, X, Z, coef), expected, rtol=0, atol=1e-12)
+
+
+def support(n: int, seed: int = 12) -> np.ndarray:
+    """n points in 3-D with a zero vector and two duplicate rows among them."""
+    X = np.random.default_rng(seed).normal(size=(n, 3))
+    X[n // 3] = 0.0
+    X[n - 1] = X[1 % n]
+    return X
+
+
+@pytest.mark.parametrize("text", KERNELS)
+@pytest.mark.parametrize("n", [1, 2, 9, 50])
+def test_self_sums_match_dense_product_across_blocks(monkeypatch, text, n):
+    # 64 entries per block give blocks of 7 rows at n = 9 (a partial block
+    # of 2 follows) and of 1 row at n = 50, and one square block for n <= 8
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 64)
+    spec = KernelSpec.parse(text)
+    X = support(n)
+    coef = np.random.default_rng(13).normal(size=n)
+    K = cross_gram(spec, X, X)
+    # 1e-13 of the sum's scale, which is 1 for the bounded kernels
+    scale = max(1.0, float(np.max(np.abs(K) @ np.abs(coef))))
+    assert np.allclose(self_sums(spec, X, coef), K @ coef, rtol=0, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("n, block", [(1, 64), (8, 64), (9, 64), (50, 64), (50, 400), (50, 4096)])
+def test_self_sums_evaluate_at_most_half_of_k_plus_the_diagonal_blocks(monkeypatch, n, block):
+    # r = block // n rows per block: at most n (n + r) / 2 entries, n^2 for one block
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", block)
+    sizes = []
+    evaluate = kernels._block
+
+    def counted(spec, a, b):
+        K = evaluate(spec, a, b)
+        sizes.append(K.size)
+        return K
+
+    monkeypatch.setattr(kernels, "_block", counted)
+    self_sums(KernelSpec("gaussian", bandwidth=1.0), support(n), np.ones(n))
+    r = min(n, block // n)
+    assert sum(sizes) <= n * (n + r) // 2
+    assert max(sizes) <= block
+
+
+@pytest.mark.parametrize("text", KERNELS)
+def test_kernel_rows_match_cross_gram_rows(text):
+    spec = KernelSpec.parse(text)
+    X = support(40)
+    row = kernel_rows(spec, X)
+    K = cross_gram(spec, X, X)
+    scale = max(1.0, float(np.max(np.abs(K))))  # 1 for the bounded kernels
+    for i in range(X.shape[0]):
+        assert np.allclose(row(i), K[i], rtol=0, atol=1e-15 * scale)
+
+
+def test_gaussian_block_is_the_distance_formula_bitwise_for_power_of_two_bandwidth():
+    # scaling by 1/h is exact when h is a power of two, so the block is
+    # exp(-max(|x|^2 + |z|^2 - 2 x.z, 0) / (2 h^2)) bit for bit
+    rng = np.random.default_rng(14)
+    X, Z = rng.normal(size=(30, 20)), rng.normal(size=(17, 20))
+    for h in (0.5, 1.0, 4.0):
+        sq = np.sum(X * X, axis=1)[:, None] + np.sum(Z * Z, axis=1)[None, :] - 2.0 * (X @ Z.T)
+        expected = np.exp(-np.maximum(sq, 0.0) / (2.0 * h**2))
+        assert np.array_equal(cross_gram(KernelSpec("gaussian", bandwidth=h), X, Z), expected)
 
 
 def test_parse_shorthand():
