@@ -15,7 +15,7 @@ import numpy as np
 from . import embedding as emb
 from .data import DiscreteDistribution, LabeledSample, as_labels
 from .errors import DataError, InputError
-from .kernels import KernelSpec, kernel_sums
+from .kernels import KernelSpec, diagonal, kernel_sums
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,14 @@ class MeanClassifier:
         return self._document(n_source, emb.squared_norm(self.kernel, self.embedding()))
 
     def _document(self, n_source: int | None, squared_norm: float) -> dict:
-        """The model document, given ||omega||^2 (checked and clamped as in ``emb.norm``)."""
+        """The model document, given ||omega||^2 (checked and clamped as in ``emb.norm``).
+
+        ``min_linear_loss`` = 1 - ||omega|| holds only when |K| <= 1 on the
+        support, which max_i K(x_i, x_i) <= 1 implies (Cauchy-Schwarz); for
+        a support where that fails it is null.
+        """
         geo = float(np.sqrt(emb.psd(squared_norm)))
+        unit = float(np.max(diagonal(self.kernel, self.points))) <= 1.0
         return {
             "kernel": self.kernel.to_dict(),
             "support": [
@@ -77,7 +83,7 @@ class MeanClassifier:
             "meta": {
                 "n_source": int(n_source if n_source is not None else self.n_support),
                 "norm": geo,
-                "min_linear_loss": 1.0 - geo,
+                "min_linear_loss": 1.0 - geo if unit else None,
             },
         }
 

@@ -22,20 +22,24 @@ wrong types exit 3, and no output ever holds a non-finite number, so
 every emitted file is strict JSON.
 
 ``train`` and ``herd`` write one model format, ``MeanClassifier.to_dict``:
-kernel, weighted support points and meta.  A herd document adds the
-herd's members (indices into the data file), error, trace, termination
-and, for parallel and recursive herds, group errors or stages.  ``eval``
-reads either through ``MeanClassifier.from_dict``.
+kernel, weighted support points and meta.  ``meta.min_linear_loss`` is
+1 - ``meta.norm``, or null when a support point has K(x, x) > 1: there
+|K| <= 1 fails and 1 - ||omega|| is no attainable loss.  A herd document
+adds the herd's members (indices into the data file), error, trace,
+termination and, for parallel and recursive herds, group errors or
+stages.  ``eval`` reads either through ``MeanClassifier.from_dict``.
 
 Kernel sums are evaluated in row blocks (``kernels.kernel_sums``, and
-``kernels.self_sums`` for a sum over a support's own points), so memory
-grows as O(block * n), never n^2.  ``herd`` makes one pass over the n x n
-kernel matrix, for the herding target, and that pass evaluates only its
-upper triangle, about n^2 / 2 entries; the exact error in
-``recomputed_error`` reuses that pass and adds only the herd's own self-sum
-over its m members, whose value is also the document's ``meta.norm``.  A
-recursive herd shares its one pass between its first stage and its exact
-error; a parallel herd makes it once, after its groups' own passes.
+``kernels.self_sums`` for a sum over a support's own points), one block
+alive at a time and each finished in cache-sized row strips, so memory is
+one block of at most 2^21 entries plus O(n * d), never n^2.  ``herd``
+makes one pass over the n x n kernel matrix, for the herding target, and
+that pass evaluates only its upper triangle, about n^2 / 2 entries; the
+exact error in ``recomputed_error`` reuses that pass and adds only the
+herd's own self-sum over its m members, whose value is also the
+document's ``meta.norm``.  A recursive herd shares its one pass between
+its first stage and its exact error; a parallel herd makes it once, after
+its groups' own passes.
 """
 
 from __future__ import annotations

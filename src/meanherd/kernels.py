@@ -7,7 +7,11 @@ of the symmetric K (about n^2 / 2 entries), and ``kernel_rows`` for the
 single rows herding selects.  All three, and ``cross_gram``, evaluate one
 block evaluator, ``_block``, on points prepared once per call (scaled,
 with their norms or diagonals), so no row or block recomputes a per-point
-term.
+term.  ``_block`` finishes its gemm in place in row strips of at most
+``STRIP_ENTRIES`` entries, small enough to stay in cache, and a sum drops
+each block before it evaluates the next, so a sum holds one block of at
+most ``BLOCK_ENTRIES`` entries, a strip-sized temporary and the prepared
+points, never n x n.
 
 The theory modules assume bounded feature maps (|K(x,x')| <= 1); the
 gaussian kernel is bounded by construction, linear and polynomial kernels
@@ -32,6 +36,12 @@ VALID_KINDS = ("linear", "gaussian", "polynomial")
 # Kernel entries per row block in ``kernel_sums`` and ``self_sums``:
 # 2**21 float64 = 16 MiB.
 BLOCK_ENTRIES = 2**21
+
+# Kernel entries per row strip in which ``_block`` finishes a block after
+# its gemm: 2**15 float64 = 256 KiB, so a strip stays in L2 cache through
+# all of its elementwise passes instead of each pass streaming the block
+# through RAM.
+STRIP_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -147,37 +157,57 @@ def _prepare(spec: KernelSpec, X: np.ndarray) -> _Points:
     if spec.kind == "gaussian":
         Xr = X / spec.bandwidth
         return _Points(Xr, 0.5 * np.sum(Xr * Xr, axis=1))
-    if not spec.normalized:
-        return _Points(X, None)
+    return _Points(X, _raw_diagonal(spec, X) if spec.normalized else None)
+
+
+def _raw_diagonal(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
+    """K(x, x) of a linear or polynomial kernel before normalization."""
     sq = np.sum(X * X, axis=1)
-    return _Points(X, sq if spec.kind == "linear" else (sq + spec.offset) ** spec.degree)
+    return sq if spec.kind == "linear" else (sq + spec.offset) ** spec.degree
 
 
 def _block(spec: KernelSpec, a: _Points, b: _Points) -> np.ndarray:
     """K(a, b) for prepared points: the one kernel block evaluator.
 
-    Gaussian: exp(min(xr.zr - (|xr|^2/2 + |zr|^2/2), 0)) with xr = x/h, in
-    place after the gemm.  The two norm terms are summed into one outer term
-    before the subtraction, so K(X, X) is exactly symmetric; for a
-    power-of-two h the scaling is exact and the block is bitwise
-    exp(-max(|x|^2 + |z|^2 - 2 x.z, 0) / (2 h^2)).
+    The gemm a.x @ b.x.T fills the block; every other pass runs in place,
+    one row strip of at most ``STRIP_ENTRIES`` entries (one row if a row is
+    longer) at a time, so no array of the block's size exists besides the
+    block itself.  Each entry goes through the same operations whatever the
+    strip, so the block does not depend on the strip size.
+
+    Gaussian: exp(min(xr.zr - (|xr|^2/2 + |zr|^2/2), 0)) with xr = x/h.  The
+    two norm terms are summed into one outer term before the subtraction,
+    so K(X, X) is exactly symmetric; for a power-of-two h the scaling is
+    exact and the block is bitwise exp(-max(|x|^2 + |z|^2 - 2 x.z, 0) /
+    (2 h^2)).
     """
     K = a.x @ b.x.T
+    if spec.kind == "linear" and not spec.normalized:
+        return K
+    step = max(1, STRIP_ENTRIES // max(1, K.shape[1]))
+    for lo in range(0, K.shape[0], step):
+        _finish(spec, K[lo:lo + step], None if a.t is None else a.t[lo:lo + step], b.t)
+    return K
+
+
+def _finish(spec: KernelSpec, S: np.ndarray, s, t) -> None:
+    """Turn the gemm strip S = x.z into K(x, z) in place; s and t are the
+    per-point terms of its rows and of its columns."""
     if spec.kind == "gaussian":
-        K -= a.t[:, None] + b.t[None, :]
-        np.minimum(K, 0.0, out=K)
-        return np.exp(K, out=K)
+        S -= s[:, None] + t[None, :]
+        np.minimum(S, 0.0, out=S)
+        np.exp(S, out=S)
+        return
     if spec.kind == "polynomial":
-        K += spec.offset
-        K **= spec.degree
+        S += spec.offset
+        S **= spec.degree
     if spec.normalized:
-        denom = np.sqrt(np.outer(a.t, b.t))
+        denom = np.sqrt(np.outer(s, t))
         with np.errstate(invalid="ignore", divide="ignore"):
-            K = np.where(denom > 0, K / np.where(denom > 0, denom, 1.0), 0.0)
+            S[...] = np.where(denom > 0, S / np.where(denom > 0, denom, 1.0), 0.0)
         # A zero-norm point only matches itself: both diagonals zero means
         # both points are the zero vector, so K is defined as 1 there.
-        K[np.outer(a.t == 0, b.t == 0)] = 1.0
-    return K
+        S[np.outer(s == 0, t == 0)] = 1.0
 
 
 def _checked(X, Z) -> tuple[np.ndarray, np.ndarray]:
@@ -203,6 +233,12 @@ def eval_kernel(spec: KernelSpec, x, x2) -> float:
     if x.shape != x2.shape:
         raise InputError(f"dimension mismatch: {x.shape} vs {x2.shape}")
     return float(cross_gram(spec, x[np.newaxis], x2[np.newaxis])[0, 0])
+
+
+def diagonal(spec: KernelSpec, X) -> np.ndarray:
+    """K(x_i, x_i) for each point: 1 for a bounded kernel."""
+    X = _as_matrix(X)
+    return np.ones(X.shape[0]) if spec.bounded else _raw_diagonal(spec, X)
 
 
 def kernel_sums(spec: KernelSpec, X, Z, coef) -> np.ndarray:
@@ -245,6 +281,7 @@ def self_sums(spec: KernelSpec, X, coef) -> np.ndarray:
         B = _block(spec, a.rows(lo, hi), a.rows(lo, n))
         out[lo:hi] += B @ coef[lo:]
         out[hi:] += B[:, hi - lo:].T @ coef[lo:hi]
+        del B  # so the next block is evaluated with this one freed
     return out
 
 

@@ -61,6 +61,16 @@ def test_train_writes_model(toy_csv, tmp_path):
     assert "seed" not in doc["config"]  # train draws no random numbers
 
 
+def test_train_with_an_unbounded_kernel_writes_no_min_linear_loss(blob_csv, tmp_path):
+    # the blobs have K(x, x) = |x|^2 > 1 under the linear kernel, where 1 - ||omega|| is no loss
+    out = tmp_path / "model.json"
+    code = main(["train", "--data", str(blob_csv), "--kernel", "linear", "--out", str(out)])
+    assert code == 0
+    doc = read_json(out)
+    assert doc["meta"]["min_linear_loss"] is None
+    assert doc["meta"]["norm"] > 1.0
+
+
 def test_train_is_byte_deterministic(toy_csv, tmp_path):
     a = tmp_path / "a.json"
     main(["train", "--data", str(toy_csv), "--kernel", "gaussian:1.0", "--out", str(a)])

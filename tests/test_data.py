@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from meanherd import data
 from meanherd.data import (
     DiscreteDistribution,
     InstanceDistribution,
@@ -232,6 +233,45 @@ def test_load_csv_parse_error_carries_line(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_csv(f, label_column=-1)
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("chunk_rows", [1, data.CSV_CHUNK_ROWS])
+def test_load_csv_reads_quotes_headers_blank_rows_and_python_float_tokens(
+    monkeypatch, tmp_path, chunk_rows
+):
+    monkeypatch.setattr(data, "CSV_CHUNK_ROWS", chunk_rows)
+    f = tmp_path / "toy.csv"
+    f.write_text('x,"y, quoted",label\n\n"1.5", 1_0 ,1\n   \n\t-2e0\t,"+.5",-1\n')
+    S = load_csv(f, label_column=-1)
+    assert np.array_equal(S.instances, np.array([[1.5, 10.0], [-2.0, 0.5]]))
+    assert np.array_equal(S.labels, np.array([1, -1]))
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, data.CSV_CHUNK_ROWS])
+@pytest.mark.parametrize("text, label_column, line, message", [
+    # a bad token on line 2 comes before the ragged row on line 3
+    ("1,2,1\n1,x,1\n1,1\n", -1, 2, "non-numeric value 'x'"),
+    # ... and a ragged row on line 3 does not hide a bad token on line 4
+    ("1,2,1\n1,2,1\n1,1\n1,x,1\n", -1, 4, "non-numeric value 'x'"),
+    # a quoted comma stays inside its token
+    ('1,2,1\n1,"2,5",1\n', -1, 2, "non-numeric value '2,5'"),
+    ("1,1\n2,-1\n", 2, 1, "label column 2 out of range for 2 columns"),
+    ("a,b,c\n1,2,1\n3,1\n", 2, 3, "label column 2 out of range for 2 columns"),
+    ("1,2,1\n3,1\n", -1, None, "inconsistent row widths [1, 2]"),
+    ("1,2,1\n1,2,1\n3,1\n3,1\n3,1\n", -1, None, "inconsistent row widths [1, 2]"),
+    ("\n  \n", -1, None, "no data rows"),
+])
+def test_load_csv_reports_the_first_failure_in_file_order(
+    monkeypatch, tmp_path, text, label_column, line, message, chunk_rows
+):
+    # chunks of 1 and 2 rows put the failures at and across chunk boundaries
+    monkeypatch.setattr(data, "CSV_CHUNK_ROWS", chunk_rows)
+    f = tmp_path / "bad.csv"
+    f.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        load_csv(f, label_column=label_column)
+    assert exc.value.line == line
+    assert str(exc.value).endswith(message)
 
 
 def test_load_sparse(tmp_path):

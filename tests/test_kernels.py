@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,19 +104,77 @@ def support(n: int, seed: int = 12) -> np.ndarray:
     return X
 
 
+def single_pass_block(spec, a, b):
+    """``kernels._block`` with each elementwise pass over the whole block at once."""
+    K = a.x @ b.x.T
+    if spec.kind == "gaussian":
+        K -= a.t[:, None] + b.t[None, :]
+        np.minimum(K, 0.0, out=K)
+        return np.exp(K, out=K)
+    if spec.kind == "polynomial":
+        K += spec.offset
+        K **= spec.degree
+    if spec.normalized:
+        denom = np.sqrt(np.outer(a.t, b.t))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            K = np.where(denom > 0, K / np.where(denom > 0, denom, 1.0), 0.0)
+        K[np.outer(a.t == 0, b.t == 0)] = 1.0
+    return K
+
+
 @pytest.mark.parametrize("text", KERNELS)
-@pytest.mark.parametrize("n", [1, 2, 9, 50])
+@pytest.mark.parametrize("rows, cols", [(1, 4), (3, 4), (4, 4), (5, 4), (11, 4), (3, 40)])
+def test_block_strips_match_the_single_pass_formula_bitwise(monkeypatch, text, rows, cols):
+    # 16 entries per strip over 4 columns are strips of 4 rows: one row,
+    # fewer rows than one strip, exactly one strip, one strip + 1 and a
+    # partial last strip (4 + 4 + 3); a 40-entry row is longer than a
+    # strip, so each strip is one row
+    monkeypatch.setattr(kernels, "STRIP_ENTRIES", 16)
+    spec = KernelSpec.parse(text)
+    X, Z = support(rows, seed=15), support(cols, seed=16)
+    a, b = kernels._prepare(spec, X), kernels._prepare(spec, Z)
+    assert np.array_equal(kernels._block(spec, a, b), single_pass_block(spec, a, b))
+
+
+@pytest.mark.parametrize("text", KERNELS)
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 9, 50])
 def test_self_sums_match_dense_product_across_blocks(monkeypatch, text, n):
     # 64 entries per block give blocks of 7 rows at n = 9 (a partial block
-    # of 2 follows) and of 1 row at n = 50, and one square block for n <= 8
+    # of 2 follows) and of 1 row at n = 50, and one square block for n <= 8.
+    # 16 entries per strip: a 4 x 4 block is exactly one strip, a 5 x 5
+    # block a strip of 3 rows and a partial one of 2, a 2-row block fewer
+    # rows than one strip, and a row of 50 is longer than a strip.
     monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 64)
+    monkeypatch.setattr(kernels, "STRIP_ENTRIES", 16)
     spec = KernelSpec.parse(text)
     X = support(n)
     coef = np.random.default_rng(13).normal(size=n)
     K = cross_gram(spec, X, X)
     # 1e-13 of the sum's scale, which is 1 for the bounded kernels
     scale = max(1.0, float(np.max(np.abs(K) @ np.abs(coef))))
-    assert np.allclose(self_sums(spec, X, coef), K @ coef, rtol=0, atol=1e-13 * scale)
+    sums = self_sums(spec, X, coef)
+    assert np.allclose(sums, K @ coef, rtol=0, atol=1e-13 * scale)
+    monkeypatch.setattr(kernels, "_block", single_pass_block)
+    assert np.array_equal(sums, self_sums(spec, X, coef))
+
+
+@pytest.mark.parametrize("text", ["gaussian:4.0", "linear:norm", "poly:2:1.0:norm"])
+def test_one_sum_holds_one_block_and_o_of_n_d_besides(text):
+    # the block of BLOCK_ENTRIES float64 entries, at most 10% more for
+    # strip temporaries, and a few copies of the (n, d) points
+    n, d = 4000, 20
+    rng = np.random.default_rng(17)
+    X, coef = rng.normal(size=(n, d)), rng.normal(size=n)
+    spec = KernelSpec.parse(text)
+    bound = 1.1 * kernels.BLOCK_ENTRIES * 8 + 4 * n * d * 8
+    for call in (lambda: self_sums(spec, X, coef), lambda: kernel_sums(spec, X, X, coef)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 @pytest.mark.parametrize("n, block", [(1, 64), (8, 64), (9, 64), (50, 64), (50, 400), (50, 4096)])

@@ -1,19 +1,26 @@
 """Property-based checks over randomized inputs."""
 
+import csv
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meanherd import data
 from meanherd import embedding as emb
 from meanherd.data import (
     DiscreteDistribution,
     LabeledSample,
+    _lines,
     _merge,
+    _parse_float,
+    _remap_labels,
     flip_symmetric,
     load_csv,
     load_sparse,
 )
-from meanherd.errors import MeanHerdError
+from meanherd.errors import MeanHerdError, ParseError
 from meanherd.kernels import KernelSpec, cross_gram
 from meanherd.losses import correct_sln, hinge_loss, linear_loss
 
@@ -113,23 +120,70 @@ def test_corrected_loss_pointwise_unbiased(y, v, sigma):
 
 
 TOKENS = st.one_of(
-    st.sampled_from(("1", "-1", "0", "nan", "inf", "-inf", "1e400", "")),
+    st.sampled_from(("1", "-1", "0", "nan", "inf", "-inf", "1e400", "", "1_0", " 1 ", "\t-1")),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.builds("{}:{}".format, st.integers(-1, 4), st.sampled_from(("0.5", "nan", "x", ""))),
     st.text(alphabet="ab:#-+.e, \t\"", max_size=4),
 )
 
 
+def reference_load_csv(path, label_column: int) -> LabeledSample:
+    """``load_csv`` as a per-token loop that checks each row as it reads it."""
+    rows = []
+    raw_labels = []
+    for line_no, row in enumerate(csv.reader(_lines(path, newline="")), start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if line_no == 1:
+            try:
+                [float(tok) for tok in row]
+            except ValueError:
+                continue  # header row
+        if label_column >= len(row) or label_column < -len(row):
+            raise ParseError(
+                f"label column {label_column} out of range for {len(row)} columns",
+                path=path, line=line_no,
+            )
+        values = [_parse_float(tok, path, line_no) for tok in row]
+        label = values[label_column]
+        features = [v for i, v in enumerate(values) if i != label_column % len(row)]
+        rows.append(features)
+        raw_labels.append(label)
+    if not rows:
+        raise ParseError("no data rows", path=path)
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise ParseError(f"inconsistent row widths {sorted(widths)}", path=path)
+    labels = _remap_labels(raw_labels, path)
+    return LabeledSample(np.array(rows, dtype=float), labels, source=str(path))
+
+
+def outcome(load, path):
+    """What ``load`` returns, or the class and line of the package error it
+    raises, with the message of a ``ParseError`` (the label error lists a
+    set of floats, whose order varies when it holds NaNs)."""
+    try:
+        S = load(path)
+    except ParseError as exc:
+        return ParseError, str(exc), exc.line
+    except MeanHerdError as exc:
+        return type(exc)
+    assert isinstance(S, LabeledSample)
+    assert np.all(np.isfinite(S.instances)) and set(S.labels.tolist()) <= {-1, 1}
+    return S.instances.shape, S.instances.tobytes(), S.labels.tobytes()
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.lists(TOKENS, max_size=5), max_size=5), st.sampled_from((-1, 0, 1, 3, -4)))
 def test_loaders_return_a_sample_or_raise_meanherd_errors(tmp_path_factory, rows, label_column):
-    """Malformed rows end in a package error, never in another exception."""
+    """Malformed rows end in a package error, never in another exception, and
+    ``load_csv`` ends as the per-token reference loop does."""
     path = tmp_path_factory.getbasetemp() / "loader-fuzz.txt"
-    for sep, load in ((",", lambda p: load_csv(p, label_column)), (" ", load_sparse)):
-        path.write_text("\n".join(sep.join(row) for row in rows) + "\n")
-        try:
-            S = load(path)
-        except MeanHerdError:
-            continue
-        assert isinstance(S, LabeledSample)
-        assert np.all(np.isfinite(S.instances)) and set(S.labels.tolist()) <= {-1, 1}
+    path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    expected = outcome(lambda p: reference_load_csv(p, label_column), path)
+    assert outcome(lambda p: load_csv(p, label_column), path) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "CSV_CHUNK_ROWS", 2)  # failures at and across chunk boundaries
+        assert outcome(lambda p: load_csv(p, label_column), path) == expected
+    path.write_text("\n".join(" ".join(row) for row in rows) + "\n")
+    outcome(load_sparse, path)
