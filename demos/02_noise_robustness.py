@@ -38,11 +38,8 @@ kernel = KernelSpec("gaussian", bandwidth=1.0)
 
 print("symmetric-noise scaling of the mean embedding:")
 for sigma in (0.1, 0.25, 0.4):
-    diff = emb.combine(
-        (1.0, emb.Embedding.from_distribution(flip_symmetric(P, sigma))),
-        (-(1.0 - 2.0 * sigma), emb.Embedding.from_distribution(P)),
-    )
-    print(f"  sigma={sigma}: ||omega_noisy - (1-2s) omega_clean|| = {emb.norm(kernel, diff):.2e}")
+    gap = emb.distance(kernel, flip_symmetric(P, sigma), P, 1.0 - 2.0 * sigma)
+    print(f"  sigma={sigma}: ||omega_noisy - (1-2s) omega_clean|| = {gap:.2e}")
 
 print("\nrobustness verdicts (sum-constancy of l(1,v) + l(-1,v)):")
 for loss in (linear_loss, zero_one_loss, hinge_loss):

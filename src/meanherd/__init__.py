@@ -4,7 +4,7 @@ The package is organized bottom-up:
 
 - ``kernels``: kernel specifications and blocked kernel sums
 - ``data``: labeled samples, exact finite-support distributions, corruption ops
-- ``embedding``: signed mean embeddings evaluated via kernel sums
+- ``embedding``: signed mean embeddings as (points, coef) arrays, and their norms
 - ``losses``: margin losses, corrected losses, robustness analysis
 - ``classifier``: the mean classifier, its geometry, MMD, margins
 - ``bounds``: closed-form generalization bound calculators

@@ -3,7 +3,10 @@
 Scoring rule: f(x) = sum_i alpha_i y_i K(x_i, x) with alpha_i >= 0
 summing to one.  ``fit`` produces uniform weights from a sample or
 probability weights from an exact finite-support distribution; herding
-(see ``herding.py``) produces sparse weights.
+(see ``herding.py``) produces sparse weights.  The classifier's mean
+embedding sum_i alpha_i y_i phi(x_i) is the pair (``points``, ``coef``),
+and every norm here (``meta.norm``, ``mean_norm``, ``mmd``) is
+``embedding.squared_norm`` of such a pair.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 from . import embedding as emb
 from .data import DiscreteDistribution, LabeledSample, as_labels
 from .errors import DataError, InputError
-from .kernels import KernelSpec, diagonal, kernel_sums
+from .kernels import KernelSpec, _checked, diagonal, kernel_sums
 
 
 @dataclass(frozen=True)
@@ -47,8 +50,10 @@ class MeanClassifier:
     def n_support(self) -> int:
         return self.points.shape[0]
 
-    def embedding(self) -> emb.Embedding:
-        return emb.Embedding(self.points, self.alphas * self.labels)
+    @property
+    def coef(self) -> np.ndarray:
+        """The signed weights alpha_i y_i of the mean embedding sum_i alpha_i y_i phi(x_i)."""
+        return self.alphas * self.labels
 
     def scores(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -56,14 +61,14 @@ class MeanClassifier:
             X = X[np.newaxis, :]
         if X.shape[1] != self.dim:
             raise InputError(f"dimension mismatch: {X.shape[1]} vs {self.dim}")
-        return kernel_sums(self.kernel, X, self.points, self.alphas * self.labels)
+        return kernel_sums(self.kernel, X, self.points, self.coef)
 
     def predict(self, X) -> np.ndarray:
         """Signs of the scores; exact zero is reported as 0 (abstain)."""
         return np.sign(self.scores(X)).astype(int)
 
     def to_dict(self, n_source: int | None = None) -> dict:
-        return self._document(n_source, emb.squared_norm(self.kernel, self.embedding()))
+        return self._document(n_source, emb.squared_norm(self.kernel, self.points, self.coef))
 
     def _document(self, n_source: int | None, squared_norm: float) -> dict:
         """The model document, given ||omega||^2 (checked and clamped as in ``emb.norm``).
@@ -129,7 +134,8 @@ class MeanGeometry:
 
 def mean_norm(data, kernel: KernelSpec) -> MeanGeometry:
     """Exact double kernel sum giving the mean-embedding geometry of the data."""
-    sq = emb.psd_squared_norm(kernel, fit(data, kernel).embedding())
+    clf = fit(data, kernel)
+    sq = emb.psd(emb.squared_norm(kernel, clf.points, clf.coef))
     n = float(np.sqrt(sq))
     return MeanGeometry(norm=n, self_similarity=sq, min_linear_loss=1.0 - n)
 
@@ -151,17 +157,14 @@ def select_kernel(data, kernels) -> KernelSelection:
 
 def mmd(X_pos, X_neg, kernel: KernelSpec) -> float:
     """Maximum mean discrepancy 0.5 ||mean embedding difference|| of two instance sets."""
-    X_pos = np.asarray(X_pos, dtype=float)
-    X_neg = np.asarray(X_neg, dtype=float)
-    if X_pos.ndim == 1:
-        X_pos = X_pos[np.newaxis, :]
-    if X_neg.ndim == 1:
-        X_neg = X_neg[np.newaxis, :]
+    X_pos, X_neg = _checked(X_pos, X_neg)
     if X_pos.shape[0] == 0 or X_neg.shape[0] == 0:
         raise InputError("both instance sets must be non-empty")
-    e_pos = emb.Embedding(X_pos, np.full(X_pos.shape[0], 1.0 / X_pos.shape[0]))
-    e_neg = emb.Embedding(X_neg, np.full(X_neg.shape[0], 1.0 / X_neg.shape[0]))
-    return 0.5 * emb.norm(kernel, emb.combine((1.0, e_pos), (-1.0, e_neg)))
+    if not (np.isfinite(X_pos).all() and np.isfinite(X_neg).all()):
+        raise DataError("instance sets must be finite (found nan or inf)")
+    coef = np.concatenate([np.full(X_pos.shape[0], 1.0 / X_pos.shape[0]),
+                           np.full(X_neg.shape[0], -1.0 / X_neg.shape[0])])
+    return 0.5 * emb.norm(kernel, np.vstack([X_pos, X_neg]), coef)
 
 
 # ---------------------------------------------------------------------------

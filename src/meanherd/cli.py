@@ -67,7 +67,7 @@ from .data import (
 )
 from .errors import DataError, InputError, MeanHerdError, ParseError
 from .herding import HerdingConfig, herd, parallel_herd, recursive_herd
-from .kernels import KernelSpec
+from .kernels import KernelSpec, diagonal
 from .losses import empirical_risk, hinge_loss, linear_loss, parse_loss
 
 EXIT_OK = 0
@@ -211,6 +211,11 @@ def cmd_herd(args) -> int:
     doc = h.to_dict(n_source=len(S))
     doc["config"] = _config(args)
     _write_json(args.out, doc)
+    # |f_S(x) - f_herd(x)| <= error ||phi(x)||, which is at most error only where K(x, x) <= 1
+    k_max = float(np.max(diagonal(args.kernel, S.instances)))
+    if k_max > 1.0:
+        print(f"unbounded kernel (max K(x, x) = {k_max:.6g} on the data): herd scores lie "
+              f"within error*sqrt(K(x, x)) of the full mean's, not within error", file=sys.stderr)
 
     if args.trace_out is not None:
         with open(args.trace_out, "w", newline="") as fh:

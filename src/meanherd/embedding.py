@@ -1,54 +1,30 @@
 """Signed kernel mean embeddings evaluated purely through kernel sums.
 
-An embedding here is a formal combination sum_i c_i phi(x_i); inner
-products and norms reduce to quadratic forms in the kernel matrix, so
-nothing ever materializes feature vectors.  ``merged`` collapses
-duplicate points by exact equality before any quadratic form, with the
-same merge (``data._merge``) that builds exact mixtures, which is what
-lets identities like "noisy mean = (1 - 2 sigma) clean mean" come out at
-the 1e-12 level instead of sqrt(eps).
+A mean embedding is a formal combination sum_i c_i phi(x_i), held as
+arrays: (m, d) points and (m,) signed coefficients.  Norms reduce to
+quadratic forms in the kernel matrix, so nothing ever materializes
+feature vectors.  ``squared_norm`` is the one function that evaluates
+||omega||^2 of a support: it collapses equal points by exact equality
+before the quadratic form, with the same merge (``data._merge``) that
+builds exact mixtures, which is what lets identities like "noisy mean =
+(1 - 2 sigma) clean mean" come out at the 1e-12 level instead of
+sqrt(eps).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import DiscreteDistribution, _merge
 from .errors import ConsistencyError
-from .kernels import KernelSpec, self_sums
+from .kernels import KernelSpec, _as_matrix, self_sums
 
 
-@dataclass(frozen=True)
-class Embedding:
-    points: np.ndarray  # (m, d)
-    coef: np.ndarray    # (m,) signed coefficients
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-        object.__setattr__(self, "coef", np.asarray(self.coef, dtype=float))
-
-    @classmethod
-    def from_distribution(cls, P: DiscreteDistribution) -> "Embedding":
-        return cls(P.instances, P.probabilities * P.labels)
-
-    def merged(self) -> "Embedding":
-        """Collapse duplicate points (exact equality), summing coefficients."""
-        rows, _, coef = _merge(self.points, self.coef)
-        return Embedding(self.points[rows], coef)
-
-
-def combine(*terms: tuple[float, Embedding]) -> Embedding:
-    """Linear combination sum_k scale_k * embedding_k."""
-    pts = np.vstack([e.points for _, e in terms])
-    coef = np.concatenate([s * e.coef for s, e in terms])
-    return Embedding(pts, coef)
-
-
-def squared_norm(spec: KernelSpec, e: Embedding) -> float:
-    e = e.merged()
-    return float(e.coef @ self_sums(spec, e.points, e.coef))
+def squared_norm(spec: KernelSpec, X, coef) -> float:
+    """||sum_i coef_i phi(X[i])||^2, equal points merged first."""
+    X = _as_matrix(X)
+    rows, _, coef = _merge(X, coef)
+    return float(coef @ self_sums(spec, X[rows], coef))
 
 
 def psd(sq: float) -> float:
@@ -58,11 +34,14 @@ def psd(sq: float) -> float:
     return max(sq, 0.0)
 
 
-def psd_squared_norm(spec: KernelSpec, e: Embedding) -> float:
-    """||e||^2 with tiny negative values (>= -1e-12) clamped to zero."""
-    return psd(squared_norm(spec, e))
+def norm(spec: KernelSpec, X, coef) -> float:
+    """||sum_i coef_i phi(X[i])|| with tiny negative squared norms clamped to zero."""
+    return float(np.sqrt(psd(squared_norm(spec, X, coef))))
 
 
-def norm(spec: KernelSpec, e: Embedding) -> float:
-    """||e|| with tiny negative squared norms (>= -1e-12) clamped to zero."""
-    return float(np.sqrt(psd_squared_norm(spec, e)))
+def distance(spec: KernelSpec, P: DiscreteDistribution, Q: DiscreteDistribution,
+             scale: float = 1.0) -> float:
+    """||omega_P - scale omega_Q|| for the signed mean embeddings omega = E[y phi(x)]."""
+    X = np.vstack([P.instances, Q.instances])
+    coef = np.concatenate([P.probabilities * P.labels, -scale * (Q.probabilities * Q.labels)])
+    return norm(spec, X, coef)

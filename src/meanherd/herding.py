@@ -25,7 +25,8 @@ row it selects (``kernels.kernel_rows``, from points prepared once).
 Memory is one block of kernel entries plus a few n-vectors, never n x n.
 
 Every herd also carries ``recomputed_error``, the error evaluated exactly
-from c and the herd's own squared norm (a self-sum over its m members)
+from c and the herd's own squared norm (``embedding.squared_norm`` over
+its m members, a self-sum with equal points merged)
 instead of through the recurrences for b and q, and that squared norm,
 which the herd's model document reports as its ``meta.norm``.  So every
 herd makes one n^2 pass over the sample: a plain herd and the first stage
@@ -48,6 +49,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import embedding as emb
 from .classifier import MeanClassifier, fit
 from .data import LabeledSample
 from .errors import DataError, InputError
@@ -90,7 +92,8 @@ class Herd:
     A herd is a weighted sample, so it is a mean classifier: ``classifier``
     holds the kernel, the weights and the members' labels and points.  For
     bounded kernels its scores lie within ``error`` of the full mean's
-    everywhere (Cauchy-Schwarz against ||phi(x)|| <= 1).  ``error`` is the
+    everywhere (Cauchy-Schwarz against ||phi(x)|| <= 1); otherwise only
+    within ``error`` sqrt(K(x, x)) at x.  ``error`` is the
     tracked error, ``recomputed_error`` the same quantity evaluated exactly,
     and ``squared_norm`` the herd's ||omega||^2 from that evaluation, which
     the model document reports as ``meta.norm``.
@@ -140,8 +143,7 @@ def _finite(v: np.ndarray) -> np.ndarray:
 
 def _target_pass(target: MeanClassifier) -> tuple[np.ndarray, float]:
     """c[j] = <omega_target, psi(z_j)> = y_j f(x_j) and ||omega_target||^2: the one n^2 pass."""
-    c = _finite(target.labels * self_sums(target.kernel, target.points,
-                                          target.alphas * target.labels))
+    c = _finite(target.labels * self_sums(target.kernel, target.points, target.coef))
     return c, float(target.alphas @ c)
 
 
@@ -152,8 +154,7 @@ def _exact_error(clf: MeanClassifier, idx: np.ndarray, c: np.ndarray,
     target_sq - 2 alpha.c[idx] + ||omega_clf||^2, so given the target pass
     it costs the kernel entries of the herd's own self-sum alone.
     """
-    coef = clf.alphas * clf.labels
-    herd_sq = float(coef @ self_sums(clf.kernel, clf.points, coef))
+    herd_sq = emb.squared_norm(clf.kernel, clf.points, clf.coef)
     cross = float(clf.alphas @ c[idx])
     return float(np.sqrt(max(target_sq - 2.0 * cross + herd_sq, 0.0))), herd_sq
 

@@ -250,13 +250,9 @@ def check_sln_immunity(
         if not (0.0 < sigma < 0.5):
             raise InputError(f"sigma must lie in (0, 0.5), got {sigma}")
         P_sigma = flip_symmetric(P, sigma)
-        diff = emb.combine(
-            (1.0, emb.Embedding.from_distribution(P_sigma)),
-            (-(1.0 - 2.0 * sigma), emb.Embedding.from_distribution(P)),
-        )
         report.check_le(
             f"||omega_noisy - (1-2*{sigma}) omega_clean||",
-            emb.norm(kernel, diff),
+            emb.distance(kernel, P_sigma, P, 1.0 - 2.0 * sigma),
             0.0,
             tolerance=1e-12,
         )
@@ -283,13 +279,7 @@ def check_contamination(
     )
     X = P.instances
     clean_scores = fit(P, kernel).scores(X)
-    perturbation = sigma * emb.norm(
-        kernel,
-        emb.combine(
-            (1.0, emb.Embedding.from_distribution(P)),
-            (-1.0, emb.Embedding.from_distribution(Q)),
-        ),
-    )
+    perturbation = sigma * emb.distance(kernel, P, Q)
     margin = float(np.min(np.abs(clean_scores[P.probabilities > 0])))
     report.extras["perturbation"] = perturbation
     report.extras["margin"] = margin

@@ -148,10 +148,23 @@ def test_mmd_matches_embedding_difference():
     S = toy_sample()
     spec = KernelSpec("gaussian", bandwidth=1.0)
     value = mmd(S.instances[S.labels == 1], S.instances[S.labels == -1], spec)
-    e_pos = emb.Embedding(S.instances[S.labels == 1], np.array([0.5, 0.5]))
-    e_neg = emb.Embedding(S.instances[S.labels == -1], np.array([0.5, 0.5]))
-    expected = 0.5 * emb.norm(spec, emb.combine((1.0, e_pos), (-1.0, e_neg)))
-    assert value == pytest.approx(expected, abs=1e-15)
+    X = np.vstack([S.instances[S.labels == 1], S.instances[S.labels == -1]])
+    expected = 0.5 * emb.norm(spec, X, np.array([0.5, 0.5, -0.5, -0.5]))
+    assert value == expected
+    # ||mu_+ - mu_-||^2 from the explicit kernel matrix
+    K = cross_gram(spec, X, X)
+    explicit = K[:2, :2].mean() - 2.0 * K[:2, 2:].mean() + K[2:, 2:].mean()
+    assert value == pytest.approx(0.5 * np.sqrt(explicit), abs=1e-12)
+
+
+@pytest.mark.parametrize("X_pos, X_neg, error", [
+    (np.zeros((2, 2)), np.zeros((2, 3)), InputError),       # different dimensions
+    (np.zeros((2, 2, 1)), np.zeros((2, 2, 1)), InputError),  # not (n, d)
+    (np.array([[0.0, np.nan]]), np.zeros((2, 2)), DataError),
+])
+def test_mmd_rejects_bad_instance_sets(X_pos, X_neg, error):
+    with pytest.raises(error):
+        mmd(X_pos, X_neg, KernelSpec("gaussian", bandwidth=1.0))
 
 
 def test_mmd_identical_sets_is_zero():

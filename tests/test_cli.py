@@ -71,6 +71,22 @@ def test_train_with_an_unbounded_kernel_writes_no_min_linear_loss(blob_csv, tmp_
     assert doc["meta"]["norm"] > 1.0
 
 
+@pytest.mark.parametrize("kernel, warned", [("linear", True), ("gaussian:1.0", False)])
+def test_herd_warns_once_when_the_kernel_exceeds_one_on_the_data(kernel, warned, blob_csv,
+                                                                  tmp_path, capsys):
+    # scores lie within error * sqrt(K(x, x)) of the full mean's, which is more than error
+    # where K(x, x) = |x|^2 > 1; the document and the exit code do not change
+    out = tmp_path / "herd.json"
+    code = main(["herd", "--data", str(blob_csv), "--kernel", kernel, "--out", str(out)])
+    assert code == 0
+    err = capsys.readouterr().err
+    if warned:
+        assert err.count("\n") == 1 and "error*sqrt(K(x, x))" in err
+        assert read_json(out)["meta"]["min_linear_loss"] is None
+    else:
+        assert err == ""
+
+
 def test_train_is_byte_deterministic(toy_csv, tmp_path):
     a = tmp_path / "a.json"
     main(["train", "--data", str(toy_csv), "--kernel", "gaussian:1.0", "--out", str(a)])

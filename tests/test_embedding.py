@@ -11,51 +11,47 @@ def test_squared_norm_matches_feature_space_linear():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(7, 3))
     y = rng.choice((-1, 1), size=7)
-    e = emb.Embedding(X, y / 7.0)
     explicit = np.linalg.norm(np.mean(y[:, np.newaxis] * X, axis=0)) ** 2
-    assert emb.squared_norm(KernelSpec("linear"), e) == pytest.approx(explicit, abs=1e-12)
-
-
-def test_merged_collapses_exact_duplicates():
-    e = emb.Embedding(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]), np.array([0.3, -0.3, 0.5]))
-    m = e.merged()
-    assert m.points.shape[0] == 2
-    coef = dict(zip(map(tuple, m.points), m.coef))
-    assert coef[(1.0, 2.0)] == pytest.approx(0.0, abs=0.0)
+    assert emb.squared_norm(KernelSpec("linear"), X, y / 7.0) == pytest.approx(explicit, abs=1e-12)
 
 
 def test_noise_scaling_identity_machine_precision():
-    # The reason merged() exists: coefficient-level cancellation gives
-    # ~1e-17 norms instead of sqrt(eps).
+    # The reason squared_norm merges equal points: coefficient-level
+    # cancellation gives ~1e-17 norms instead of sqrt(eps) (~2e-9 unmerged here).
+    rng = np.random.default_rng(0)
     P = DiscreteDistribution(
-        instances=np.array([[0.3, -1.2], [2.0, 0.5], [-0.7, 0.9]]),
-        labels=np.array([1, -1, 1]),
-        probabilities=np.array([0.2, 0.5, 0.3]),
+        instances=rng.normal(size=(5, 2)),
+        labels=rng.choice((-1, 1), size=5),
+        probabilities=rng.dirichlet(np.ones(5)),
     )
     spec = KernelSpec("gaussian", bandwidth=1.0)
     for sigma in (0.1, 0.25, 0.4):
-        diff = emb.combine(
-            (1.0, emb.Embedding.from_distribution(flip_symmetric(P, sigma))),
-            (-(1.0 - 2.0 * sigma), emb.Embedding.from_distribution(P)),
-        )
-        assert emb.norm(spec, diff) <= 1e-12
+        assert emb.distance(spec, flip_symmetric(P, sigma), P, 1.0 - 2.0 * sigma) <= 1e-12
+
+
+def test_distance_of_a_distribution_to_itself_is_zero():
+    P = DiscreteDistribution(
+        instances=np.array([[0.3, -1.2], [2.0, 0.5]]),
+        labels=np.array([1, -1]),
+        probabilities=np.array([0.4, 0.6]),
+    )
+    spec = KernelSpec("gaussian", bandwidth=1.0)
+    assert emb.distance(spec, P, P) == 0.0
+    # ||omega_P - 0.5 omega_P|| = 0.5 ||omega_P||
+    half = emb.distance(spec, P, P, 0.5)
+    assert half == pytest.approx(0.5 * emb.norm(spec, P.instances, P.probabilities * P.labels),
+                                 abs=1e-15)
 
 
 def test_norm_clamps_tiny_negative():
-    # cancelling embedding: squared norm is a tiny negative rounding residue
-    e = emb.Embedding(np.array([[1.0], [1.0]]), np.array([1.0, -1.0]))
-    assert emb.norm(KernelSpec("gaussian", bandwidth=1.0), e) == 0.0
+    # a cancelling embedding: the merge sums its coefficients to exactly 0, so no
+    # rounding residue reaches the clamp (test_psd_* covers the clamp itself)
+    X = np.array([[1.0], [1.0]])
+    assert emb.norm(KernelSpec("gaussian", bandwidth=1.0), X, np.array([1.0, -1.0])) == 0.0
 
 
-def test_norm_rejects_indefinite_quadratic_form():
-    e = emb.Embedding(np.array([[1.0], [2.0]]), np.array([1.0, -1.0]))
-    bad = KernelSpec("polynomial", degree=3, offset=0.0)
-    # odd-degree polynomial on these points is PSD; construct indefiniteness
-    # directly instead via a handmade check on squared_norm sign handling
-    sq = emb.squared_norm(bad, e)
-    if sq < -1e-12:
-        with pytest.raises(ConsistencyError):
-            emb.norm(bad, e)
-    else:
-        assert emb.norm(bad, e) >= 0.0
-
+def test_psd_clamps_rounding_and_rejects_indefinite():
+    assert emb.psd(-1e-13) == 0.0
+    assert emb.psd(0.25) == 0.25
+    with pytest.raises(ConsistencyError):
+        emb.psd(-1e-11)

@@ -89,11 +89,7 @@ def test_flip_symmetric_zero_returns_the_same_arrays(P):
 @given(distributions(), st.floats(0.01, 0.49))
 def test_noise_scaling_property(P, sigma):
     spec = KernelSpec("gaussian", bandwidth=1.0)
-    diff = emb.combine(
-        (1.0, emb.Embedding.from_distribution(flip_symmetric(P, sigma))),
-        (-(1.0 - 2.0 * sigma), emb.Embedding.from_distribution(P)),
-    )
-    assert emb.norm(spec, diff) <= 1e-12
+    assert emb.distance(spec, flip_symmetric(P, sigma), P, 1.0 - 2.0 * sigma) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
