@@ -69,7 +69,6 @@ from .kernels import (
     kernel_sums,
 )
 from .losses import (
-    EvaluationGrid,
     Loss,
     balanced_error,
     cc_ratio_check,
@@ -93,7 +92,6 @@ __all__ = [
     "ConsistencyError",
     "DataError",
     "DiscreteDistribution",
-    "EvaluationGrid",
     "Herd",
     "HerdingConfig",
     "InputError",

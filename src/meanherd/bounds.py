@@ -7,6 +7,11 @@ import math
 from .errors import InputError
 
 
+def _check_finite(name: str, value: float):
+    if not math.isfinite(value):
+        raise InputError(f"{name} must be finite, got {value}")
+
+
 def _check_n_delta(n: int, delta: float):
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
@@ -17,12 +22,14 @@ def _check_n_delta(n: int, delta: float):
 def bound_pac_bayes(emp_loss: float, n: int, delta: float) -> float:
     """High-probability linear-loss bound: emp + sqrt(2 (1 + log(1/delta)) / n)."""
     _check_n_delta(n, delta)
+    _check_finite("emp_loss", emp_loss)
     return emp_loss + math.sqrt(2.0 * (1.0 + math.log(1.0 / delta)) / n)
 
 
 def bound_pac_bayes_multi(emp_loss: float, n: int, k: int, delta: float) -> float:
     """Union over a k-kernel menu: emp + sqrt(2 (1 + log k + log(1/delta)) / n)."""
     _check_n_delta(n, delta)
+    _check_finite("emp_loss", emp_loss)
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     return emp_loss + math.sqrt(2.0 * (1.0 + math.log(k) + math.log(1.0 / delta)) / n)
@@ -43,11 +50,14 @@ def bound_generic_pac_bayes(
     is used, giving emp + 2 sqrt((kl + log(1/delta)) / n).
     """
     _check_n_delta(n, delta)
+    _check_finite("emp_loss", emp_loss)
+    _check_finite("kl", kl)
     if kl < 0:
         raise InputError(f"kl must be >= 0, got {kl}")
     complexity = kl + math.log(1.0 / delta)
     if beta is None:
         return emp_loss + 2.0 * math.sqrt(complexity / n)
+    _check_finite("beta", beta)
     if beta <= 0:
         raise InputError(f"beta must be > 0, got {beta}")
     return emp_loss + complexity / (beta * n) + beta
@@ -56,6 +66,7 @@ def bound_generic_pac_bayes(
 def optimal_beta(kl: float, n: int, delta: float) -> float:
     """The temperature minimizing ``bound_generic_pac_bayes`` over beta > 0."""
     _check_n_delta(n, delta)
+    _check_finite("kl", kl)
     if kl < 0:
         raise InputError(f"kl must be >= 0, got {kl}")
     return math.sqrt((kl + math.log(1.0 / delta)) / n)

@@ -289,7 +289,7 @@ def _suite_reports(name: str, seed: int, kernel: KernelSpec) -> list[lab.Experim
     if name == "long-servedio":
         return [lab.run_long_servedio(1.0 / 24.0)]
     if name == "compression":
-        return [lab.run_compression_experiment(kernel, eps_list=(0.01,), mode="recursive", seed=seed)]
+        return [lab.run_compression_experiment(kernel, eps_list=(0.01,), seed=seed)]
     if name == "order-reversal":
         report = lab.ExperimentReport(name="order-reversal", inputs={"loss": "hinge", "seed": seed})
         witness = lab.order_reversal_witness(hinge_loss, sigma=0.4, seed=seed)

@@ -44,13 +44,11 @@ def _merge(keys: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return rows, group, np.bincount(group, weights=weights, minlength=rows.size)
 
 
-def _atoms(instances, probabilities, labels=None,
-           distinct: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _atoms(instances, probabilities, labels=None) -> tuple[np.ndarray, np.ndarray]:
     """Checked (m, d) instances and (m,) probabilities of a finite distribution.
 
     The atoms (instance rows, with their labels if given) must be pairwise
-    distinct; ``distinct=True`` says they are known to be, and skips that
-    check.  Non-finite values are a DataError, found before duplicates.
+    distinct.  Non-finite values are a DataError, found before duplicates.
     """
     X = np.asarray(instances, dtype=float)
     p = np.asarray(probabilities, dtype=float)
@@ -63,9 +61,9 @@ def _atoms(instances, probabilities, labels=None,
     if (p < 0).any():
         raise InputError("probabilities must be non-negative")
     if abs(p.sum() - 1.0) > 1e-12:
-        raise InputError(f"probabilities sum to {p.sum()!r}, not 1")
+        raise InputError(f"probabilities sum to {float(p.sum())!r}, not 1")
     keys = X if labels is None else np.column_stack([X, labels])
-    if not distinct and len(set(map(tuple, keys.tolist()))) != m:
+    if len(set(map(tuple, keys.tolist()))) != m:
         raise InputError("support entries must be pairwise distinct")
     return X, p
 
@@ -76,7 +74,6 @@ class LabeledSample:
 
     instances: np.ndarray
     labels: np.ndarray
-    source: str | None = None
 
     def __post_init__(self):
         X = np.asarray(self.instances, dtype=float)
@@ -101,7 +98,7 @@ class LabeledSample:
 
     def subset(self, indices) -> "LabeledSample":
         idx = np.asarray(indices, dtype=int)
-        return LabeledSample(self.instances[idx], self.labels[idx], source=self.source)
+        return LabeledSample(self.instances[idx], self.labels[idx])
 
     def to_distribution(self) -> "DiscreteDistribution":
         """Empirical distribution with weight 1/n per row (duplicates merged)."""
@@ -120,21 +117,12 @@ class DiscreteDistribution:
     labels: np.ndarray
     probabilities: np.ndarray
 
-    def __post_init__(self, distinct: bool = False):
+    def __post_init__(self):
         y = as_labels(self.labels)
-        X, p = _atoms(self.instances, self.probabilities, y, distinct)
+        X, p = _atoms(self.instances, self.probabilities, y)
         object.__setattr__(self, "instances", X)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "probabilities", p)
-
-    @classmethod
-    def _of_distinct_atoms(cls, X, y, p) -> "DiscreteDistribution":
-        """Every check of the constructor but distinctness, for atoms ``_merge`` made distinct."""
-        P = object.__new__(cls)
-        for name, value in (("instances", X), ("labels", y), ("probabilities", p)):
-            object.__setattr__(P, name, value)
-        P.__post_init__(distinct=True)
-        return P
 
     def __len__(self) -> int:
         return self.instances.shape[0]
@@ -221,7 +209,7 @@ def _mixture(X: np.ndarray, y: np.ndarray, p: np.ndarray) -> DiscreteDistributio
         # Corruption ops only redistribute mass; renormalization here would
         # hide a bug upstream.
         raise InputError(f"merged probabilities sum to {total}, not 1")
-    return DiscreteDistribution._of_distinct_atoms(X[rows], y[rows], probs)
+    return DiscreteDistribution(X[rows], y[rows], probs)
 
 
 def _flip(P: DiscreteDistribution, rates) -> DiscreteDistribution:
@@ -303,7 +291,7 @@ def sample_from(P: DiscreteDistribution, n: int, seed: int) -> LabeledSample:
         raise InputError("n must be >= 1")
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(P), size=n, p=P.probabilities)
-    return LabeledSample(P.instances[idx], P.labels[idx], source=f"sample_from(seed={seed})")
+    return LabeledSample(P.instances[idx], P.labels[idx])
 
 
 def synth_blobs(n: int, d: int, separation: float, seed: int) -> LabeledSample:
@@ -322,7 +310,7 @@ def synth_blobs(n: int, d: int, separation: float, seed: int) -> LabeledSample:
     X_neg = rng.standard_normal((half, d)) - center
     X = np.vstack([X_pos, X_neg])
     y = np.concatenate([np.ones(half, dtype=int), -np.ones(half, dtype=int)])
-    return LabeledSample(X, y, source=f"synth_blobs(seed={seed})")
+    return LabeledSample(X, y)
 
 
 def long_servedio(gamma: float) -> DiscreteDistribution:
@@ -415,7 +403,7 @@ def load_csv(path, label_column: int) -> LabeledSample:
     table = tables[0] if len(tables) == 1 else np.concatenate(tables)
     raw_labels = table[:, label_column].tolist()
     X = np.delete(table, label_column % table.shape[1], axis=1)
-    return LabeledSample(X, _remap_labels(raw_labels, path), source=str(path))
+    return LabeledSample(X, _remap_labels(raw_labels, path))
 
 
 def _tables(chunk, label_column: int, path) -> list[np.ndarray]:
@@ -465,6 +453,9 @@ def load_sparse(path) -> LabeledSample:
                 idx = int(idx_s)
             except ValueError:
                 raise ParseError(f"bad feature index {idx_s!r}", path=path, line=line_no) from None
+            if idx < 1:
+                raise ParseError(f"feature index {idx} out of range: indices start at 1",
+                                 path=path, line=line_no)
             if idx <= prev:
                 raise ParseError(
                     f"feature indices must be strictly increasing, got {idx} after {prev}",
@@ -482,5 +473,4 @@ def load_sparse(path) -> LabeledSample:
     for i, entries in enumerate(parsed):
         for idx, val in entries:
             X[i, idx - 1] = val
-    labels = _remap_labels(raw_labels, path)
-    return LabeledSample(X, labels, source=str(path))
+    return LabeledSample(X, _remap_labels(raw_labels, path))

@@ -219,24 +219,18 @@ def _frank_wolfe(target: MeanClassifier, config: HerdingConfig, c: np.ndarray, t
     return clf, members, tuple(trace), tuple(sizes), termination
 
 
-def herd(
-    S: LabeledSample,
-    kernel: KernelSpec,
-    config: HerdingConfig | None = None,
-    target_weights=None,
-) -> Herd:
-    """Greedy sparse approximation of the (weighted) mean embedding of S.
+def herd(data, kernel: KernelSpec, config: HerdingConfig | None = None) -> Herd:
+    """Greedy sparse approximation of the mean embedding of ``data``.
 
-    The target is sum_j t_j y_j phi(x_j) with t uniform by default, so it
-    lies in the convex hull of the candidates and line-search steps enjoy
-    the geometric convergence rate.  Ties in the greedy argmax break to
-    the lowest candidate index; candidates may be re-selected, in which
-    case their weights accumulate.
+    The target is ``fit(data, kernel)``: sum_j t_j y_j phi(x_j) with t
+    uniform over a ``LabeledSample``, or the atom probabilities of a
+    ``DiscreteDistribution``.  It lies in the convex hull of the
+    candidates (the sample's rows or the distribution's atoms), so
+    line-search steps enjoy the geometric convergence rate.  Ties in the
+    greedy argmax break to the lowest candidate index; candidates may be
+    re-selected, in which case their weights accumulate.
     """
-    if target_weights is None:
-        target = fit(S, kernel)
-    else:
-        target = MeanClassifier(kernel, target_weights, S.labels, S.instances)
+    target = fit(data, kernel)
     c, target_sq = _target_pass(target)
     clf, members, trace, sizes, end = _frank_wolfe(target, config or HerdingConfig(), c, target_sq)
     err, herd_sq = _exact_error(clf, members, c, target_sq)

@@ -31,12 +31,7 @@ from .data import (
     synth_blobs,
 )
 from .errors import InputError
-from .herding import (
-    HerdingConfig,
-    herd,
-    parallel_herd,
-    recursive_herd,
-)
+from .herding import HerdingConfig, recursive_herd
 from .kernels import KernelSpec
 from .losses import (
     Loss,
@@ -48,6 +43,12 @@ from .losses import (
 )
 
 _ZERO_SCORE_TOL = 1e-12  # scores below this magnitude count as abstentions
+
+# Fixed inputs of the experiments below; each document's ``inputs`` records them.
+_REGRET_MAX_SUPPORT = 5
+_LONG_SERVEDIO_SIGMAS = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45)
+_BLOB_SEPARATION = 4.0
+_COMPRESSION_MAX_ITERATIONS = 20000
 
 
 @dataclass(frozen=True)
@@ -148,17 +149,18 @@ class ExperimentReport:
 # Random instances for audits (documented so runs are reproducible)
 
 
-def random_distribution(rng, max_support=6, min_support=2, d=2) -> DiscreteDistribution:
-    """Support of 2..max_support points in d dimensions, Dirichlet(1) weights."""
-    m = int(rng.integers(min_support, max_support + 1))
-    X = rng.normal(size=(m, d))
+def random_distribution(rng, max_support=6) -> DiscreteDistribution:
+    """Support of 2..max_support points in the plane, Dirichlet(1) weights."""
+    m = int(rng.integers(2, max_support + 1))
+    X = rng.normal(size=(m, 2))
     y = rng.choice((-1, 1), size=m)
     p = rng.dirichlet(np.ones(m))
     return DiscreteDistribution(instances=X, labels=y, probabilities=p)
 
 
-def random_function_class(rng, instances, k, bound=1.0) -> FiniteFunctionClass:
-    scores = rng.uniform(-bound, bound, size=(k, len(instances)))
+def random_function_class(rng, instances, k) -> FiniteFunctionClass:
+    """k members with scores drawn uniformly from [-1, 1] at each instance."""
+    scores = rng.uniform(-1.0, 1.0, size=(k, len(instances)))
     return FiniteFunctionClass(instances=instances, scores=scores)
 
 
@@ -176,14 +178,6 @@ def brute_force_min(loss: Loss, P: DiscreteDistribution, fclass: FiniteFunctionC
     return best, float(risks[best])
 
 
-def _atom_scores(P: DiscreteDistribution, f: dict) -> np.ndarray:
-    """An {instance: score} table read into one score per atom of P."""
-    try:
-        return np.array([f[x] for x in map(tuple, P.instances.tolist())], dtype=float)
-    except KeyError as exc:
-        raise InputError(f"no score for instance {exc.args[0]}") from None
-
-
 def _bayes_scores(P: DiscreteDistribution) -> np.ndarray:
     """The Bayes classifier at P's atoms: -1 where 1 - 2 eta >= 0, else +1."""
     return np.where(1.0 - 2.0 * P.eta() >= 0.0, -1.0, 1.0)
@@ -194,44 +188,32 @@ def _bayes_scores(P: DiscreteDistribution) -> np.ndarray:
 
 
 def _regret_gap(P: DiscreteDistribution, v: np.ndarray) -> float:
-    """mis regret minus linear regret for scores v at P's atoms; must be <= 0."""
-    too_big = np.flatnonzero(np.abs(v) > 1.0)
-    if too_big.size:
-        i = too_big[0]
-        raise InputError(f"score {v[i]} at {P.instances[i].tolist()} exceeds 1 in magnitude")
+    """mis regret minus linear regret for scores v at P's atoms; must be <= 0 when |v| <= 1."""
     bayes = _bayes_scores(P)
     mis_regret = risk(zero_one_loss, P, v) - risk(zero_one_loss, P, bayes)
     lin_regret = risk(linear_loss, P, v) - risk(linear_loss, P, bayes)
     return mis_regret - lin_regret
 
 
-def check_surrogate_regret(
-    P: DiscreteDistribution | None = None,
-    f: dict | None = None,
-    trials: int = 1000,
-    seed: int = 0,
-    max_support: int = 5,
-) -> ExperimentReport:
+def check_surrogate_regret(trials: int = 1000, seed: int = 0) -> ExperimentReport:
     """Misclassification regret never exceeds linear-loss regret.
 
-    Audits the supplied (P, f) pair when given (f is a score table with
-    |f| <= 1 over the support), then seeded random pairs, comparing both
-    regrets against the minimizer computed from the exact per-instance
-    posterior.
+    Each seeded trial draws a distribution Q with 2 to
+    ``_REGRET_MAX_SUPPORT`` atoms (``random_distribution``) and one
+    function on its instances with scores uniform in [-1, 1]
+    (``random_function_class``), and compares both regrets against the
+    minimizer computed from the exact per-instance posterior.
     """
     report = ExperimentReport(
         name="surrogate-regret",
-        inputs={"trials": trials, "seed": seed, "max_support": max_support},
+        inputs={"trials": trials, "seed": seed, "max_support": _REGRET_MAX_SUPPORT},
     )
-    if P is not None and f is not None:
-        gap = _regret_gap(P, _atom_scores(P, f))
-        report.check_le("supplied pair: mis_regret - lin_regret", gap, 0.0, 1e-12)
     rng = np.random.default_rng(seed)
     worst = -np.inf
     for _ in range(trials):
-        Q = random_distribution(rng, max_support=max_support)
-        f = {x: float(rng.uniform(-1, 1)) for x in map(tuple, sorted_instances(Q).tolist())}
-        worst = max(worst, _regret_gap(Q, _atom_scores(Q, f)))
+        Q = random_distribution(rng, max_support=_REGRET_MAX_SUPPORT)
+        v = random_function_class(rng, sorted_instances(Q), k=1).table(Q.instances)[0]
+        worst = max(worst, _regret_gap(Q, v))
     report.check_le("max(mis_regret - lin_regret)", worst, 0.0, tolerance=1e-12)
     return report
 
@@ -423,9 +405,7 @@ def _hinge_min_over_hyperplanes(P_atoms, probs, flip_sigma, angle_step=0.001):
     return best_r[i] * U[i], float(best_risk[i])
 
 
-def run_long_servedio(
-    gamma: float, sigma_grid=None, angle_step: float = 0.001
-) -> ExperimentReport:
+def run_long_servedio(gamma: float, angle_step: float = 0.001) -> ExperimentReport:
     """Hinge minimization collapses to coin flipping under noise; the mean never does.
 
     Hinge is minimized over hyperplanes through the origin (direction
@@ -433,13 +413,11 @@ def run_long_servedio(
     matters for hinge even though classification depends only on the
     direction).  The sweep records every noise level at which the hinge
     minimizer misclassifies the probability-1/2 atom, driving its clean
-    zero-one risk to exactly 0.5.
+    zero-one risk to exactly 0.5.  The noise levels are ``_LONG_SERVEDIO_SIGMAS``.
     """
-    if sigma_grid is None:
-        sigma_grid = [round(0.05 * i, 2) for i in range(1, 10)]
     report = ExperimentReport(
         name="long-servedio",
-        inputs={"gamma": gamma, "sigma_grid": list(sigma_grid), "angle_step": angle_step},
+        inputs={"gamma": gamma, "sigma_grid": list(_LONG_SERVEDIO_SIGMAS), "angle_step": angle_step},
     )
     P = long_servedio(gamma)
     atoms = P.instances
@@ -452,7 +430,7 @@ def run_long_servedio(
 
     failing = []
     mean_ok = True
-    for sigma in sigma_grid:
+    for sigma in _LONG_SERVEDIO_SIGMAS:
         w, _ = _hinge_min_over_hyperplanes(atoms, probs, sigma, angle_step)
         mis = float(probs @ ((atoms @ w) <= 0))
         if abs(mis - 0.5) <= 1e-12:
@@ -475,8 +453,8 @@ def run_long_servedio(
 def load_compression_npz(path):
     """Optional dataset asset: an .npz with X_train, y_train, X_test, y_test."""
     data = np.load(path)
-    train = LabeledSample(data["X_train"], data["y_train"], source=str(path))
-    test = LabeledSample(data["X_test"], data["y_test"], source=str(path))
+    train = LabeledSample(data["X_train"], data["y_train"])
+    test = LabeledSample(data["X_test"], data["y_test"])
     return train, test
 
 
@@ -487,39 +465,35 @@ def _accuracy(clf, S: LabeledSample) -> float:
 def run_compression_experiment(
     kernel: KernelSpec,
     eps_list=(0.01,),
-    mode: str = "recursive",
     seed: int = 0,
     n: int = 2000,
-    separation: float = 4.0,
     dataset_path=None,
     min_size: int = 100,
-    group_size: int = 200,
-    max_iterations: int = 20000,
 ) -> ExperimentReport:
-    """Test accuracy of herded classifiers versus the full-mean baseline.
+    """Test accuracy of recursively herded classifiers versus the full-mean baseline.
 
-    Without a dataset asset, a seeded two-blob sample stands in for a
-    real dataset.  Emits (herd fraction, accuracy) curve rows and
-    asserts the sup-norm audit |full score - sparse score| <= herd error
-    on every test point.
+    Each tolerance in ``eps_list`` gives one ``recursive_herd`` (down to
+    ``min_size`` members, at most ``_COMPRESSION_MAX_ITERATIONS`` steps a
+    stage).  Without a dataset asset, a seeded two-blob sample with
+    centers ``_BLOB_SEPARATION`` apart stands in for a real dataset.
+    Emits (herd fraction, accuracy) curve rows and asserts the sup-norm
+    audit |full score - sparse score| <= herd error on every test point.
     """
-    if mode not in ("recursive", "parallel"):
-        raise InputError(f"mode must be 'recursive' or 'parallel', got {mode!r}")
     report = ExperimentReport(
         name="compression",
         inputs={
             "kernel": kernel.to_dict(),
             "eps_list": list(eps_list),
-            "mode": mode,
+            "mode": "recursive",
             "seed": seed,
-            "dataset": str(dataset_path) if dataset_path else f"blobs(n={n}, sep={separation})",
+            "dataset": str(dataset_path) if dataset_path else f"blobs(n={n}, sep={_BLOB_SEPARATION})",
         },
     )
     if dataset_path is not None:
         train, test = load_compression_npz(dataset_path)
     else:
-        train = synth_blobs(n, 2, separation, seed)
-        test = synth_blobs(max(2, n // 2), 2, separation, seed + 1)
+        train = synth_blobs(n, 2, _BLOB_SEPARATION, seed)
+        test = synth_blobs(max(2, n // 2), 2, _BLOB_SEPARATION, seed + 1)
     full = fit(train, kernel)
     baseline = _accuracy(full, test)
     report.extras["baseline_accuracy"] = baseline
@@ -527,12 +501,8 @@ def run_compression_experiment(
 
     curve = []
     for eps in eps_list:
-        config = HerdingConfig(tolerance=eps, max_iterations=max_iterations)
-        if mode == "recursive":
-            h = recursive_herd(train, kernel, min_size=min_size, config=config)
-        else:
-            groups = max(1, int(np.ceil(len(train) / group_size)))
-            h = parallel_herd(train, groups, kernel, config=config)
+        config = HerdingConfig(tolerance=eps, max_iterations=_COMPRESSION_MAX_ITERATIONS)
+        h = recursive_herd(train, kernel, min_size=min_size, config=config)
         err = h.recomputed_error
         sparse = h.classifier
         acc = _accuracy(sparse, test)

@@ -9,10 +9,11 @@ A function on a finite support is its score array: one score per atom,
 shape (m,), or one row per function of a class, shape (k, m).  The risks
 below take such arrays and return one risk per row.
 
-The "sum constancy" checks below test l(1, v) + l(-1, v) = C on a finite
-symmetric grid.  The abstention convention double-counts the single
-point v = 0 (both labels pay 1 there), so constancy scans skip v = 0;
-every other grid point is evaluated exactly.
+The robustness analysis below evaluates losses on one fixed score grid,
+``GRID`` = 0.01 k for |k| <= 300.  The "sum constancy" checks test
+l(1, v) + l(-1, v) = C on it.  The abstention convention double-counts
+the single point v = 0 (both labels pay 1 there), so constancy scans skip
+v = 0; every other grid point is evaluated exactly.
 """
 
 from __future__ import annotations
@@ -84,22 +85,13 @@ BUILTIN_LOSSES = {
 }
 
 
-@dataclass(frozen=True)
-class EvaluationGrid:
-    """Symmetric finite score grid standing in for 'for all v in R' checks."""
+# The symmetric score grid standing in for "for all v in R".  It extends
+# beyond |v| = 1 so hinge's non-constant tail is visible, and 0.01 * (-k)
+# negates exactly, so it is symmetric bit for bit.
+GRID = 0.01 * np.arange(-300, 301)
 
-    limit: float = 3.0  # must extend beyond |v| = 1 so hinge's non-constant tail is visible
-    step: float = 0.01
-
-    def __post_init__(self):
-        if not (self.limit > 0 and self.step > 0):
-            raise InputError("grid limit and step must be positive")
-
-    @property
-    def values(self) -> np.ndarray:
-        # step * (-k) negates exactly, so the grid is symmetric bit for bit
-        half = round(self.limit / self.step)
-        return self.step * np.arange(-half, half + 1)
+# The constancy scans' grid: the abstention point v = 0 is skipped.
+_CONSTANCY_GRID = GRID[GRID != 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +187,9 @@ class RobustnessVerdict:
         return "robust" if self.is_robust else "not-robust"
 
 
-def _constancy_grid(grid: EvaluationGrid) -> np.ndarray:
-    v = grid.values
-    return v[v != 0.0]
-
-
-def sln_robustness_check(loss: Loss, grid: EvaluationGrid | None = None) -> RobustnessVerdict:
+def sln_robustness_check(loss: Loss) -> RobustnessVerdict:
     """Noise robustness iff l(1, v) + l(-1, v) is constant over the grid."""
-    grid = grid or EvaluationGrid()
-    v = _constancy_grid(grid)
+    v = _CONSTANCY_GRID
     pos = loss(1, v)
     neg = loss(-1, v)
     if np.max(np.abs(pos - neg)) <= 1e-12:
@@ -227,14 +213,13 @@ class OrderFit:
         return self.fittable and self.alpha > 0 and self.residual <= CONSTANCY_TOL
 
 
-def order_equivalence_fit(loss1: Loss, loss2: Loss, grid: EvaluationGrid | None = None) -> OrderFit:
+def order_equivalence_fit(loss1: Loss, loss2: Loss) -> OrderFit:
     """Least-squares affine fit loss2 = alpha * loss1 + beta over {-1,+1} x grid.
 
     Order equivalence of two losses is exactly a positive affine relation
     between them, so a zero-residual fit with alpha > 0 certifies it.
     """
-    grid = grid or EvaluationGrid()
-    v = grid.values
+    v = GRID
     a = np.concatenate([loss1(1, v), loss1(-1, v)])
     b = np.concatenate([loss2(1, v), loss2(-1, v)])
     if np.ptp(a) <= 1e-12:
@@ -252,33 +237,29 @@ class CCRatioResult:
     fit: OrderFit | None
 
 
-def cc_ratio_check(
-    loss: Loss, sigma_neg: float, sigma_pos: float, grid: EvaluationGrid | None = None
-) -> CCRatioResult:
+def cc_ratio_check(loss: Loss, sigma_neg: float, sigma_pos: float) -> CCRatioResult:
     """Check sigma_pos * l(-1, v) + sigma_neg * l(1, v) = C on the grid.
 
     When the weighted sum is constant, the class-conditional corrected
     loss is a positive affine image of the original, and the affine fit
     is returned as the certificate.
     """
-    grid = grid or EvaluationGrid()
-    v = _constancy_grid(grid)
+    v = _CONSTANCY_GRID
     weighted = sigma_pos * loss(-1, v) + sigma_neg * loss(1, v)
     c = float(np.median(weighted))
     if np.max(np.abs(weighted - c)) > CONSTANCY_TOL:
         return CCRatioResult(holds=False, constant=None, fit=None)
-    fit = order_equivalence_fit(loss, correct_cc(loss, sigma_neg, sigma_pos), grid)
+    fit = order_equivalence_fit(loss, correct_cc(loss, sigma_neg, sigma_pos))
     return CCRatioResult(holds=True, constant=c, fit=fit)
 
 
-def linearity_slopes(loss: Loss, grid: EvaluationGrid | None = None) -> tuple[float, float, float]:
+def linearity_slopes(loss: Loss) -> tuple[float, float, float]:
     """Per-label affine fits in v; returns (slope at y=+1, slope at y=-1, max residual).
 
     For a convex noise-robust loss the slopes must be exact negatives:
     such losses are affine in v with l(y, v) = lambda y v + g(y).
     """
-    grid = grid or EvaluationGrid()
-    v = grid.values
+    v = GRID
     A = np.column_stack([v, np.ones_like(v)])
     slopes = []
     res = 0.0

@@ -122,11 +122,7 @@ def test_04_robustness_characterization(capsys):
 
 
 def test_05_long_servedio(capsys):
-    rep = lab.run_long_servedio(
-        1.0 / 24.0,
-        sigma_grid=[round(0.05 * i, 2) for i in range(1, 10)],
-        angle_step=0.001,
-    )
+    rep = lab.run_long_servedio(1.0 / 24.0, angle_step=0.001)
     ok = rep.passed and bool(rep.extras["failing_sigmas"])
     _report(capsys, 5, "hinge collapses to coin flipping, mean never does", ok)
 
@@ -177,7 +173,7 @@ def test_09_compression_curve(capsys):
     asset = os.environ.get("MEANHERD_MNIST_38")
     if asset and os.path.exists(asset):
         rep = lab.run_compression_experiment(
-            GAUSS, eps_list=(0.01,), mode="recursive", seed=0, dataset_path=asset
+            GAUSS, eps_list=(0.01,), seed=0, dataset_path=asset
         )
         curve = rep.extras["curve"][0]
         base = rep.extras["baseline_accuracy"]
@@ -185,7 +181,7 @@ def test_09_compression_curve(capsys):
         name = "compression curve (digit-pair asset)"
     else:
         rep = lab.run_compression_experiment(
-            GAUSS, eps_list=(0.01,), mode="recursive", seed=0, n=2000, separation=4.0
+            GAUSS, eps_list=(0.01,), seed=0, n=2000
         )
         curve = rep.extras["curve"][0]
         base = rep.extras["baseline_accuracy"]

@@ -382,6 +382,16 @@ def test_bounds_invalid_params_exit_2():
     assert main(["bounds", "--kind", "pac-bayes", "--n", "0", "--delta", "0.05"]) == 2
 
 
+@pytest.mark.parametrize("kind, flag", [("pac-bayes", "--emp"), ("pac-bayes-multi", "--emp"),
+                                        ("generic-pac-bayes", "--emp"),
+                                        ("generic-pac-bayes", "--kl"),
+                                        ("generic-pac-bayes", "--beta")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_bounds_non_finite_params_exit_2(kind, flag, value, capsys):
+    assert main(["bounds", "--kind", kind, "--n", "10", f"{flag}={value}"]) == 2
+    assert flag[2:] in capsys.readouterr().err
+
+
 def test_mmd_command(blob_csv, capsys):
     code = main(["mmd", "--data", str(blob_csv), "--kernel", "gaussian:1.0"])
     assert code == 0

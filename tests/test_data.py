@@ -51,7 +51,7 @@ def test_sample_validation():
 
 
 def test_distribution_validation():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^probabilities sum to 0\.5, not 1$"):
         dist([[0.0]], [1], [0.5])
     with pytest.raises(InputError):
         dist([[0.0], [0.0]], [1, 1], [0.5, 0.5])
@@ -64,18 +64,11 @@ def test_distribution_validation():
         InstanceDistribution(instances=np.array([[0.0]]), probabilities=np.array([np.nan]))
 
 
-def test_only_merged_mixtures_skip_the_distinctness_check():
-    # the public constructor rejects duplicate atoms ...
+def test_mixtures_merge_the_duplicate_atoms_the_constructor_rejects():
     with pytest.raises(InputError, match="pairwise distinct"):
         dist([[0.0], [1.0], [0.0]], [1, -1, 1], [0.2, 0.3, 0.5])
-    # ... which a mixture merges before it builds its result
     P = flip_symmetric(dist([[0.0], [0.0]], [1, -1], [0.5, 0.5]), 0.25)
     assert len(P) == 2 and np.array_equal(P.probabilities, [0.5, 0.5])
-    # the path that skips distinctness keeps every other check
-    with pytest.raises(DataError):
-        DiscreteDistribution._of_distinct_atoms(np.array([[np.nan]]), np.array([1]), np.array([1.0]))
-    with pytest.raises(InputError):
-        DiscreteDistribution._of_distinct_atoms(np.array([[0.0]]), np.array([2]), np.array([1.0]))
 
 
 def test_to_distribution_merges_duplicates():
@@ -288,3 +281,13 @@ def test_load_sparse_rejects_nonincreasing_indices(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_sparse(f)
     assert exc.value.line == 1
+
+
+@pytest.mark.parametrize("row, index", [("1 0:1.5 2:3", 0), ("-1 -3:2", -3)])
+def test_load_sparse_rejects_indices_below_one(tmp_path, row, index):
+    f = tmp_path / "bad.txt"
+    f.write_text(f"1 1:1.0\n{row}\n")
+    message = f"feature index {index} out of range: indices start at 1"
+    with pytest.raises(ParseError, match=message) as exc:
+        load_sparse(f)
+    assert exc.value.line == 2

@@ -6,7 +6,7 @@ import pytest
 
 from meanherd import kernels
 from meanherd.classifier import MeanClassifier, fit, mean_norm
-from meanherd.data import LabeledSample, synth_blobs
+from meanherd.data import DiscreteDistribution, LabeledSample, synth_blobs
 from meanherd.errors import InputError
 from meanherd.herding import (
     HerdingConfig,
@@ -128,8 +128,8 @@ def dense_reference_herd(S, kernel, tolerance, max_iterations, t):
 def test_streaming_matches_explicit_matrix_reference(weighted):
     S = blob_sample(n=120)
     t = np.random.default_rng(8).dirichlet(np.ones(120)) if weighted else np.full(120, 1 / 120)
-    h = herd(S, GAUSS, HerdingConfig(tolerance=0.02, max_iterations=2000),
-             target_weights=t if weighted else None)
+    data = DiscreteDistribution(S.instances, S.labels, t) if weighted else S
+    h = herd(data, GAUSS, HerdingConfig(tolerance=0.02, max_iterations=2000))
     idx, alphas, trace = dense_reference_herd(S, GAUSS, 0.02, 2000, t)
     assert np.array_equal(h.indices, idx)
     assert np.allclose(h.classifier.alphas, alphas, rtol=0, atol=1e-14)
@@ -153,16 +153,16 @@ def test_weights_form_simplex():
     assert len(set(h.indices.tolist())) == h.size
 
 
-def test_target_weights_override():
+def test_herd_of_a_distribution_targets_its_atom_weights():
     S = blob_sample(n=50)
-    # all mass on one candidate: the herd must find it exactly
+    # all mass on one atom: the herd must find it exactly
     t = np.zeros(50)
     t[17] = 1.0
-    h = herd(S, GAUSS, HerdingConfig(tolerance=1e-6), target_weights=t)
+    h = herd(DiscreteDistribution(S.instances, S.labels, t), GAUSS, HerdingConfig(tolerance=1e-6))
     assert h.size == 1 and h.indices[0] == 17
     assert h.error <= 1e-6
     with pytest.raises(InputError):
-        herd(S, GAUSS, target_weights=np.ones(50))
+        herd(DiscreteDistribution(S.instances, S.labels, np.ones(50)), GAUSS)
 
 
 def test_herd_json_roundtrip():

@@ -114,14 +114,6 @@ def test_surrogate_regret_random_audit():
     assert report.passed
 
 
-def test_surrogate_regret_supplied_pair_and_bound_guard():
-    P = small_P()
-    f = {x: 0.5 for x in rows(P.instances)}
-    assert lab.check_surrogate_regret(P, f, trials=1, seed=0).passed
-    with pytest.raises(InputError):
-        lab.check_surrogate_regret(P, {x: 2.0 for x in rows(P.instances)}, trials=1)
-
-
 def test_sln_immunity_report():
     report = lab.check_sln_immunity(small_P(), (0.1, 0.25, 0.4), GAUSS)
     assert report.passed
@@ -274,17 +266,12 @@ def test_long_servedio_failure_onset_decreases_with_gamma():
 
 def test_compression_experiment_blobs():
     report = lab.run_compression_experiment(
-        GAUSS, eps_list=(0.05,), mode="recursive", seed=0, n=400, min_size=40
+        GAUSS, eps_list=(0.05,), seed=0, n=400, min_size=40
     )
     assert report.passed
     curve = report.extras["curve"]
     assert curve[0]["fraction"] < 1.0
     assert abs(curve[0]["accuracy"] - report.extras["baseline_accuracy"]) <= 0.05
-
-
-def test_compression_experiment_rejects_bad_mode():
-    with pytest.raises(InputError):
-        lab.run_compression_experiment(GAUSS, mode="greedy")
 
 
 def test_report_serialization():

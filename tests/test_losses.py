@@ -6,7 +6,7 @@ import pytest
 from meanherd.data import DiscreteDistribution
 from meanherd.errors import InputError
 from meanherd.losses import (
-    EvaluationGrid,
+    GRID,
     balanced_error,
     cc_ratio_check,
     correct_cc,
@@ -170,11 +170,10 @@ def test_risk_and_balanced_error():
     assert risk(linear_loss, P, f) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_evaluation_grid_is_symmetric_and_covers_tails():
-    v = EvaluationGrid().values
-    assert np.array_equal(v, -v[::-1])
-    assert v.max() == 3.0
-    assert 0.0 in v
+def test_grid_is_symmetric_and_covers_tails():
+    assert np.array_equal(GRID, -GRID[::-1])
+    assert GRID.max() == 3.0
+    assert 0.0 in GRID
 
 
 # ---------------------------------------------------------------------------

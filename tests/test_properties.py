@@ -151,7 +151,7 @@ def reference_load_csv(path, label_column: int) -> LabeledSample:
     if len(widths) != 1:
         raise ParseError(f"inconsistent row widths {sorted(widths)}", path=path)
     labels = _remap_labels(raw_labels, path)
-    return LabeledSample(np.array(rows, dtype=float), labels, source=str(path))
+    return LabeledSample(np.array(rows, dtype=float), labels)
 
 
 def outcome(load, path):
