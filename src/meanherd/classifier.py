@@ -1,11 +1,12 @@
 """The kernel mean classifier and its closed-form geometry.
 
 Scoring rule: f(x) = sum_i alpha_i y_i K(x_i, x) with alpha_i >= 0
-summing to one.  ``fit`` produces uniform weights from a sample or
-probability weights from an exact finite-support distribution; herding
-(see ``herding.py``) produces sparse weights.  The classifier's mean
-embedding sum_i alpha_i y_i phi(x_i) is the pair (``points``, ``coef``),
-and every norm here (``meta.norm``, ``mean_norm``, ``mmd``) is
+summing to one, a support checked by ``data._support`` as a sample's is.
+``fit`` and ``margin_for_error`` read the weights of data by one rule,
+``_weighted``: uniform for a sample, the atom probabilities for an exact
+distribution; herding (see ``herding.py``) produces sparse weights.  The
+mean embedding sum_i alpha_i y_i phi(x_i) is the pair (``points``,
+``coef``), and every norm here (``meta.norm``, ``mean_norm``, ``mmd``) is
 ``embedding.squared_norm`` of such a pair.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import embedding as emb
-from .data import DiscreteDistribution, LabeledSample, as_labels
+from .data import DiscreteDistribution, LabeledSample, _support, as_labels
 from .errors import DataError, InputError
 from .kernels import KernelSpec, _checked, diagonal, kernel_sums
 
@@ -29,15 +30,8 @@ class MeanClassifier:
     points: np.ndarray   # (m, d)
 
     def __post_init__(self):
-        a = np.asarray(self.alphas, dtype=float)
         y = as_labels(self.labels)
-        X = np.asarray(self.points, dtype=float)
-        if a.shape[0] != y.shape[0] or a.shape[0] != X.shape[0]:
-            raise InputError("alphas, labels and points must have equal length")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(X))):
-            raise DataError("weights and points must be finite")
-        if np.any(a < 0) or abs(a.sum() - 1.0) > 1e-12:
-            raise InputError("weights must be non-negative and sum to 1")
+        X, a = _support(self.points, y, self.alphas)
         object.__setattr__(self, "alphas", a)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "points", X)
@@ -56,11 +50,6 @@ class MeanClassifier:
         return self.alphas * self.labels
 
     def scores(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[np.newaxis, :]
-        if X.shape[1] != self.dim:
-            raise InputError(f"dimension mismatch: {X.shape[1]} vs {self.dim}")
         return kernel_sums(self.kernel, X, self.points, self.coef)
 
     def predict(self, X) -> np.ndarray:
@@ -99,28 +88,23 @@ class MeanClassifier:
             kernel=KernelSpec.from_dict(d["kernel"]),
             alphas=np.array([s["alpha"] for s in support]),
             labels=np.array([s["y"] for s in support]),
-            points=np.array([s["x"] for s in support]),
+            points=np.array([list(map(float, s["x"])) for s in support]),
         )
+
+
+def _weighted(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (points, labels, weights) of a sample (uniform) or a distribution (atom masses)."""
+    if isinstance(data, LabeledSample):
+        return data.instances, data.labels, np.full(len(data), 1.0 / len(data))
+    if isinstance(data, DiscreteDistribution):
+        return data.instances, data.labels, data.probabilities.copy()
+    raise InputError(f"expected LabeledSample or DiscreteDistribution, got {type(data).__name__}")
 
 
 def fit(data, kernel: KernelSpec) -> MeanClassifier:
     """Mean classifier with uniform weights (sample) or atom weights (population)."""
-    if isinstance(data, LabeledSample):
-        n = len(data)
-        return MeanClassifier(
-            kernel=kernel,
-            alphas=np.full(n, 1.0 / n),
-            labels=data.labels,
-            points=data.instances,
-        )
-    if isinstance(data, DiscreteDistribution):
-        return MeanClassifier(
-            kernel=kernel,
-            alphas=data.probabilities.copy(),
-            labels=data.labels,
-            points=data.instances,
-        )
-    raise InputError(f"cannot fit on {type(data).__name__}")
+    X, y, w = _weighted(data)
+    return MeanClassifier(kernel=kernel, alphas=w, labels=y, points=X)
 
 
 @dataclass(frozen=True)
@@ -180,14 +164,7 @@ def margin_for_error(data, v) -> float:
     which equals the misclassification count exactly for gamma up to that
     minimum.  ``v`` holds the scores at the rows/atoms of the data.
     """
-    if isinstance(data, LabeledSample):
-        y = data.labels
-        w = np.full(len(data), 1.0 / len(data))
-    elif isinstance(data, DiscreteDistribution):
-        y = data.labels
-        w = data.probabilities
-    else:
-        raise InputError(f"expected LabeledSample or DiscreteDistribution, got {type(data).__name__}")
+    _, y, w = _weighted(data)
     v = np.asarray(v, dtype=float)
     if v.shape != y.shape:
         raise InputError(f"expected {y.shape[0]} scores, got shape {v.shape}")

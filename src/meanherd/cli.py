@@ -139,9 +139,9 @@ def _read_doc(path, from_dict):
     doc = _read_json(path)
     try:
         return from_dict(doc)
-    except InputError:
-        raise
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed document: {type(exc).__name__}: {exc}", path=path) from None
 
 
@@ -297,7 +297,6 @@ def _suite_reports(name: str, seed: int, kernel: KernelSpec) -> list[lab.Experim
         if witness is not None:
             report.extras["witness"] = witness
         return [report]
-    raise InputError(f"unknown suite {name!r}; available: {', '.join(ALL_SUITES)}, all")
 
 
 def cmd_check(args) -> int:
@@ -407,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", default="linear", help="loss name (default: linear)")
 
     p = command("check", cmd_check, "run a theorem-check suite", kernel="gaussian:1.0")
-    p.add_argument("--suite", help=f"one of {', '.join(ALL_SUITES)}, or all")
+    p.add_argument("--suite", choices=(*ALL_SUITES, "all"), help="suite to run, or all")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
 
     p = command("bounds", cmd_bounds, "evaluate a generalization bound")

@@ -1,7 +1,9 @@
 """Labeled samples, exact finite-support distributions and corruption processes.
 
 A finite distribution is arrays, as a sample is: atom i is the pair
-(``instances[i]``, ``labels[i]``) with mass ``probabilities[i]``.
+(``instances[i]``, ``labels[i]``) with mass ``probabilities[i]``.  One
+check, ``_support``, validates samples, distributions and mean classifiers
+alike; only a distribution's atoms must also be distinct (``_distinct``).
 Population-level objects (``DiscreteDistribution``) make the label-noise
 identities testable to machine precision: every corruption operation
 below builds the corrupted distribution as an *exact* finite mixture, and
@@ -44,50 +46,37 @@ def _merge(keys: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return rows, group, np.bincount(group, weights=weights, minlength=rows.size)
 
 
-def _atoms(instances, probabilities, labels=None) -> tuple[np.ndarray, np.ndarray]:
-    """Checked (m, d) instances and (m,) probabilities of a finite distribution.
+def _support(instances, labels=None, weights=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Checked (m, d) points and (m,) weights: the one rule for a finite weighted support.
 
-    The atoms (instance rows, with their labels if given) must be pairwise
-    distinct.  Non-finite values are a DataError, found before duplicates.
+    m >= 1 rows, one label per row when ``labels`` is given, every value
+    finite (a DataError, found first: nan passes the sign and sum checks),
+    and ``weights``, when given, non-negative and summing to 1.
     """
     X = np.asarray(instances, dtype=float)
-    p = np.asarray(probabilities, dtype=float)
-    m = p.shape[0] if p.ndim == 1 else -1
-    if m < 1 or X.ndim != 2 or X.shape[0] != m or (labels is not None and labels.shape != (m,)):
+    w = None if weights is None else np.asarray(weights, dtype=float)
+    m = X.shape[0] if X.ndim == 2 else 0
+    if m < 1 or any(a is not None and a.shape != (m,) for a in (labels, w)):
+        other = labels if w is None else w
         raise InputError(f"need m > 0 atoms: (m, d) instances, (m,) labels and (m,) "
-                         f"probabilities, got shapes {X.shape} and {p.shape}")
-    if not (np.isfinite(X).all() and np.isfinite(p).all()):
+                         f"probabilities, got shapes {X.shape} and {other.shape}")
+    if not (np.isfinite(X).all() and (w is None or np.isfinite(w).all())):
         raise DataError("instances and probabilities must be finite (found nan or inf)")
-    if (p < 0).any():
+    if w is not None and (w < 0).any():
         raise InputError("probabilities must be non-negative")
-    if abs(p.sum() - 1.0) > 1e-12:
-        raise InputError(f"probabilities sum to {float(p.sum())!r}, not 1")
-    keys = X if labels is None else np.column_stack([X, labels])
-    if len(set(map(tuple, keys.tolist()))) != m:
+    if w is not None and abs(w.sum() - 1.0) > 1e-12:
+        raise InputError(f"probabilities sum to {float(w.sum())!r}, not 1")
+    return X, w
+
+
+def _distinct(keys: np.ndarray):
+    """A finite distribution's atoms (rows of ``keys``) must be pairwise distinct."""
+    if len(set(map(tuple, keys.tolist()))) != keys.shape[0]:
         raise InputError("support entries must be pairwise distinct")
-    return X, p
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    """An ordered sample of (instance, label) rows with labels in {-1, +1}."""
-
-    instances: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        X = np.asarray(self.instances, dtype=float)
-        y = as_labels(self.labels)
-        if X.ndim != 2:
-            raise InputError(f"instances must be 2-D, got shape {X.shape}")
-        if X.shape[0] != y.shape[0]:
-            raise InputError("instances and labels have different lengths")
-        if X.shape[0] < 1:
-            raise InputError("sample must contain at least one point")
-        if not np.all(np.isfinite(X)):
-            raise DataError("instances must be finite (found nan or inf)")
-        object.__setattr__(self, "instances", X)
-        object.__setattr__(self, "labels", y)
+class _Rows:
+    """The size m and dimension d of a support held as (m, d) ``instances``."""
 
     def __len__(self) -> int:
         return self.instances.shape[0]
@@ -95,6 +84,20 @@ class LabeledSample:
     @property
     def dim(self) -> int:
         return self.instances.shape[1]
+
+
+@dataclass(frozen=True)
+class LabeledSample(_Rows):
+    """An ordered sample of (instance, label) rows with labels in {-1, +1}."""
+
+    instances: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self):
+        y = as_labels(self.labels)
+        X, _ = _support(self.instances, y)
+        object.__setattr__(self, "instances", X)
+        object.__setattr__(self, "labels", y)
 
     def subset(self, indices) -> "LabeledSample":
         idx = np.asarray(indices, dtype=int)
@@ -106,7 +109,7 @@ class LabeledSample:
 
 
 @dataclass(frozen=True)
-class DiscreteDistribution:
+class DiscreteDistribution(_Rows):
     """Exact finite-support distribution over (instance, label) pairs.
 
     ``instances`` is (m, d), ``labels`` (m,) in {-1, +1} and
@@ -119,17 +122,11 @@ class DiscreteDistribution:
 
     def __post_init__(self):
         y = as_labels(self.labels)
-        X, p = _atoms(self.instances, self.probabilities, y)
+        X, p = _support(self.instances, y, self.probabilities)
+        _distinct(np.column_stack([X, y]))
         object.__setattr__(self, "instances", X)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "probabilities", p)
-
-    def __len__(self) -> int:
-        return self.instances.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.instances.shape[1]
 
     def instance_marginal(self) -> "InstanceDistribution":
         """Marginal over instances, summing probability across labels."""
@@ -158,19 +155,17 @@ class DiscreteDistribution:
 
 
 @dataclass(frozen=True)
-class InstanceDistribution:
+class InstanceDistribution(_Rows):
     """Finite-support distribution over instances only (no labels)."""
 
     instances: np.ndarray
     probabilities: np.ndarray
 
     def __post_init__(self):
-        X, p = _atoms(self.instances, self.probabilities)
+        X, p = _support(self.instances, weights=self.probabilities)
+        _distinct(X)
         object.__setattr__(self, "instances", X)
         object.__setattr__(self, "probabilities", p)
-
-    def __len__(self) -> int:
-        return self.instances.shape[0]
 
 
 @dataclass(frozen=True)
@@ -199,16 +194,12 @@ def _mixture(X: np.ndarray, y: np.ndarray, p: np.ndarray) -> DiscreteDistributio
     """The exact mixture of weighted atoms (X[i], y[i], p[i]), equal atoms merged.
 
     Zero-probability contributions are dropped first, so that sigma = 0
-    reproduces the input.
+    reproduces the input.  The merged masses are not renormalized: the
+    constructor's sum check catches a corruption op that loses mass.
     """
     keep = p != 0.0
     X, y = X[keep], y[keep]
     rows, _, probs = _merge(np.column_stack([X, y]), p[keep])
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-12:
-        # Corruption ops only redistribute mass; renormalization here would
-        # hide a bug upstream.
-        raise InputError(f"merged probabilities sum to {total}, not 1")
     return DiscreteDistribution(X[rows], y[rows], probs)
 
 
@@ -272,7 +263,7 @@ def mutually_contaminate(
     """Mutual contamination of the two class-conditional instance distributions."""
     if alpha < 0 or beta < 0 or alpha + beta >= 1.0:
         raise InputError(f"need alpha, beta >= 0 with alpha + beta < 1, got ({alpha}, {beta})")
-    if P_pos.instances.shape[1] != P_neg.instances.shape[1]:
+    if P_pos.dim != P_neg.dim:
         raise InputError("the two class-conditional distributions differ in dimension")
     X = np.vstack([P_pos.instances, P_neg.instances])
 

@@ -24,7 +24,10 @@ bandwidth.  This is fixed once here and used everywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+import numbers
+import sys
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +35,10 @@ import numpy as np
 from .errors import InputError
 
 VALID_KINDS = ("linear", "gaussian", "polynomial")
+# The parameters each kind uses (gaussian is normalized already: K(x, x) = 1);
+# a parameter of another kind must keep its default, so none is ignored.
+_PARAMETERS = {"linear": ("normalized",), "gaussian": ("bandwidth",),
+               "polynomial": ("degree", "offset", "normalized")}
 
 # Kernel entries per row block in ``kernel_sums`` and ``self_sums``:
 # 2**21 float64 = 16 MiB.
@@ -42,6 +49,12 @@ BLOCK_ENTRIES = 2**21
 # all of its elementwise passes instead of each pass streaming the block
 # through RAM.
 STRIP_ENTRIES = 2**15
+
+
+def _real(value) -> float:
+    """``value`` as a float if it is a finite real number (not a bool), else nan."""
+    real = not isinstance(value, bool) and isinstance(value, numbers.Real)
+    return float(value) if real and abs(value) <= sys.float_info.max else math.nan
 
 
 @dataclass(frozen=True)
@@ -55,16 +68,21 @@ class KernelSpec:
     normalized: bool = False
 
     def __post_init__(self):
-        if self.kind not in VALID_KINDS:
-            raise InputError(f"unknown kernel kind {self.kind!r}, expected one of {VALID_KINDS}")
-        if self.kind == "gaussian":
-            if self.bandwidth is None or not (self.bandwidth > 0):
-                raise InputError("gaussian kernel requires bandwidth > 0")
-        if self.kind == "polynomial":
-            if self.degree is None or int(self.degree) < 1:
-                raise InputError("polynomial kernel requires degree >= 1")
-            if self.offset < 0:
-                raise InputError("polynomial offset must be non-negative")
+        kind = self.kind
+        if kind not in VALID_KINDS:
+            raise InputError(f"unknown kernel kind {kind!r}, expected one of {VALID_KINDS}")
+        unused = [name for name in ("bandwidth", "degree", "offset", "normalized")
+                  if name not in _PARAMETERS[kind] and getattr(self, name) not in (None, 0.0, False)]
+        if unused:
+            raise InputError(f"{kind} kernel takes no {' or '.join(unused)}")
+        if not isinstance(self.normalized, bool):
+            raise InputError(f"kernel normalized must be true or false, got {self.normalized!r}")
+        if kind == "gaussian" and not _real(self.bandwidth) > 0:
+            raise InputError("gaussian kernel requires a finite bandwidth > 0")
+        if kind == "polynomial" and not (_real(self.degree) >= 1 and float(self.degree).is_integer()):
+            raise InputError("polynomial kernel requires an integral degree >= 1")
+        if kind == "polynomial" and not _real(self.offset) >= 0:
+            raise InputError("polynomial offset must be a finite number >= 0")
 
     @property
     def bounded(self) -> bool:
@@ -82,13 +100,10 @@ class KernelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSpec":
-        return cls(
-            kind=d["kind"],
-            bandwidth=d.get("bandwidth"),
-            degree=d.get("degree"),
-            offset=d.get("offset", 0.0),
-            normalized=bool(d.get("normalized", False)),
-        )
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InputError(f"unknown kernel parameter(s) {unknown}")
+        return cls(**d)
 
     @classmethod
     def parse(cls, text: str) -> "KernelSpec":

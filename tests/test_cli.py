@@ -350,7 +350,15 @@ def test_check_output_is_byte_identical(capsys):
 
 
 def test_check_unknown_suite_exit_2():
-    assert main(["check", "--suite", "nonesuch"]) == 2
+    assert run_cli(["check", "--suite", "nonesuch"]) == 2
+
+
+def test_check_unknown_suite_in_config_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suite": "nonesuch"}))
+    assert main(["--config", str(cfg), "check"]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "'suite'" in err
 
 
 def test_check_long_servedio_suite(tmp_path):
@@ -390,6 +398,19 @@ def test_bounds_invalid_params_exit_2():
 def test_bounds_non_finite_params_exit_2(kind, flag, value, capsys):
     assert main(["bounds", "--kind", kind, "--n", "10", f"{flag}={value}"]) == 2
     assert flag[2:] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--kind", "generic-pac-bayes", "--beta", "1e-320"], "beta=1e-320"),
+    (["--kind", "pac-bayes", "--delta", "1e-320"], "delta=1e-320"),
+    (["--kind", "generic-pac-bayes", "--kl", "1e308", "--beta", "1e-10"], "kl=1e+308"),
+    (["--kind", "mean-estimation", "--delta", "1e-320"], "delta=1e-320"),
+])
+def test_bounds_overflow_exit_2(argv, named, capsys):
+    # finite inputs whose bound overflows to inf name those inputs
+    assert main(["bounds", "--n", "10", *argv]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "non-finite value in output" not in err
 
 
 def test_mmd_command(blob_csv, capsys):
@@ -486,10 +507,14 @@ def test_write_json_rejects_non_finite(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("case", ["eval-empty", "eval-list", "noise-empty", "noise-bad-atom"])
+@pytest.mark.parametrize("case", ["eval-empty", "eval-list", "eval-scalar-x", "noise-empty",
+                                  "noise-bad-atom"])
 def test_malformed_document_exit_3(case, toy_csv, tmp_path, capsys):
     doc = tmp_path / "doc.json"
+    scalar_x = {"kernel": {"kind": "linear"}, "meta": {},
+                "support": [{"alpha": 0.5, "y": 1, "x": 1.0}, {"alpha": 0.5, "y": -1, "x": 2.0}]}
     doc.write_text({"eval-list": "[1, 2]",
+                    "eval-scalar-x": json.dumps(scalar_x),
                     "noise-bad-atom": '{"support": [[[0.0], 1, 7]], "prob": [1.0]}'}.get(case, "{}"))
     out = tmp_path / "out.json"
     if case.startswith("eval"):
@@ -593,6 +618,16 @@ def test_config_json_kernel_and_foreign_keys(toy_csv, tmp_path, capsys):
 def test_removed_flags_exit_2(argv, capsys):
     assert run_cli(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kernel", ['{"kind": "polynomial", "degree": "3"}',
+                                    '{"kind": "polynomial", "degree": 2.5}', "gaussian:1.0:norm",
+                                    '{"kind": "linear", "degree": 3, "bandwidth": -1}'])
+def test_kernel_parameters_that_break_or_do_nothing_exit_2(kernel, toy_csv, tmp_path, capsys):
+    out = tmp_path / "model.json"
+    assert run_cli(["train", "--data", str(toy_csv), "--kernel", kernel, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "argument --kernel" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "check"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from meanherd import data
+from meanherd.classifier import MeanClassifier
 from meanherd.data import (
     DiscreteDistribution,
     InstanceDistribution,
@@ -21,6 +22,7 @@ from meanherd.data import (
     synth_blobs,
 )
 from meanherd.errors import DataError, InputError, ParseError
+from meanherd.kernels import KernelSpec
 
 
 def dist(instances, labels, probabilities) -> DiscreteDistribution:
@@ -62,6 +64,46 @@ def test_distribution_validation():
         dist([[0.0]], [1], [np.nan])
     with pytest.raises(DataError):
         InstanceDistribution(instances=np.array([[0.0]]), probabilities=np.array([np.nan]))
+
+
+POINTS, LABELS, WEIGHTS = [[0.0, 1.0], [2.0, 3.0]], [1, -1], [0.5, 0.5]
+
+# name: (points, labels, weights, the exception every constructor raises)
+MALFORMED = {
+    "1-D points": ([0.0, 2.0], LABELS, WEIGHTS, InputError),
+    "zero rows": (np.zeros((0, 2)), [], [], InputError),
+    "label count": (POINTS, [1], WEIGHTS, InputError),
+    "weight count": (POINTS, LABELS, [1.0], InputError),
+    "nan point": ([[np.nan, 1.0], [2.0, 3.0]], LABELS, WEIGHTS, DataError),
+    "inf point": ([[0.0, 1.0], [np.inf, 3.0]], LABELS, WEIGHTS, DataError),
+    "nan weight": (POINTS, LABELS, [np.nan, 0.5], DataError),
+    "negative weight": (POINTS, LABELS, [1.5, -0.5], InputError),
+    "weights sum to 0.5": (POINTS, LABELS, [0.25, 0.25], InputError),
+}
+
+
+def build(kind, points, labels, weights):
+    """``kind`` made from one weighted support; a sample takes no weights."""
+    X, y, w = np.array(points, dtype=float), np.array(labels), np.array(weights, dtype=float)
+    if kind == "sample":
+        return LabeledSample(X, y)
+    if kind == "distribution":
+        return DiscreteDistribution(X, y, w)
+    if kind == "instances":
+        return InstanceDistribution(X, w)
+    return MeanClassifier(KernelSpec("linear"), w, y, X)
+
+
+@pytest.mark.parametrize("case, kind", [
+    (case, kind) for case in MALFORMED for kind in ("sample", "distribution", "instances", "classifier")
+    # a sample has no weights, an instance distribution no labels
+    if not (kind == "sample" and "weight" in case or kind == "instances" and "label" in case)
+])
+def test_one_validator_for_every_weighted_support(case, kind):
+    points, labels, weights, error = MALFORMED[case]
+    build(kind, POINTS, LABELS, WEIGHTS)  # the well-formed support is accepted
+    with pytest.raises(error):
+        build(kind, points, labels, weights)
 
 
 def test_mixtures_merge_the_duplicate_atoms_the_constructor_rejects():

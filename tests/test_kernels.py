@@ -228,6 +228,35 @@ def test_parse_shorthand():
     )
 
 
+@pytest.mark.parametrize("text", [
+    '{"kind": "polynomial", "degree": "3"}',
+    '{"kind": "polynomial", "degree": true}',
+    '{"kind": "polynomial", "degree": 2.5}',
+    '{"kind": "polynomial", "degree": 0}',
+    '{"kind": "polynomial", "degree": 1e400}',
+    '{"kind": "polynomial", "degree": 2, "offset": "1"}',
+    '{"kind": "polynomial", "degree": 2, "offset": NaN}',
+    '{"kind": "gaussian", "bandwidth": Infinity}',
+    '{"kind": "gaussian", "bandwidth": false}',
+    '{"kind": "gaussian", "bandwidth": 1.0, "normalized": true}',
+    "gaussian:1.0:norm",
+    '{"kind": "gaussian", "bandwidth": 1.0, "degree": 2}',
+    '{"kind": "linear", "degree": 3, "bandwidth": -1}',
+    '{"kind": "linear", "offset": 1.0}',
+    '{"kind": "linear", "normalized": "false"}',
+    '{"kind": "linear", "bandwith": 1.0}',
+])
+def test_parameters_that_break_or_do_nothing_rejected(text):
+    with pytest.raises(InputError):
+        KernelSpec.parse(text)
+
+
+@pytest.mark.parametrize("text", [*KERNELS, "gaussian:4", "poly:1", '{"kind": "polynomial", "degree": 3.0}'])
+def test_every_written_kernel_document_parses(text):
+    spec = KernelSpec.parse(text)
+    assert KernelSpec.parse(json.dumps(spec.to_dict())) == spec
+
+
 def test_parse_json_roundtrip():
     spec = KernelSpec("gaussian", bandwidth=0.5)
     assert KernelSpec.parse(json.dumps(spec.to_dict())) == spec

@@ -1,6 +1,7 @@
 """Property-based checks over randomized inputs."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from meanherd import data
 from meanherd import embedding as emb
+from meanherd.cli import main
 from meanherd.data import (
     DiscreteDistribution,
     LabeledSample,
@@ -183,3 +185,41 @@ def test_loaders_return_a_sample_or_raise_meanherd_errors(tmp_path_factory, rows
         assert outcome(lambda p: load_csv(p, label_column), path) == expected
     path.write_text("\n".join(" ".join(row) for row in rows) + "\n")
     outcome(load_sparse, path)
+
+
+# One JSON value of any type: an entry of a model document that may not be well formed.
+VALUES = st.one_of(
+    st.sampled_from((0.5, 1, -1, 0, 2.5, "3", float("nan"), float("inf"), 10**400)),
+    st.floats(-3.0, 3.0), st.integers(), st.booleans(), st.none(), st.text(max_size=3),
+    st.lists(st.floats(-3.0, 3.0), max_size=3), st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+VALID_KERNELS = ({"kind": "linear"}, {"kind": "gaussian", "bandwidth": 1.0},
+                 {"kind": "polynomial", "degree": 2, "offset": 1.0})
+
+
+@st.composite
+def model_documents(draw):
+    """A valid model document of one to three support points, with up to three
+    entries (of the kernel or of a support point) set to values of any type."""
+    n = draw(st.integers(1, 3))
+    kernel = dict(draw(st.sampled_from(VALID_KERNELS)))
+    support = [{"x": draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2)),
+                "alpha": 1.0 / n, "y": draw(st.sampled_from((1, -1)))} for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        entry = draw(st.sampled_from([kernel, *support]))
+        keys = ("x", "alpha", "y") if "alpha" in entry else (
+            "kind", "bandwidth", "degree", "offset", "normalized", "extra")
+        entry[draw(st.sampled_from(keys))] = draw(st.one_of(VALUES, st.lists(VALUES, max_size=3)))
+    return {"kernel": kernel, "support": support, "meta": {}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_documents())
+def test_model_documents_exit_0_2_or_3(tmp_path_factory, doc):
+    """``eval`` on any model document succeeds or fails with the usage or the
+    I/O code, never with another exception."""
+    model = tmp_path_factory.getbasetemp() / "model-fuzz.json"
+    data = tmp_path_factory.getbasetemp() / "model-fuzz.csv"
+    model.write_text(json.dumps(doc))
+    data.write_text("1.0,0.0,1\n-1.0,2.0,-1\n")
+    assert main(["eval", "--model", str(model), "--data", str(data)]) in (0, 2, 3)
