@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import embedding as emb
-from .data import DiscreteDistribution, LabeledSample, _support, as_labels
-from .errors import DataError, InputError
+from .data import DiscreteDistribution, LabeledSample, _json_labels, _support, as_labels
+from .errors import InputError
 from .kernels import KernelSpec, _checked, diagonal, kernel_sums
 
 
@@ -87,7 +87,7 @@ class MeanClassifier:
         return cls(
             kernel=KernelSpec.from_dict(d["kernel"]),
             alphas=np.array([s["alpha"] for s in support]),
-            labels=np.array([s["y"] for s in support]),
+            labels=_json_labels([s["y"] for s in support]),
             points=np.array([list(map(float, s["x"])) for s in support]),
         )
 
@@ -141,11 +141,7 @@ def select_kernel(data, kernels) -> KernelSelection:
 
 def mmd(X_pos, X_neg, kernel: KernelSpec) -> float:
     """Maximum mean discrepancy 0.5 ||mean embedding difference|| of two instance sets."""
-    X_pos, X_neg = _checked(X_pos, X_neg)
-    if X_pos.shape[0] == 0 or X_neg.shape[0] == 0:
-        raise InputError("both instance sets must be non-empty")
-    if not (np.isfinite(X_pos).all() and np.isfinite(X_neg).all()):
-        raise DataError("instance sets must be finite (found nan or inf)")
+    X_pos, X_neg = _checked(_support(X_pos)[0], _support(X_neg)[0])
     coef = np.concatenate([np.full(X_pos.shape[0], 1.0 / X_pos.shape[0]),
                            np.full(X_neg.shape[0], -1.0 / X_neg.shape[0])])
     return 0.5 * emb.norm(kernel, np.vstack([X_pos, X_neg]), coef)

@@ -31,6 +31,13 @@ def as_labels(values) -> np.ndarray:
     return raw.astype(int)
 
 
+def _json_labels(values: list) -> np.ndarray:
+    """``as_labels`` of a document's labels, checked before an array would read true as 1."""
+    if any(isinstance(v, bool) for v in values):
+        raise InputError("labels must be -1 or +1")
+    return as_labels(values)
+
+
 def _merge(keys: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group the equal rows of ``keys`` and sum the ``weights`` of each group.
 
@@ -57,9 +64,9 @@ def _support(instances, labels=None, weights=None) -> tuple[np.ndarray, np.ndarr
     w = None if weights is None else np.asarray(weights, dtype=float)
     m = X.shape[0] if X.ndim == 2 else 0
     if m < 1 or any(a is not None and a.shape != (m,) for a in (labels, w)):
-        other = labels if w is None else w
+        shapes = " and ".join(str(a.shape) for a in (X, labels if w is None else w) if a is not None)
         raise InputError(f"need m > 0 atoms: (m, d) instances, (m,) labels and (m,) "
-                         f"probabilities, got shapes {X.shape} and {other.shape}")
+                         f"probabilities, got shapes {shapes}")
     if not (np.isfinite(X).all() and (w is None or np.isfinite(w).all())):
         raise DataError("instances and probabilities must be finite (found nan or inf)")
     if w is not None and (w < 0).any():
@@ -150,7 +157,7 @@ class DiscreteDistribution(_Rows):
     def from_dict(cls, d: dict) -> "DiscreteDistribution":
         atoms = [(list(map(float, x)), y) for x, y in d["support"]]
         return cls(instances=np.array([x for x, _ in atoms]),
-                   labels=[y for _, y in atoms],
+                   labels=_json_labels([y for _, y in atoms]),
                    probabilities=np.asarray(d["prob"], dtype=float))
 
 

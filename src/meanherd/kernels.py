@@ -5,13 +5,18 @@ other module funnels through the evaluators here: ``kernel_sums`` for
 K(X, Z) @ coef, ``self_sums`` for K(X, X) @ coef over the upper triangle
 of the symmetric K (about n^2 / 2 entries), and ``kernel_rows`` for the
 single rows herding selects.  All three, and ``cross_gram``, evaluate one
-block evaluator, ``_block``, on points prepared once per call (scaled,
-with their norms or diagonals), so no row or block recomputes a per-point
-term.  ``_block`` finishes its gemm in place in row strips of at most
-``STRIP_ENTRIES`` entries, small enough to stay in cache, and a sum drops
-each block before it evaluates the next, so a sum holds one block of at
-most ``BLOCK_ENTRIES`` entries, a strip-sized temporary and the prepared
-points, never n x n.
+block evaluator, ``_block``, on points prepared once per call by
+``_prepare``, which does every per-point term so that no row or block
+recomputes one.  A linear or polynomial kernel, normalized or not, is an
+inner product of prepared rows: a polynomial row gains a column
+sqrt(offset); a normalized row gains a column that is 1 on a zero row
+only, so K(0, 0) = 1 and K(0, z) = 0, and is divided by its largest
+|entry|, so its squared norm neither overflows nor underflows, then by its
+norm.  ``_block`` finishes the gemm (a polynomial's power, a Gaussian's
+exp) in row strips of at most ``STRIP_ENTRIES`` entries, small enough to
+stay in cache, and a sum drops each block before it evaluates the next,
+so a sum holds one block of at most ``BLOCK_ENTRIES`` entries, a
+strip-sized temporary and the prepared points, never n x n.
 
 The theory modules assume bounded feature maps (|K(x,x')| <= 1); the
 gaussian kernel is bounded by construction, linear and polynomial kernels
@@ -154,12 +159,8 @@ def _as_matrix(X) -> np.ndarray:
 
 
 class _Points(NamedTuple):
-    """Points with their per-point kernel terms, computed once per call.
-
-    For gaussian, ``x`` holds the points scaled by 1/h and ``t`` half their
-    squared norms; for normalized kernels, ``t`` is the raw kernel's
-    diagonal K(x, x).
-    """
+    """For gaussian, the points scaled by 1/h (``x``) and half their squared
+    norms (``t``); for other kernels, the prepared rows and no ``t``."""
 
     x: np.ndarray
     t: np.ndarray | None
@@ -172,57 +173,50 @@ def _prepare(spec: KernelSpec, X: np.ndarray) -> _Points:
     if spec.kind == "gaussian":
         Xr = X / spec.bandwidth
         return _Points(Xr, 0.5 * np.sum(Xr * Xr, axis=1))
-    return _Points(X, _raw_diagonal(spec, X) if spec.normalized else None)
-
-
-def _raw_diagonal(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
-    """K(x, x) of a linear or polynomial kernel before normalization."""
-    sq = np.sum(X * X, axis=1)
-    return sq if spec.kind == "linear" else (sq + spec.offset) ** spec.degree
+    if spec.kind == "polynomial":
+        X = np.hstack([X, np.full((X.shape[0], 1), math.sqrt(spec.offset))])
+    if spec.normalized:
+        X = np.hstack([X, ~X.any(axis=1, keepdims=True)])  # 1 on a zero row only
+        X = X / np.max(np.abs(X), axis=1, keepdims=True)
+        X /= np.sqrt(np.sum(X * X, axis=1, keepdims=True))
+    return _Points(X, None)
 
 
 def _block(spec: KernelSpec, a: _Points, b: _Points) -> np.ndarray:
     """K(a, b) for prepared points: the one kernel block evaluator.
 
-    The gemm a.x @ b.x.T fills the block; every other pass runs in place,
-    one row strip of at most ``STRIP_ENTRIES`` entries (one row if a row is
-    longer) at a time, so no array of the block's size exists besides the
-    block itself.  Each entry goes through the same operations whatever the
-    strip, so the block does not depend on the strip size.
+    The gemm a.x @ b.x.T is a linear block.  Other kernels finish it in
+    place one row strip at a time (one row if a row is longer than a strip),
+    each entry by the same operations whatever the strip, so the block does
+    not depend on the strip size.
 
     Gaussian: exp(min(xr.zr - (|xr|^2/2 + |zr|^2/2), 0)) with xr = x/h.  The
     two norm terms are summed into one outer term before the subtraction,
     so K(X, X) is exactly symmetric; for a power-of-two h the scaling is
     exact and the block is bitwise exp(-max(|x|^2 + |z|^2 - 2 x.z, 0) /
-    (2 h^2)).
+    (2 h^2)).  Polynomial: the gemm to the integral degree by repeated
+    squaring, O(log degree) multiplies and no libm ``pow``.
     """
     K = a.x @ b.x.T
-    if spec.kind == "linear" and not spec.normalized:
+    if spec.kind == "linear":
         return K
     step = max(1, STRIP_ENTRIES // max(1, K.shape[1]))
     for lo in range(0, K.shape[0], step):
-        _finish(spec, K[lo:lo + step], None if a.t is None else a.t[lo:lo + step], b.t)
+        S = K[lo:lo + step]
+        if spec.kind == "gaussian":
+            S -= a.t[lo:lo + step, None] + b.t[None, :]
+            np.minimum(S, 0.0, out=S)
+            np.exp(S, out=S)
+            continue
+        # S^degree by squaring: S times base^(2^k) for each set bit k of degree - 1
+        base, p = S.copy(), int(spec.degree) - 1
+        while p:
+            if p & 1:
+                S *= base
+            p >>= 1
+            if p:
+                base *= base
     return K
-
-
-def _finish(spec: KernelSpec, S: np.ndarray, s, t) -> None:
-    """Turn the gemm strip S = x.z into K(x, z) in place; s and t are the
-    per-point terms of its rows and of its columns."""
-    if spec.kind == "gaussian":
-        S -= s[:, None] + t[None, :]
-        np.minimum(S, 0.0, out=S)
-        np.exp(S, out=S)
-        return
-    if spec.kind == "polynomial":
-        S += spec.offset
-        S **= spec.degree
-    if spec.normalized:
-        denom = np.sqrt(np.outer(s, t))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            S[...] = np.where(denom > 0, S / np.where(denom > 0, denom, 1.0), 0.0)
-        # A zero-norm point only matches itself: both diagonals zero means
-        # both points are the zero vector, so K is defined as 1 there.
-        S[np.outer(s == 0, t == 0)] = 1.0
 
 
 def _checked(X, Z) -> tuple[np.ndarray, np.ndarray]:
@@ -253,7 +247,10 @@ def eval_kernel(spec: KernelSpec, x, x2) -> float:
 def diagonal(spec: KernelSpec, X) -> np.ndarray:
     """K(x_i, x_i) for each point: 1 for a bounded kernel."""
     X = _as_matrix(X)
-    return np.ones(X.shape[0]) if spec.bounded else _raw_diagonal(spec, X)
+    if spec.bounded:
+        return np.ones(X.shape[0])
+    sq = np.sum(X * X, axis=1)
+    return sq if spec.kind == "linear" else (sq + spec.offset) ** spec.degree
 
 
 def kernel_sums(spec: KernelSpec, X, Z, coef) -> np.ndarray:

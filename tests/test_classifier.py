@@ -160,6 +160,8 @@ def test_mmd_matches_embedding_difference():
 @pytest.mark.parametrize("X_pos, X_neg, error", [
     (np.zeros((2, 2)), np.zeros((2, 3)), InputError),       # different dimensions
     (np.zeros((2, 2, 1)), np.zeros((2, 2, 1)), InputError),  # not (n, d)
+    (np.array([0.0, 1.0]), np.zeros((2, 2)), InputError),    # 1-D, as LabeledSample rejects it
+    (np.zeros((0, 2)), np.zeros((2, 2)), InputError),        # empty
     (np.array([[0.0, np.nan]]), np.zeros((2, 2)), DataError),
 ])
 def test_mmd_rejects_bad_instance_sets(X_pos, X_neg, error):

@@ -294,16 +294,17 @@ def test_eval_dimension_mismatch_exit_2(toy_csv, tmp_path):
     assert main(["eval", "--model", str(model), "--data", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("label", [1.7, True])
 @pytest.mark.parametrize("command", ["eval", "noise"])
-def test_fractional_label_exit_2(command, toy_csv, tmp_path, capsys):
-    # "y": 1.7 is no +1 label, in a model or in a distribution
+def test_label_not_plus_or_minus_one_exit_2(command, label, toy_csv, tmp_path, capsys):
+    # neither "y": 1.7 nor "y": true is a +1 label, in a model or in a distribution
     model = tmp_path / "model.json"
     assert main(["train", "--data", str(toy_csv), "--out", str(model)]) == 0
     doc = read_json(model)
-    doc["support"][0]["y"] = 1.7
+    doc["support"][0]["y"] = label
     model.write_text(json.dumps(doc))
     dist = tmp_path / "dist.json"
-    dist.write_text('{"support": [[[0.0], 1.7], [[1.0], -1]], "prob": [0.5, 0.5]}')
+    dist.write_text(json.dumps({"support": [[[0.0], label], [[1.0], -1]], "prob": [0.5, 0.5]}))
     out = tmp_path / "out.json"
     argv = {"eval": ["eval", "--model", str(model), "--data", str(toy_csv)],
             "noise": ["noise", "--dist", str(dist), "--sigma", "0.1"]}[command]

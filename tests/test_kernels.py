@@ -104,36 +104,64 @@ def support(n: int, seed: int = 12) -> np.ndarray:
     return X
 
 
-def single_pass_block(spec, a, b):
-    """``kernels._block`` with each elementwise pass over the whole block at once."""
-    K = a.x @ b.x.T
+def dense_kernel(spec, X, Z):
+    """K(X, Z) from the kernel's formula on whole matrices, without prepared points:
+    (X Z^T + c)^p / sqrt(K(x, x) K(z, z)) for polynomial kernels, where a zero
+    K(x, x) only matches itself (K(0, 0) = 1, K(0, z) = 0)."""
     if spec.kind == "gaussian":
-        K -= a.t[:, None] + b.t[None, :]
-        np.minimum(K, 0.0, out=K)
-        return np.exp(K, out=K)
-    if spec.kind == "polynomial":
-        K += spec.offset
-        K **= spec.degree
+        sq = np.sum((X[:, None, :] - Z[None, :, :]) ** 2, axis=2)
+        return np.exp(-sq / (2.0 * spec.bandwidth**2))
+
+    def raw(A, B):
+        G = A @ B.T
+        return G if spec.kind == "linear" else (G + spec.offset) ** spec.degree
+
+    K = raw(X, Z)
     if spec.normalized:
-        denom = np.sqrt(np.outer(a.t, b.t))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            K = np.where(denom > 0, K / np.where(denom > 0, denom, 1.0), 0.0)
-        K[np.outer(a.t == 0, b.t == 0)] = 1.0
+        kx, kz = np.diag(raw(X, X)), np.diag(raw(Z, Z))
+        denom = np.sqrt(np.outer(kx, kz))
+        K = np.divide(K, denom, out=np.zeros_like(K), where=denom > 0)
+        K[np.outer(kx == 0, kz == 0)] = 1.0
     return K
 
 
 @pytest.mark.parametrize("text", KERNELS)
+def test_block_matches_the_dense_formula(text):
+    spec = KernelSpec.parse(text)
+    X, Z = support(30, seed=15), support(20, seed=16)
+    expected = dense_kernel(spec, X, Z)
+    scale = max(1.0, float(np.max(np.abs(expected))))  # 1 for the bounded kernels
+    assert np.allclose(cross_gram(spec, X, Z), expected, rtol=0, atol=1e-14 * scale)
+
+
+@pytest.mark.parametrize("text", ["linear:norm", "poly:2:1.0:norm"])
+def test_normalized_rows_whose_squared_norm_overflows_or_underflows(text):
+    # |x|^2 of [1e160, 1] overflows and |z|^2 of [1e-320, 0] underflows, yet
+    # x is e1 to double precision and z is e1 exactly; [3, 4] is at cosine
+    # 3/5 from both.  With the offset 1 the rows are [1e160, 1, 1] (e1),
+    # [1e-320, 0, 1] (e3) and [3, 4, 1] / sqrt(26).
+    X = np.array([[1e160, 1.0], [1e-320, 0.0], [3.0, 4.0]])
+    cosine = (np.array([[1, 1, 0.6], [1, 1, 0.6], [0.6, 0.6, 1]]) if text == "linear:norm"
+              else np.array([[1, 0, 3 / 26**0.5], [0, 1, 1 / 26**0.5], [3 / 26**0.5, 1 / 26**0.5, 1]]))
+    spec = KernelSpec.parse(text)
+    expected = cosine ** (spec.degree or 1)
+    assert np.allclose(cross_gram(spec, X, X), expected, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("text", KERNELS)
 @pytest.mark.parametrize("rows, cols", [(1, 4), (3, 4), (4, 4), (5, 4), (11, 4), (3, 40)])
-def test_block_strips_match_the_single_pass_formula_bitwise(monkeypatch, text, rows, cols):
+def test_block_strips_match_one_strip_bitwise(monkeypatch, text, rows, cols):
     # 16 entries per strip over 4 columns are strips of 4 rows: one row,
     # fewer rows than one strip, exactly one strip, one strip + 1 and a
     # partial last strip (4 + 4 + 3); a 40-entry row is longer than a
     # strip, so each strip is one row
-    monkeypatch.setattr(kernels, "STRIP_ENTRIES", 16)
     spec = KernelSpec.parse(text)
     X, Z = support(rows, seed=15), support(cols, seed=16)
     a, b = kernels._prepare(spec, X), kernels._prepare(spec, Z)
-    assert np.array_equal(kernels._block(spec, a, b), single_pass_block(spec, a, b))
+    monkeypatch.setattr(kernels, "STRIP_ENTRIES", rows * cols)
+    whole = kernels._block(spec, a, b)
+    monkeypatch.setattr(kernels, "STRIP_ENTRIES", 16)
+    assert np.array_equal(kernels._block(spec, a, b), whole)
 
 
 @pytest.mark.parametrize("text", KERNELS)
@@ -154,7 +182,7 @@ def test_self_sums_match_dense_product_across_blocks(monkeypatch, text, n):
     scale = max(1.0, float(np.max(np.abs(K) @ np.abs(coef))))
     sums = self_sums(spec, X, coef)
     assert np.allclose(sums, K @ coef, rtol=0, atol=1e-13 * scale)
-    monkeypatch.setattr(kernels, "_block", single_pass_block)
+    monkeypatch.setattr(kernels, "STRIP_ENTRIES", n * n)  # every block one strip
     assert np.array_equal(sums, self_sums(spec, X, coef))
 
 
