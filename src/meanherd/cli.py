@@ -134,6 +134,13 @@ def _kernel(text: str) -> KernelSpec:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _seed(text: str) -> int:
+    """The ``--seed`` type: numpy's generators take integers >= 0 only."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _read_doc(path, from_dict):
     """``from_dict`` of the JSON document in ``path``; a wrong shape is a ParseError."""
     doc = _read_json(path)
@@ -407,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("check", cmd_check, "run a theorem-check suite", kernel="gaussian:1.0")
     p.add_argument("--suite", choices=(*ALL_SUITES, "all"), help="suite to run, or all")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="RNG seed, an integer >= 0 (default: 0)")
 
     p = command("bounds", cmd_bounds, "evaluate a generalization bound")
     p.add_argument("--kind", choices=_BOUND_KINDS)

@@ -76,6 +76,13 @@ def _support(instances, labels=None, weights=None) -> tuple[np.ndarray, np.ndarr
     return X, w
 
 
+def _eta(keys: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """At every row, the share of its key's weight that carries label +1."""
+    _, group, mass = _merge(keys, weights)
+    pos = np.bincount(group, weights=np.where(labels == 1, weights, 0.0), minlength=mass.size)
+    return np.divide(pos, mass, out=np.zeros_like(mass), where=mass > 0)[group]
+
+
 def _distinct(keys: np.ndarray):
     """A finite distribution's atoms (rows of ``keys``) must be pairwise distinct."""
     if len(set(map(tuple, keys.tolist()))) != keys.shape[0]:
@@ -142,10 +149,7 @@ class DiscreteDistribution(_Rows):
 
     def eta(self) -> np.ndarray:
         """P(Y = +1 | X = x_i) at every atom i: the posterior of its instance."""
-        _, group, mass = _merge(self.instances, self.probabilities)
-        pos = np.bincount(group, weights=np.where(self.labels == 1, self.probabilities, 0.0),
-                          minlength=mass.size)
-        return np.divide(pos, mass, out=np.zeros_like(mass), where=mass > 0)[group]
+        return _eta(self.instances, self.labels, self.probabilities)
 
     def to_dict(self) -> dict:
         return {

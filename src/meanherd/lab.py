@@ -4,9 +4,10 @@ Every check here runs at the population level on exact finite-support
 distributions, so the identities are verified to 1e-10..1e-12 rather
 than statistically.  A function on a finite support is its score array,
 and a class of them is a score table, so one ``losses.risk`` call scores
-the whole class.  ``brute_force_min``, the argmin of that call, is the
-ground-truth minimizer oracle over finite score-table classes; anything
-cleverer added later must match it exactly.
+the whole class; the surrogate-regret audit scores its many small random
+distributions as one table of atoms tagged by trial.  ``brute_force_min``,
+the argmin of a class's risks, is the ground-truth minimizer oracle over
+finite score-table classes; anything cleverer added later must match it.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ from .data import (
     contaminate,
     long_servedio,
     mutually_contaminate,
-    sorted_instances,
     synth_blobs,
+    _distinct,
+    _eta,
 )
-from .errors import InputError
+from .errors import DataError, InputError
 from .herding import HerdingConfig, recursive_herd
 from .kernels import KernelSpec
 from .losses import (
@@ -149,13 +151,18 @@ class ExperimentReport:
 # Random instances for audits (documented so runs are reproducible)
 
 
-def random_distribution(rng, max_support=6) -> DiscreteDistribution:
-    """Support of 2..max_support points in the plane, Dirichlet(1) weights."""
+def _draw_atoms(rng, max_support):
+    """2..max_support standard normal points in the plane, random labels, Dirichlet(1) weights."""
     m = int(rng.integers(2, max_support + 1))
     X = rng.normal(size=(m, 2))
     y = rng.choice((-1, 1), size=m)
     p = rng.dirichlet(np.ones(m))
-    return DiscreteDistribution(instances=X, labels=y, probabilities=p)
+    return X, y, p
+
+
+def random_distribution(rng, max_support=6) -> DiscreteDistribution:
+    """Support of 2..max_support points in the plane, Dirichlet(1) weights."""
+    return DiscreteDistribution(*_draw_atoms(rng, max_support))
 
 
 def random_function_class(rng, instances, k) -> FiniteFunctionClass:
@@ -178,43 +185,59 @@ def brute_force_min(loss: Loss, P: DiscreteDistribution, fclass: FiniteFunctionC
     return best, float(risks[best])
 
 
-def _bayes_scores(P: DiscreteDistribution) -> np.ndarray:
-    """The Bayes classifier at P's atoms: -1 where 1 - 2 eta >= 0, else +1."""
-    return np.where(1.0 - 2.0 * P.eta() >= 0.0, -1.0, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Theorem checks
 
 
-def _regret_gap(P: DiscreteDistribution, v: np.ndarray) -> float:
-    """mis regret minus linear regret for scores v at P's atoms; must be <= 0 when |v| <= 1."""
-    bayes = _bayes_scores(P)
-    mis_regret = risk(zero_one_loss, P, v) - risk(zero_one_loss, P, bayes)
-    lin_regret = risk(linear_loss, P, v) - risk(linear_loss, P, bayes)
-    return mis_regret - lin_regret
+def _regret_gaps(trial, X, y, p, v) -> np.ndarray:
+    """Misclassification minus linear regret of each trial, <= 0 when |v| <= 1.
+
+    Row i is atom (X[i], y[i]) of trial ``trial[i]``, with probability p[i]
+    and score v[i]; the rows come trial by trial, in increasing trial order.
+    """
+    if not (np.isfinite(X).all() and np.isfinite(p).all()):
+        raise DataError("instances and probabilities must be finite (found nan or inf)")
+    if (p < 0).any() or (np.abs(np.bincount(trial, weights=p) - 1.0) > 1e-12).any():
+        raise InputError("each trial's probabilities must be non-negative and sum to 1")
+    _distinct(np.column_stack([trial, X, y]))
+    bayes = np.where(1.0 - 2.0 * _eta(np.column_stack([trial, X]), y, p) >= 0.0, -1.0, 1.0)
+    table = np.stack([loss(y, s) for loss in (zero_one_loss, linear_loss) for s in (v, bayes)])
+    size = np.bincount(trial)
+    risks = np.empty((4, size.size))
+    for m in np.unique(size):  # per trial, the dot that ``losses.risk`` takes, bit for bit
+        rows = size[trial] == m
+        dots = table[:, rows].reshape(4, -1, 1, m) @ p[rows].reshape(-1, m, 1)
+        risks[:, size == m] = dots[..., 0, 0]
+    mis_v, mis_bayes, lin_v, lin_bayes = risks
+    return (mis_v - mis_bayes) - (lin_v - lin_bayes)
 
 
 def check_surrogate_regret(trials: int = 1000, seed: int = 0) -> ExperimentReport:
     """Misclassification regret never exceeds linear-loss regret.
 
-    Each seeded trial draws a distribution Q with 2 to
-    ``_REGRET_MAX_SUPPORT`` atoms (``random_distribution``) and one
-    function on its instances with scores uniform in [-1, 1]
-    (``random_function_class``), and compares both regrets against the
-    minimizer computed from the exact per-instance posterior.
+    Each seeded trial draws 2 to ``_REGRET_MAX_SUPPORT`` atoms, then one
+    function's scores, uniform in [-1, 1] at its distinct instances in
+    lexicographic order; ``_regret_gaps`` scores all trials as one table.
     """
+    if trials < 1:
+        raise InputError(f"trials must be >= 1, got {trials}")
     report = ExperimentReport(
         name="surrogate-regret",
         inputs={"trials": trials, "seed": seed, "max_support": _REGRET_MAX_SUPPORT},
     )
     rng = np.random.default_rng(seed)
-    worst = -np.inf
+    draws = []
     for _ in range(trials):
-        Q = random_distribution(rng, max_support=_REGRET_MAX_SUPPORT)
-        v = random_function_class(rng, sorted_instances(Q), k=1).table(Q.instances)[0]
-        worst = max(worst, _regret_gap(Q, v))
-    report.check_le("max(mis_regret - lin_regret)", worst, 0.0, tolerance=1e-12)
+        X, y, p = _draw_atoms(rng, _REGRET_MAX_SUPPORT)
+        distinct = len(set(map(tuple, X.tolist())))
+        draws.append((X, y, p, rng.uniform(-1.0, 1.0, size=(1, distinct))[0]))
+    X, y, p, scores = (np.concatenate(a) for a in zip(*draws))
+    trial = np.repeat(np.arange(trials), [len(d[1]) for d in draws])
+    # the sorted distinct (trial, instance) rows come in the order their scores were drawn
+    # (ravel: numpy 2.0.0 returns this inverse as a column)
+    _, column = np.unique(np.column_stack([trial, X]), axis=0, return_inverse=True)
+    gaps = _regret_gaps(trial, X, y, p, scores[column.ravel()])
+    report.check_le("max(mis_regret - lin_regret)", float(np.max(gaps)), 0.0, tolerance=1e-12)
     return report
 
 

@@ -362,6 +362,22 @@ def test_check_unknown_suite_in_config_exit_2(tmp_path, capsys):
     assert str(cfg) in err and "'suite'" in err
 
 
+@pytest.mark.parametrize("value", [-1, 1.5, "abc"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_check_bad_seed_exit_2(source, value, tmp_path, capsys):
+    # numpy's generators take integers >= 0 only; -1 used to end in a ValueError traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": value}))
+    out = tmp_path / "report.json"
+    argv = {"flag": ["check", f"--seed={value}"], "config": ["--config", str(cfg), "check"]}[source]
+    assert run_cli([*argv, "--suite", "order-reversal", "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "integer >= 0" in err
+    if source == "config":
+        assert str(cfg) in err and "'seed'" in err
+
+
 def test_check_long_servedio_suite(tmp_path):
     out = tmp_path / "report.json"
     code = main(["check", "--suite", "long-servedio", "--out", str(out)])

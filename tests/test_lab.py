@@ -9,7 +9,7 @@ from meanherd.data import (
     flip_symmetric,
     sorted_instances,
 )
-from meanherd.errors import InputError
+from meanherd.errors import DataError, InputError
 from meanherd.kernels import KernelSpec
 from meanherd.losses import hinge_loss, linear_loss, risk, zero_one_loss
 
@@ -112,6 +112,102 @@ def test_brute_force_respects_theorem_floor():
 def test_surrogate_regret_random_audit():
     report = lab.check_surrogate_regret(trials=300, seed=1)
     assert report.passed
+
+
+# The surrogate-regret audit one trial at a time, the reference for the stacked table:
+# a distribution, its sorted instances, a one-member class's table and four risk calls.
+
+
+def per_trial_regret_gap(P: DiscreteDistribution, v: np.ndarray) -> float:
+    bayes = np.where(1.0 - 2.0 * P.eta() >= 0.0, -1.0, 1.0)
+    mis_regret = risk(zero_one_loss, P, v) - risk(zero_one_loss, P, bayes)
+    lin_regret = risk(linear_loss, P, v) - risk(linear_loss, P, bayes)
+    return mis_regret - lin_regret
+
+
+def per_trial_draws(trials: int, seed: int):
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        Q = lab.random_distribution(rng, max_support=lab._REGRET_MAX_SUPPORT)
+        yield Q, lab.random_function_class(rng, sorted_instances(Q), k=1).table(Q.instances)[0]
+
+
+def stacked(dists, scores):
+    """The rows ``_regret_gaps`` takes: every atom of every distribution, tagged by its index."""
+    trial = np.repeat(np.arange(len(dists)), [len(P) for P in dists])
+    X, y, p = (np.concatenate(a) for a in
+               zip(*((P.instances, P.labels, P.probabilities) for P in dists)))
+    return trial, X, y, p, np.concatenate(scores)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_surrogate_regret_table_equals_per_trial_oracle(seed):
+    worst = max(per_trial_regret_gap(Q, v) for Q, v in per_trial_draws(300, seed))
+    assert lab.check_surrogate_regret(trials=300, seed=seed).assertions[0].measured == worst
+
+
+@pytest.mark.parametrize("seed, measured", [(0, -0.02366931584461196), (1, -0.028897563791715486),
+                                            (2, -0.01285591440553362), (3, -0.01664962880653631)])
+def test_surrogate_regret_pinned(seed, measured):
+    report = lab.check_surrogate_regret(trials=1000, seed=seed)
+    assert report.passed
+    assert report.assertions[0].measured == measured
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_random_distribution_draws_as_before(seed):
+    # the inline draw random_distribution made before _draw_atoms: every other suite's stream
+    def inline(rng, max_support=6):
+        m = int(rng.integers(2, max_support + 1))
+        return rng.normal(size=(m, 2)), rng.choice((-1, 1), size=m), rng.dirichlet(np.ones(m))
+
+    old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+    for max_support in (6, 6, lab._REGRET_MAX_SUPPORT, 6):
+        X, y, p = inline(old, max_support)
+        P = lab.random_distribution(new, max_support)
+        assert np.array_equal(P.instances, X) and np.array_equal(P.labels, y)
+        assert np.array_equal(P.probabilities, p)
+    assert old.integers(1 << 62) == new.integers(1 << 62)
+
+
+def test_regret_gaps_match_the_oracle_on_repeated_instances():
+    # one instance carrying both labels gives 0 < eta < 1; trial 1 repeats trial 0's atoms
+    P = DiscreteDistribution(np.array([[0.0], [0.0], [1.0]]), np.array([1, -1, 1]),
+                             np.array([0.5, 0.2, 0.3]))
+    Q = DiscreteDistribution(np.array([[0.0], [0.0]]), np.array([1, -1]), np.array([0.3, 0.7]))
+    dists, scores = [P, Q, P], [np.array([-0.4, -0.4, 0.9]), np.array([0.2, 0.2]), np.zeros(3)]
+    gaps = lab._regret_gaps(*stacked(dists, scores))
+    assert gaps.tolist() == [per_trial_regret_gap(D, v) for D, v in zip(dists, scores)]
+
+
+def test_regret_gaps_negative_control():
+    # v = 2 * Bayes lies outside |v| <= 1, where the bound fails: every gap is about +1
+    dists = [Q for Q, _ in per_trial_draws(200, 0)]
+    bayes = [np.where(1.0 - 2.0 * Q.eta() >= 0.0, -1.0, 1.0) for Q in dists]
+    gaps = lab._regret_gaps(*stacked(dists, [2.0 * b for b in bayes]))
+    assert np.allclose(gaps, 1.0, atol=1e-12)
+    assert np.max(gaps) > 1e-12  # the audit's check_le would fail on these scores
+
+
+def test_regret_gaps_checks_each_trial_as_a_distribution():
+    P = small_P()
+    args = stacked([P, P], [np.zeros(3), np.zeros(3)])
+    assert lab._regret_gaps(*args).shape == (2,)  # equal atoms in two trials are fine
+    trial, X, y, p, v = args
+    with pytest.raises(InputError, match="distinct"):
+        lab._regret_gaps(np.zeros(6, dtype=int), X, y, p / 2, v)
+    with pytest.raises(InputError, match="sum to 1"):
+        lab._regret_gaps(trial, X, y, p * 0.9, v)
+    with pytest.raises(InputError, match="non-negative"):
+        lab._regret_gaps(trial, X, y, np.tile([1.2, -0.4, 0.2], 2), v)
+    with pytest.raises(DataError):
+        lab._regret_gaps(trial, np.where(X == 1.0, np.nan, X), y, p, v)
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_surrogate_regret_needs_a_trial(trials):
+    with pytest.raises(InputError, match="trials"):
+        lab.check_surrogate_regret(trials=trials)
 
 
 def test_sln_immunity_report():
