@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import embedding as emb
-from .data import DiscreteDistribution, LabeledSample, _json_labels, _support, as_labels
+from .data import DiscreteDistribution, LabeledSample, _json_floats, _json_labels, _support, as_labels
 from .errors import InputError
 from .kernels import KernelSpec, _checked, diagonal, kernel_sums
 
@@ -70,10 +70,8 @@ class MeanClassifier:
         unit = float(np.max(diagonal(self.kernel, self.points))) <= 1.0
         return {
             "kernel": self.kernel.to_dict(),
-            "support": [
-                {"alpha": float(a), "y": int(y), "x": [float(v) for v in x]}
-                for a, y, x in zip(self.alphas, self.labels, self.points)
-            ],
+            "support": [{"alpha": a, "y": y, "x": x} for a, y, x in
+                        zip(self.alphas.tolist(), self.labels.tolist(), self.points.tolist())],
             "meta": {
                 "n_source": int(n_source if n_source is not None else self.n_support),
                 "norm": geo,
@@ -86,9 +84,9 @@ class MeanClassifier:
         support = d["support"]
         return cls(
             kernel=KernelSpec.from_dict(d["kernel"]),
-            alphas=np.array([s["alpha"] for s in support]),
+            alphas=_json_floats([s["alpha"] for s in support]),
             labels=_json_labels([s["y"] for s in support]),
-            points=np.array([list(map(float, s["x"])) for s in support]),
+            points=_json_floats([s["x"] for s in support], rows=True),
         )
 
 

@@ -18,8 +18,9 @@ Exit codes: 0 success, 1 assertion failure (or herding stopped by the
 iteration cap), 2 usage error (a bad flag or config value), 3 I/O or parse
 error.  Non-finite data (nan or inf in a sample, a probability or a
 model), a file that is not UTF-8 and a JSON input with missing keys or
-wrong types exit 3, and no output ever holds a non-finite number, so
-every emitted file is strict JSON.
+wrong types exit 3, and no output ever holds a non-finite number, so every
+emitted file is strict JSON: one line ending in a newline, keys sorted,
+with the separators ``", "`` and ``": "``.
 
 ``train`` and ``herd`` write one model format, ``MeanClassifier.to_dict``:
 kernel, weighted support points and meta.  ``meta.min_linear_loss`` is
@@ -154,7 +155,7 @@ def _read_doc(path, from_dict):
 
 def _write_json(path, obj):
     try:
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        text = json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise DataError(f"non-finite value in output: {exc}") from None
     if path is None or path == "-":

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -36,6 +38,13 @@ def _json_labels(values: list) -> np.ndarray:
     if any(isinstance(v, bool) for v in values):
         raise InputError("labels must be -1 or +1")
     return as_labels(values)
+
+
+def _json_floats(values: list, rows: bool = False) -> np.ndarray:
+    """A document's numbers (or with ``rows`` lists of them) as floats; others are a TypeError."""
+    if not set(map(type, chain.from_iterable(values) if rows else values)) <= {int, float}:
+        raise TypeError("expected JSON numbers, got a string, a boolean or another value")
+    return np.array(values, dtype=float)
 
 
 def _merge(keys: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -159,10 +168,10 @@ class DiscreteDistribution(_Rows):
 
     @classmethod
     def from_dict(cls, d: dict) -> "DiscreteDistribution":
-        atoms = [(list(map(float, x)), y) for x, y in d["support"]]
-        return cls(instances=np.array([x for x, _ in atoms]),
+        atoms = [(x, y) for x, y in d["support"]]
+        return cls(instances=_json_floats([x for x, _ in atoms], rows=True),
                    labels=_json_labels([y for _, y in atoms]),
-                   probabilities=np.asarray(d["prob"], dtype=float))
+                   probabilities=_json_floats(d["prob"]))
 
 
 @dataclass(frozen=True)
@@ -338,9 +347,9 @@ def long_servedio(gamma: float) -> DiscreteDistribution:
 # File loaders
 
 
-# Data rows per ``np.array`` conversion in ``load_csv``: only one chunk's
-# string tokens are alive at a time (about 1.7 KiB a row for 21 columns of
-# 17-digit numbers), not the whole file's.
+# Data rows per conversion in ``load_csv`` and ``load_sparse``: only one
+# chunk's string tokens are alive at a time (about 1.7 KiB a row for 21
+# columns of 17-digit numbers), not the whole file's.
 CSV_CHUNK_ROWS = 2**12
 
 
@@ -370,6 +379,36 @@ def _remap_labels(raw: list[float], path) -> np.ndarray:
     raise InputError(f"unknown label value(s) {bad} in {path}")
 
 
+def _chunks(rows, convert, path) -> list:
+    """``convert`` of each ``CSV_CHUNK_ROWS`` consecutive data ``rows`` of ``path``, in order."""
+    out, chunk = [], []
+    try:
+        for row in rows:
+            chunk.append(row)
+            if len(chunk) == CSV_CHUNK_ROWS:
+                full, chunk = chunk, []
+                out.append(convert(full))
+    finally:  # also when reading fails on bytes that are not UTF-8: a bad row before them wins
+        if chunk:
+            out.append(convert(chunk))
+    if not out:
+        raise ParseError("no data rows", path=path)
+    return out
+
+
+def _csv_rows(path):
+    """The (line number, tokens) of a CSV file's data rows; blank lines and a header skipped."""
+    for line_no, row in enumerate(csv.reader(_lines(path, newline="")), start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if line_no == 1:
+            try:
+                [float(tok) for tok in row]
+            except ValueError:
+                continue  # header row
+        yield line_no, row
+
+
 def load_csv(path, label_column: int) -> LabeledSample:
     """Comma-separated numeric rows; header auto-detected by a non-numeric first row.
 
@@ -380,24 +419,8 @@ def load_csv(path, label_column: int) -> LabeledSample:
     bad line in file order is the one reported, as is a width mismatch
     only when no line is bad.
     """
-    tables = []  # converted rows, in file order
-    chunk = []   # (line number, tokens) of the data rows not yet converted
-    for line_no, row in enumerate(csv.reader(_lines(path, newline="")), start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if line_no == 1:
-            try:
-                [float(tok) for tok in row]
-            except ValueError:
-                continue  # header row
-        chunk.append((line_no, row))
-        if len(chunk) == CSV_CHUNK_ROWS:
-            tables += _tables(chunk, label_column, path)
-            chunk = []
-    if chunk:
-        tables += _tables(chunk, label_column, path)
-    if not tables:
-        raise ParseError("no data rows", path=path)
+    chunks = _chunks(_csv_rows(path), lambda chunk: _tables(chunk, label_column, path), path)
+    tables = [table for chunk in chunks for table in chunk]
     widths = {t.shape[1] for t in tables}
     if len(widths) != 1:
         # reported as the widths of the feature columns
@@ -435,44 +458,62 @@ def _tables(chunk, label_column: int, path) -> list[np.ndarray]:
 
 
 def load_sparse(path) -> LabeledSample:
-    """Sparse text rows ``<label> <idx>:<val> ...`` with 1-based indices."""
-    parsed = []
-    raw_labels = []
-    max_index = 0
-    for line_no, line in enumerate(_lines(path), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    """Sparse text rows ``<label> <idx>:<val> ...``, 1-based indices increasing in each row.
+
+    Blank and ``#`` lines are skipped.  Rows convert in chunks of ``CSV_CHUNK_ROWS``
+    (``_sparse_chunk``); a chunk that fails is read row by row (``_sparse_rows``).
+    """
+    chunks = _chunks(((n, line) for n, line in enumerate(map(str.strip, _lines(path)), start=1)
+                      if line and not line.startswith("#")), lambda c: _sparse_chunk(c, path), path)
+    labels, idx, vals, counts = zip(*chunks)
+    X = np.zeros((sum(map(len, labels)), max(1, *(i.max(initial=0) for i in idx))))
+    for k, (i, v, c) in enumerate(zip(idx, vals, counts)):  # all but the last chunk are full
+        X[k * CSV_CHUNK_ROWS + np.repeat(np.arange(c.size), c), i - 1] = v
+    return LabeledSample(X, _remap_labels(list(chain.from_iterable(labels)), path))
+
+
+def _sparse_chunk(chunk, path):
+    """The labels, feature indices, values and feature counts of the rows of ``chunk``.
+
+    ``int()`` and ``float()`` reject what ``str.partition`` leaves of a token without one
+    colon, so a converted row's colons count its features; only the tokens' parts are held.
+    """
+    counts = np.array([line.count(":") for _, line in chunk], dtype=np.intp)
+    parts = list(map(str.partition, chain.from_iterable(line.split()[1:] for _, line in chunk),
+                     repeat(":")))
+    try:
+        labels = [float(line.split(None, 1)[0]) for _, line in chunk]
+        idx = np.fromiter(map(int, map(itemgetter(0), parts)), dtype=np.intp, count=len(parts))
+        vals = np.fromiter(map(float, map(itemgetter(2), parts)), dtype=float, count=len(parts))
+    except (ValueError, OverflowError):  # a non-number, or an index beyond int64
+        return _sparse_rows(chunk, path)
+    prev = np.insert(idx[:-1], 0, 0)
+    prev[(np.cumsum(counts) - counts)[counts > 0]] = 0  # a row's first index follows 0
+    return (labels, idx, vals, counts) if (idx > prev).all() else _sparse_rows(chunk, path)
+
+
+def _sparse_rows(chunk, path):
+    """``_sparse_chunk`` as a loop over tokens that checks each as it reads it."""
+    labels, idx, vals, counts = [], [], [], []
+    for line_no, line in chunk:
         tokens = line.split()
-        raw_labels.append(_parse_float(tokens[0], path, line_no))
-        entries = []
+        labels.append(_parse_float(tokens[0], path, line_no))
+        counts.append(len(tokens) - 1)
         prev = 0
         for tok in tokens[1:]:
             if ":" not in tok:
                 raise ParseError(f"expected idx:val, got {tok!r}", path=path, line=line_no)
             idx_s, val_s = tok.split(":", 1)
             try:
-                idx = int(idx_s)
+                i = int(idx_s)
             except ValueError:
                 raise ParseError(f"bad feature index {idx_s!r}", path=path, line=line_no) from None
-            if idx < 1:
-                raise ParseError(f"feature index {idx} out of range: indices start at 1",
+            if i < 1:
+                raise ParseError(f"feature index {i} out of range: indices start at 1",
                                  path=path, line=line_no)
-            if idx <= prev:
-                raise ParseError(
-                    f"feature indices must be strictly increasing, got {idx} after {prev}",
-                    path=path, line=line_no,
-                )
-            val = _parse_float(val_s, path, line_no)
-            entries.append((idx, val))
-            prev = idx
-            max_index = max(max_index, idx)
-        parsed.append(entries)
-    if not parsed:
-        raise ParseError("no data rows", path=path)
-    d = max(max_index, 1)
-    X = np.zeros((len(parsed), d))
-    for i, entries in enumerate(parsed):
-        for idx, val in entries:
-            X[i, idx - 1] = val
-    return LabeledSample(X, _remap_labels(raw_labels, path))
+            if i <= prev:
+                raise ParseError(f"feature indices must be strictly increasing, got {i} after {prev}",
+                                 path=path, line=line_no)
+            vals.append(_parse_float(val_s, path, line_no))
+            idx.append(prev := i)
+    return labels, np.array(idx, dtype=np.intp), np.array(vals), np.array(counts, dtype=np.intp)

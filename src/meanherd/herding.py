@@ -120,10 +120,8 @@ class Herd:
         ``MeanClassifier.from_dict`` reads it like a ``train`` document.
         """
         doc = self.classifier._document(n_source, self.squared_norm)
-        doc["members"] = [
-            {"alpha": float(a), "index": int(i)}
-            for a, i in zip(self.classifier.alphas, self.indices)
-        ]
+        doc["members"] = [{"alpha": a, "index": i} for a, i in
+                          zip(self.classifier.alphas.tolist(), self.indices.tolist())]
         doc["error"] = float(self.error)
         doc["recomputed_error"] = float(self.recomputed_error)
         doc["trace"] = list(self.trace)

@@ -182,6 +182,7 @@ def _prepare(spec: KernelSpec, X: np.ndarray) -> _Points:
     return _Points(X, None)
 
 
+@np.errstate(over="ignore")  # an entry beyond the float range is inf, which callers reject
 def _block(spec: KernelSpec, a: _Points, b: _Points) -> np.ndarray:
     """K(a, b) for prepared points: the one kernel block evaluator.
 
@@ -244,6 +245,7 @@ def eval_kernel(spec: KernelSpec, x, x2) -> float:
     return float(cross_gram(spec, x[np.newaxis], x2[np.newaxis])[0, 0])
 
 
+@np.errstate(over="ignore")  # as in _block
 def diagonal(spec: KernelSpec, X) -> np.ndarray:
     """K(x_i, x_i) for each point: 1 for a bounded kernel."""
     X = _as_matrix(X)

@@ -95,6 +95,18 @@ def test_json_roundtrip_deterministic():
     assert back.scores(x)[0] == pytest.approx(clf.scores(x)[0], abs=1e-15)
 
 
+def test_document_holds_the_python_values_of_the_arrays():
+    # the values float() and int() make, bit for bit: the sign of -0.0, the least subnormal, max
+    points = np.array([[-0.0, 5e-324], [1.7976931348623157e308, -2.5]])
+    clf = MeanClassifier(KernelSpec("gaussian", bandwidth=1.0), np.array([0.25, 0.75]),
+                         np.array([1, -1]), points)
+    doc = clf._document(n_source=2, squared_norm=0.25)
+    expected = [{"alpha": float(a), "y": int(y), "x": [float(v) for v in x]}
+                for a, y, x in zip(clf.alphas, clf.labels, clf.points)]
+    typed = [[(type(v), repr(v)) for v in (s["alpha"], s["y"], *s["x"])] for s in doc["support"]]
+    assert typed == [[(type(v), repr(v)) for v in (s["alpha"], s["y"], *s["x"])] for s in expected]
+
+
 # ---------------------------------------------------------------------------
 # Geometry
 

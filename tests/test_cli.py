@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meanherd import herding, kernels
+from meanherd import bounds, herding, kernels
 from meanherd.classifier import margin_for_error
 from meanherd.cli import ALL_SUITES, _write_json, main
-from meanherd.data import DiscreteDistribution, load_csv, synth_blobs
+from meanherd.data import DiscreteDistribution, flip_symmetric, load_csv, synth_blobs
 from meanherd.errors import DataError
 from meanherd.herding import (
     HerdingConfig,
@@ -522,6 +523,130 @@ def test_write_json_rejects_non_finite(tmp_path):
     with pytest.raises(DataError):
         _write_json(out, {"value": float("nan")})
     assert not out.exists()
+
+
+def test_non_finite_output_exit_3(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(bounds, "bound_mean_estimation", lambda n, delta: float("inf"))
+    out = tmp_path / "out.json"
+    assert main(["bounds", "--kind", "mean-estimation", "--n", "10", "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "non-finite value in output" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_kernel_value_beyond_the_float_range_exits_3(command, tmp_path, capsys):
+    # (1 + x.z)^513 = 5^513 overflows: an inf, not a RuntimeWarning, reaches the output guard
+    data = tmp_path / "data.csv"
+    data.write_text("1.0,0.0,1\n-1.0,2.0,-1\n")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"kernel": {"kind": "polynomial", "degree": 513, "offset": 1.0},
+                                 "support": [{"x": [0.0, 2.0], "alpha": 1.0, "y": 1}]}))
+    argv = {"train": ["train", "--kernel", "poly:513:1.0"],
+            "eval": ["eval", "--model", str(model)]}[command]
+    assert main([*argv, "--data", str(data)]) == 3
+    assert "non-finite value in output" in capsys.readouterr().err
+
+
+TWO_POINTS = [{"alpha": 0.5, "y": 1, "x": [1.0, 0.0]}, {"alpha": 0.5, "y": -1, "x": [-1.0, 0.0]}]
+
+
+@pytest.mark.parametrize("command, entry, value, code", [
+    # a string is not read as its characters ("12" as the point [1.0, 2.0]) nor true as 1.0
+    ("eval", "x", "12", 3),
+    ("eval", "x", ["1.5", True], 3),
+    ("eval", "alpha", "0.5", 3),
+    ("eval", "x", [1, 0], 0),
+    ("noise", "support", [["12", 1], [[0.0, 0.0], -1]], 3),
+    ("noise", "prob", [0.5, "0.5"], 3),
+    ("noise", "support", [[[1, 0], 1], [[0, 0], -1]], 0),
+])
+def test_documents_take_json_numbers_only(command, entry, value, code, toy_csv, tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    if command == "eval":
+        support = [dict(TWO_POINTS[0], **{entry: value}), TWO_POINTS[1]]
+        doc.write_text(json.dumps({"kernel": {"kind": "linear"}, "meta": {}, "support": support}))
+        argv = ["eval", "--model", str(doc), "--data", str(toy_csv)]
+    else:
+        dist = {"support": [[[1.0, 0.0], 1], [[0.0, 0.0], -1]], "prob": [0.5, 0.5], entry: value}
+        doc.write_text(json.dumps(dist))
+        argv = ["noise", "--dist", str(doc), "--model", "sln", "--sigma", "0.1"]
+    assert main(argv) == code
+    if code:
+        assert f"{doc}: malformed document: TypeError" in capsys.readouterr().err
+
+
+# What the indented writer wrote for ``toy3.csv``, parsed: the one-line layout
+# changed the whitespace only.
+TOY3_TRAIN = {
+    "config": {"data": "toy3.csv", "format": "auto", "label-column": -1, "out": "out.json",
+               "subcommand": "train",
+               "kernel": {"bandwidth": 1.0, "kind": "gaussian", "normalized": False}},
+    "kernel": {"bandwidth": 1.0, "kind": "gaussian", "normalized": False},
+    "meta": {"min_linear_loss": 0.3797186820913979, "n_source": 3, "norm": 0.6202813179086021},
+    "support": [{"alpha": 0.3333333333333333, "x": [1.0, 0.0], "y": 1},
+                {"alpha": 0.3333333333333333, "x": [-1.0, 0.5], "y": -1},
+                {"alpha": 0.3333333333333333, "x": [0.25, -0.0], "y": 1}],
+}
+TOY3_HERD = {
+    "config": {"data": "toy3.csv", "epsilon": 0.3, "format": "auto", "label-column": -1,
+               "max-iterations": 10000, "min-size": 100, "out": "out.json", "parallel": None,
+               "recursive": False, "step-rule": "line_search", "subcommand": "herd",
+               "trace-out": None,
+               "kernel": {"bandwidth": 1.0, "kind": "gaussian", "normalized": False}},
+    "error": 0.2332442466388378,
+    "kernel": {"bandwidth": 1.0, "kind": "gaussian", "normalized": False},
+    "members": [{"alpha": 0.6725391572495109, "index": 0},
+                {"alpha": 0.32746084275048915, "index": 1}],
+    "meta": {"min_linear_loss": 0.2880070090053425, "n_source": 3, "norm": 0.7119929909946575},
+    "recomputed_error": 0.2332442466388378,
+    "support": [{"alpha": 0.6725391572495109, "x": [1.0, 0.0], "y": 1},
+                {"alpha": 0.32746084275048915, "x": [-1.0, 0.5], "y": -1}],
+    "termination": "tolerance",
+    "trace": [0.5426581098613018, 0.2332442466388378],
+}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["train"], TOY3_TRAIN), (["herd", "--epsilon", "0.3"], TOY3_HERD),
+])
+def test_documents_parse_as_the_indented_writer_wrote_them(argv, expected, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("toy3.csv").write_text("1.0,0.0,1\n-1.0,0.5,-1\n0.25,-0.0,1\n")
+    assert main([*argv, "--data", "toy3.csv", "--kernel", "gaussian:1.0", "--out", "out.json"]) == 0
+    doc = read_json("out.json")
+    assert doc == expected
+    # and -0.0 stays -0.0, which == does not tell from 0.0
+    points = [[math.copysign(1.0, v) for v in atom["x"]] for atom in doc["support"]]
+    assert points == [[math.copysign(1.0, v) for v in atom["x"]] for atom in expected["support"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", "{data}"],
+    ["herd", "--data", "{data}", "--kernel", "gaussian:1.0", "--epsilon", "0.1"],
+    ["herd", "--data", "{data}", "--kernel", "gaussian:1.0", "--epsilon", "0.1", "--parallel", "2"],
+    ["herd", "--data", "{data}", "--kernel", "gaussian:1.0", "--epsilon", "0.1", "--recursive",
+     "--min-size", "20"],
+    ["eval", "--data", "{data}", "--model", "{model}"],
+    ["mmd", "--data", "{data}", "--kernel", "gaussian:1.0"],
+    ["noise", "--dist", "{dist}", "--model", "sln", "--sigma", "0.25"],
+    ["noise", "--dist", "{dist}", "--model", "cc", "--sigma-neg", "0.1", "--sigma-pos", "0.2"],
+    ["noise", "--dist", "{dist}", "--model", "contaminate", "--q", "{q}", "--sigma", "0.3"],
+    ["check", "--suite", "long-servedio"],
+    ["bounds", "--kind", "pac-bayes", "--n", "100", "--emp", "0.1"],
+])
+def test_every_document_is_one_line_with_sorted_keys(argv, blob_csv, tmp_path):
+    files = {"data": blob_csv, "model": tmp_path / "model.json", "dist": tmp_path / "dist.json",
+             "q": tmp_path / "q.json"}
+    assert main(["train", "--data", str(blob_csv), "--out", str(files["model"])]) == 0
+    P = DiscreteDistribution(np.array([[0.0, 1.0], [0.5, -0.0], [2.0, 3.0]]), np.array([1, -1, 1]),
+                             np.array([0.25, 0.25, 0.5]))
+    files["dist"].write_text(json.dumps(P.to_dict()))
+    files["q"].write_text(json.dumps(flip_symmetric(P, 0.4).to_dict()))
+    out = tmp_path / "out.json"
+    assert main([a.format(**files) for a in argv] + ["--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("case", ["eval-empty", "eval-list", "eval-scalar-x", "noise-empty",

@@ -317,6 +317,34 @@ def test_load_sparse(tmp_path):
     assert np.array_equal(S.labels, np.array([1, -1]))
 
 
+def test_load_sparse_reads_a_file_of_several_chunks(tmp_path):
+    # rows with no features, indices that restart in each row, and -0.0 among the values
+    rng = np.random.default_rng(0)
+    n = 2 * data.CSV_CHUNK_ROWS + 123
+    X = np.where(rng.random((n, 6)) < 0.5, rng.standard_normal((n, 6)), 0.0)
+    X[7] = 0.0
+    X[8, 2] = -0.0
+    y = np.where(rng.random(n) < 0.5, 1, -1)
+    lines = [f"{label} " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row) if v or j == 2)
+             for row, label in zip(X.tolist(), y.tolist())]
+    f = tmp_path / "chunks.txt"
+    f.write_text("# a comment\n\n" + "\n".join(lines) + "\n")
+    S = load_sparse(f)
+    assert S.instances.tobytes() == X.tobytes() and S.labels.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("loader, bad_row", [(lambda f: load_csv(f, -1), "1.0,x,1"),
+                                             (load_sparse, "1 1:x")])
+def test_a_bad_row_is_reported_before_later_bytes_that_are_not_utf8(loader, bad_row, tmp_path):
+    # the bytes lie past the reader's first buffer but in the bad row's chunk
+    good = "1.0,2.0,1" if bad_row.startswith("1.0") else "1 1:1.0 2:2.0"
+    f = tmp_path / "bad.txt"
+    f.write_bytes(f"{good}\n{bad_row}\n".encode() + f"{good}\n".encode() * 2000 + b"\xff\n")
+    with pytest.raises(ParseError) as exc:
+        loader(f)
+    assert exc.value.line == 2
+
+
 def test_load_sparse_rejects_nonincreasing_indices(tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("1 2:1.0 1:1.0\n")

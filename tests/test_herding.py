@@ -169,6 +169,11 @@ def test_herd_json_roundtrip():
     # a herd document is a model document: it reads back as the sparse classifier
     S = blob_sample(n=60)
     h = herd(S, GAUSS, HerdingConfig(tolerance=0.05, max_iterations=500))
+    # the document holds the values float() and int() make of the arrays, bit for bit
+    members = [[(type(v), repr(v)) for v in (m["alpha"], m["index"])]
+               for m in h.to_dict(len(S))["members"]]
+    assert members == [[(float, repr(float(a))), (int, repr(int(i)))]
+                       for a, i in zip(h.classifier.alphas, h.indices)]
     doc = json.loads(json.dumps(h.to_dict(len(S))))
     back = MeanClassifier.from_dict(doc)
     sparse = h.classifier

@@ -119,6 +119,8 @@ def test_corrected_loss_pointwise_unbiased(y, v, sigma):
 
 TOKENS = st.one_of(
     st.sampled_from(("1", "-1", "0", "nan", "inf", "-inf", "1e400", "", "1_0", " 1 ", "\t-1")),
+    # sparse tokens that a bulk split at the colons could misread, or an int64 could not hold
+    st.sampled_from(("1:2:3", "45", "1:", ":5", "+2:1", "1_0:2", "-99999999999999999999:1")),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.builds("{}:{}".format, st.integers(-1, 4), st.sampled_from(("0.5", "nan", "x", ""))),
     st.text(alphabet="ab:#-+.e, \t\"", max_size=4),
@@ -156,6 +158,50 @@ def reference_load_csv(path, label_column: int) -> LabeledSample:
     return LabeledSample(np.array(rows, dtype=float), labels)
 
 
+def reference_load_sparse(path) -> LabeledSample:
+    """``load_sparse`` as a per-token loop that checks each token as it reads it."""
+    parsed = []
+    raw_labels = []
+    max_index = 0
+    for line_no, line in enumerate(_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        raw_labels.append(_parse_float(tokens[0], path, line_no))
+        entries = []
+        prev = 0
+        for tok in tokens[1:]:
+            if ":" not in tok:
+                raise ParseError(f"expected idx:val, got {tok!r}", path=path, line=line_no)
+            idx_s, val_s = tok.split(":", 1)
+            try:
+                idx = int(idx_s)
+            except ValueError:
+                raise ParseError(f"bad feature index {idx_s!r}", path=path, line=line_no) from None
+            if idx < 1:
+                raise ParseError(f"feature index {idx} out of range: indices start at 1",
+                                 path=path, line=line_no)
+            if idx <= prev:
+                raise ParseError(
+                    f"feature indices must be strictly increasing, got {idx} after {prev}",
+                    path=path, line=line_no,
+                )
+            val = _parse_float(val_s, path, line_no)
+            entries.append((idx, val))
+            prev = idx
+            max_index = max(max_index, idx)
+        parsed.append(entries)
+    if not parsed:
+        raise ParseError("no data rows", path=path)
+    d = max(max_index, 1)
+    X = np.zeros((len(parsed), d))
+    for i, entries in enumerate(parsed):
+        for idx, val in entries:
+            X[i, idx - 1] = val
+    return LabeledSample(X, _remap_labels(raw_labels, path))
+
+
 def outcome(load, path):
     """What ``load`` returns, or the class and line of the package error it
     raises, with the message of a ``ParseError`` (the label error lists a
@@ -175,7 +221,7 @@ def outcome(load, path):
 @given(st.lists(st.lists(TOKENS, max_size=5), max_size=5), st.sampled_from((-1, 0, 1, 3, -4)))
 def test_loaders_return_a_sample_or_raise_meanherd_errors(tmp_path_factory, rows, label_column):
     """Malformed rows end in a package error, never in another exception, and
-    ``load_csv`` ends as the per-token reference loop does."""
+    each loader ends as its per-token reference loop does."""
     path = tmp_path_factory.getbasetemp() / "loader-fuzz.txt"
     path.write_text("\n".join(",".join(row) for row in rows) + "\n")
     expected = outcome(lambda p: reference_load_csv(p, label_column), path)
@@ -184,7 +230,11 @@ def test_loaders_return_a_sample_or_raise_meanherd_errors(tmp_path_factory, rows
         mp.setattr(data, "CSV_CHUNK_ROWS", 2)  # failures at and across chunk boundaries
         assert outcome(lambda p: load_csv(p, label_column), path) == expected
     path.write_text("\n".join(" ".join(row) for row in rows) + "\n")
-    outcome(load_sparse, path)
+    expected = outcome(reference_load_sparse, path)
+    assert outcome(load_sparse, path) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "CSV_CHUNK_ROWS", 2)
+        assert outcome(load_sparse, path) == expected
 
 
 # One JSON value of any type: an entry of a model document that may not be well formed.
@@ -217,9 +267,18 @@ def model_documents(draw):
 @given(model_documents())
 def test_model_documents_exit_0_2_or_3(tmp_path_factory, doc):
     """``eval`` on any model document succeeds or fails with the usage or the
-    I/O code, never with another exception."""
+    I/O code, never with another exception, and it fails when a point or a
+    weight is a string or a boolean, or a point holds one."""
     model = tmp_path_factory.getbasetemp() / "model-fuzz.json"
     data = tmp_path_factory.getbasetemp() / "model-fuzz.csv"
     model.write_text(json.dumps(doc))
     data.write_text("1.0,0.0,1\n-1.0,2.0,-1\n")
-    assert main(["eval", "--model", str(model), "--data", str(data)]) in (0, 2, 3)
+    code = main(["eval", "--model", str(model), "--data", str(data)])
+    assert code in (0, 2, 3)
+
+    def wrong(v):
+        return isinstance(v, (str, bool))
+
+    if any(wrong(s["alpha"]) or wrong(s["x"]) or isinstance(s["x"], list) and any(map(wrong, s["x"]))
+           for s in doc["support"]):
+        assert code != 0
