@@ -1,10 +1,15 @@
 """Batch command-line front end.
 
-Subcommands: train, herd, eval, check, bounds, mmd, noise.  Every run is
-deterministic given its inputs and flags; every emitted JSON embeds the
-fully resolved run configuration (``config``: each flag under its
-hyphenated name, defaults included, the kernel as a dict).  Only ``check``
-draws random numbers, so only ``check`` takes ``--seed``.
+Subcommands: train, herd, eval, check, bounds, mmd, noise.  Each
+``cmd_*`` returns its document and exit code; ``main`` adds the fully
+resolved run configuration (``config``: each flag under its hyphenated
+name, defaults included, the kernel as a dict) and writes the document,
+the one JSON write of a run.  Every run is deterministic given its inputs
+and flags.  Only ``check`` draws random numbers, so only ``check`` takes
+``--seed``; its suites are ``lab.SUITES``, run in that table's order by
+``--suite all``, with one stderr line per report.  ``herd --trace-out``
+writes its CSV before the document is written, so a CSV path that cannot
+be opened exits 3 with no document.
 
 Each flag is declared once, in ``build_parser``, with its type, default
 and choices.  Flag precedence: explicit flags > JSON config file
@@ -58,36 +63,32 @@ from .classifier import MeanClassifier, fit, margin_for_error, mmd
 from .data import (
     DiscreteDistribution,
     LabeledSample,
-    NoiseFunctionTable,
     contaminate,
     flip_class_conditional,
     flip_symmetric,
     load_csv,
     load_sparse,
-    sorted_instances,
 )
 from .errors import DataError, InputError, MeanHerdError, ParseError
-from .herding import HerdingConfig, herd, parallel_herd, recursive_herd
+from .herding import STEP_RULES, HerdingConfig, herd, parallel_herd, recursive_herd
 from .kernels import KernelSpec, diagonal
-from .losses import empirical_risk, hinge_loss, linear_loss, parse_loss
+from .losses import empirical_risk, parse_loss
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-ALL_SUITES = (
-    "surrogate-regret",
-    "sln-immunity",
-    "contamination",
-    "ber-immunity",
-    "ghosh",
-    "long-servedio",
-    "compression",
-    "order-reversal",
-)
+ALL_SUITES = tuple(lab.SUITES)
 
-_BOUND_KINDS = ("pac-bayes", "pac-bayes-multi", "mean-estimation", "generic-pac-bayes")
+# ``bounds --kind`` -> the bound of the run's flags
+_BOUNDS = {
+    "pac-bayes": lambda a: bounds_mod.bound_pac_bayes(a.emp, a.n, a.delta),
+    "pac-bayes-multi": lambda a: bounds_mod.bound_pac_bayes_multi(a.emp, a.n, a.k, a.delta),
+    "mean-estimation": lambda a: bounds_mod.bound_mean_estimation(a.n, a.delta),
+    "generic-pac-bayes": lambda a: bounds_mod.bound_generic_pac_bayes(a.emp, a.kl, a.n, a.delta,
+                                                                      beta=a.beta),
+}
 
 
 def _read_json(path):
@@ -191,18 +192,15 @@ def _load_sample(args) -> LabeledSample:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns (document, exit code); ``main`` adds ``config`` and writes it
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> tuple[dict, int]:
     S = _load_sample(args)
-    doc = fit(S, args.kernel).to_dict(n_source=len(S))
-    doc["config"] = _config(args)
-    _write_json(args.out, doc)
-    return EXIT_OK
+    return fit(S, args.kernel).to_dict(n_source=len(S)), EXIT_OK
 
 
-def cmd_herd(args) -> int:
+def cmd_herd(args) -> tuple[dict, int]:
     if args.parallel is not None and args.recursive:
         raise InputError("--parallel and --recursive are mutually exclusive")
     S = _load_sample(args)
@@ -216,9 +214,6 @@ def cmd_herd(args) -> int:
     else:
         h = herd(S, args.kernel, hconfig)
 
-    doc = h.to_dict(n_source=len(S))
-    doc["config"] = _config(args)
-    _write_json(args.out, doc)
     # |f_S(x) - f_herd(x)| <= error ||phi(x)||, which is at most error only where K(x, x) <= 1
     k_max = float(np.max(diagonal(args.kernel, S.instances)))
     if k_max > 1.0:
@@ -232,13 +227,13 @@ def cmd_herd(args) -> int:
             for i, (e, m) in enumerate(zip(h.trace, h.sizes)):
                 writer.writerow([i, repr(e), m])
 
-    if h.termination == "max_iterations":
+    capped = h.termination == "max_iterations"
+    if capped:
         print(f"iteration cap reached at error {h.error}", file=sys.stderr)
-        return EXIT_ASSERTION
-    return EXIT_OK
+    return h.to_dict(n_source=len(S)), EXIT_ASSERTION if capped else EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> tuple[dict, int]:
     model_path = _required(args, "model")
     loss = parse_loss(args.loss)
     clf = _read_doc(model_path, MeanClassifier.from_dict)
@@ -246,118 +241,43 @@ def cmd_eval(args) -> int:
     if S.dim != clf.dim:
         raise InputError(f"dimension mismatch: data is {S.dim}-D, model is {clf.dim}-D")
     scores = clf.scores(S.instances)
-    doc = {
+    return {
         "accuracy": float(np.mean(S.labels * scores > 0)),
         "risk": empirical_risk(loss, S, scores),
         "loss": loss.name,
         "margin": margin_for_error(S, scores),
         "abstentions": int(np.sum(scores == 0.0)),
         "n": len(S),
-        "config": _config(args),
-    }
-    _write_json(args.out, doc)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _suite_reports(name: str, seed: int, kernel: KernelSpec) -> list[lab.ExperimentReport]:
-    rng = np.random.default_rng(seed)
-    if name == "surrogate-regret":
-        return [lab.check_surrogate_regret(trials=1000, seed=seed)]
-    if name == "sln-immunity":
-        reports = []
-        for _ in range(20):
-            P = lab.random_distribution(rng)
-            reports.append(lab.check_sln_immunity(P, (0.1, 0.25, 0.4), kernel))
-        return reports
-    if name == "contamination":
-        reports = []
-        for _ in range(20):
-            P = lab.random_distribution(rng)
-            Q = lab.random_distribution(rng)
-            reports.append(lab.check_contamination(P, Q, float(rng.uniform(0, 0.2)), kernel))
-        return reports
-    if name == "ber-immunity":
-        reports = []
-        for _ in range(20):
-            P_pos = lab.random_distribution(rng).instance_marginal()
-            P_neg = lab.random_distribution(rng).instance_marginal()
-            fclass = lab.random_function_class(rng, sorted_instances(P_pos, P_neg), k=8)
-            alpha = float(rng.uniform(0, 0.4))
-            beta = float(rng.uniform(0, 0.4))
-            reports.append(lab.check_ber_immunity(linear_loss, P_pos, P_neg, alpha, beta, fclass))
-        return reports
-    if name == "ghosh":
-        reports = []
-        for _ in range(50):
-            P = lab.random_distribution(rng)
-            table = NoiseFunctionTable([float(rng.uniform(0, 0.45)) for _ in range(len(P))])
-            fclass = lab.random_function_class(rng, sorted_instances(P), k=10)
-            reports.append(lab.check_ghosh_bound(P, table, linear_loss, fclass))
-        return reports
-    if name == "long-servedio":
-        return [lab.run_long_servedio(1.0 / 24.0)]
-    if name == "compression":
-        return [lab.run_compression_experiment(kernel, eps_list=(0.01,), seed=seed)]
-    if name == "order-reversal":
-        report = lab.ExperimentReport(name="order-reversal", inputs={"loss": "hinge", "seed": seed})
-        witness = lab.order_reversal_witness(hinge_loss, sigma=0.4, seed=seed)
-        report.check_true("hinge order-reversal witness found", witness is not None)
-        if witness is not None:
-            report.extras["witness"] = witness
-        return [report]
-
-
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[dict, int]:
     suite = _required(args, "suite")
-    names = ALL_SUITES if suite == "all" else (suite,)
     reports = []
-    for name in names:
-        for rep in _suite_reports(name, args.seed, args.kernel):
+    for name in ALL_SUITES if suite == "all" else (suite,):
+        for rep in lab.SUITES[name](args.seed, args.kernel):
             reports.append(rep)
             print(f"{rep.name}: {'pass' if rep.passed else 'FAIL'}", file=sys.stderr)
     passed = all(rep.passed for rep in reports)
-    doc = {
-        "passed": passed,
-        "reports": [rep.to_dict() for rep in reports],
-        "config": _config(args),
-    }
-    _write_json(args.out, doc)
-    return EXIT_OK if passed else EXIT_ASSERTION
+    return ({"passed": passed, "reports": [rep.to_dict() for rep in reports]},
+            EXIT_OK if passed else EXIT_ASSERTION)
 
 
-def cmd_bounds(args) -> int:
-    kind = _required(args, "kind")
-    if kind == "pac-bayes":
-        value = bounds_mod.bound_pac_bayes(args.emp, args.n, args.delta)
-    elif kind == "pac-bayes-multi":
-        value = bounds_mod.bound_pac_bayes_multi(args.emp, args.n, args.k, args.delta)
-    elif kind == "mean-estimation":
-        value = bounds_mod.bound_mean_estimation(args.n, args.delta)
-    else:
-        value = bounds_mod.bound_generic_pac_bayes(
-            args.emp, args.kl, args.n, args.delta, beta=args.beta
-        )
-    _write_json(args.out, {"bound": value, "config": _config(args)})
-    return EXIT_OK
+def cmd_bounds(args) -> tuple[dict, int]:
+    return {"bound": _BOUNDS[_required(args, "kind")](args)}, EXIT_OK
 
 
-def cmd_mmd(args) -> int:
+def cmd_mmd(args) -> tuple[dict, int]:
     S = _load_sample(args)
     pos = S.instances[S.labels == 1]
     neg = S.instances[S.labels == -1]
     if pos.shape[0] == 0 or neg.shape[0] == 0:
         raise DataError("mmd needs both classes present in the data")
-    doc = {
-        "mmd": mmd(pos, neg, args.kernel),
-        "n_pos": int(pos.shape[0]),
-        "n_neg": int(neg.shape[0]),
-        "config": _config(args),
-    }
-    _write_json(args.out, doc)
-    return EXIT_OK
+    return {"mmd": mmd(pos, neg, args.kernel), "n_pos": int(pos.shape[0]),
+            "n_neg": int(neg.shape[0])}, EXIT_OK
 
 
-def cmd_noise(args) -> int:
+def cmd_noise(args) -> tuple[dict, int]:
     P = _read_doc(_required(args, "dist"), DiscreteDistribution.from_dict)
     if args.model == "sln":
         corrupted = flip_symmetric(P, args.sigma)
@@ -366,10 +286,7 @@ def cmd_noise(args) -> int:
     else:
         Q = _read_doc(_required(args, "q"), DiscreteDistribution.from_dict)
         corrupted = contaminate(P, Q, args.sigma)
-    doc = corrupted.to_dict()
-    doc["config"] = _config(args)
-    _write_json(args.out, doc)
-    return EXIT_OK
+    return corrupted.to_dict(), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("herd", cmd_herd, "compress a sample by kernel herding", data=True, kernel="linear")
     p.add_argument("--epsilon", type=float, default=0.01, help="target approximation error")
     p.add_argument("--max-iterations", type=int, default=10000)
-    p.add_argument("--step-rule", choices=("line_search", "uniform"), default="line_search")
+    p.add_argument("--step-rule", choices=STEP_RULES, default=HerdingConfig.step_rule)
     p.add_argument("--parallel", type=int, help="herd this many groups independently")
     p.add_argument("--recursive", action=argparse.BooleanOptionalAction, default=False,
                    help="herd stages until --min-size")
@@ -418,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0, help="RNG seed, an integer >= 0 (default: 0)")
 
     p = command("bounds", cmd_bounds, "evaluate a generalization bound")
-    p.add_argument("--kind", choices=_BOUND_KINDS)
+    p.add_argument("--kind", choices=_BOUNDS)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--emp", type=float, default=0.0)
@@ -447,7 +364,10 @@ def main(argv=None) -> int:
             # the file's values become the subcommand's defaults; explicit flags still win
             args.parser.set_defaults(**_config_defaults(args.parser, args.config))
             args = parser.parse_args(argv)
-        return args.run(args)
+        doc, code = args.run(args)
+        doc["config"] = _config(args)
+        _write_json(args.out, doc)
+        return code
     except InputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

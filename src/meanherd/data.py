@@ -245,7 +245,7 @@ def flip_class_conditional(
     P: DiscreteDistribution, sigma_neg: float, sigma_pos: float
 ) -> DiscreteDistribution:
     """Label-dependent flips: rate sigma_pos on y=+1 atoms, sigma_neg on y=-1."""
-    if sigma_neg < 0 or sigma_pos < 0 or sigma_neg + sigma_pos >= 1.0:
+    if not (sigma_neg >= 0 and sigma_pos >= 0 and sigma_neg + sigma_pos < 1.0):
         raise InputError(
             f"class-conditional rates must be >= 0 with sum < 1, got ({sigma_neg}, {sigma_pos})"
         )
@@ -281,7 +281,7 @@ def mutually_contaminate(
     beta: float,
 ) -> tuple[InstanceDistribution, InstanceDistribution]:
     """Mutual contamination of the two class-conditional instance distributions."""
-    if alpha < 0 or beta < 0 or alpha + beta >= 1.0:
+    if not (alpha >= 0 and beta >= 0 and alpha + beta < 1.0):
         raise InputError(f"need alpha, beta >= 0 with alpha + beta < 1, got ({alpha}, {beta})")
     if P_pos.dim != P_neg.dim:
         raise InputError("the two class-conditional distributions differ in dimension")
@@ -466,7 +466,12 @@ def load_sparse(path) -> LabeledSample:
     chunks = _chunks(((n, line) for n, line in enumerate(map(str.strip, _lines(path)), start=1)
                       if line and not line.startswith("#")), lambda c: _sparse_chunk(c, path), path)
     labels, idx, vals, counts = zip(*chunks)
-    X = np.zeros((sum(map(len, labels)), max(1, *(i.max(initial=0) for i in idx))))
+    shape = (sum(map(len, labels)), max(1, *(i.max(initial=0) for i in idx)))
+    try:
+        X = np.zeros(shape)
+    except (MemoryError, ValueError):  # ValueError: more bytes than an index can address
+        raise ParseError(f"the dense {shape[0]} x {shape[1]} matrix does not fit in memory",
+                         path=path) from None
     for k, (i, v, c) in enumerate(zip(idx, vals, counts)):  # all but the last chunk are full
         X[k * CSV_CHUNK_ROWS + np.repeat(np.arange(c.size), c), i - 1] = v
     return LabeledSample(X, _remap_labels(list(chain.from_iterable(labels)), path))
@@ -510,6 +515,9 @@ def _sparse_rows(chunk, path):
                 raise ParseError(f"bad feature index {idx_s!r}", path=path, line=line_no) from None
             if i < 1:
                 raise ParseError(f"feature index {i} out of range: indices start at 1",
+                                 path=path, line=line_no)
+            if i > np.iinfo(np.intp).max:
+                raise ParseError(f"feature index {i} out of range: beyond {np.iinfo(np.intp).max}",
                                  path=path, line=line_no)
             if i <= prev:
                 raise ParseError(f"feature indices must be strictly increasing, got {i} after {prev}",

@@ -69,8 +69,8 @@ class HerdingConfig:
     step_rule: str = "line_search"
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise InputError(f"tolerance must be > 0, got {self.tolerance}")
+        if not (0 < self.tolerance < np.inf):
+            raise InputError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.max_iterations < 1:
             raise InputError("max_iterations must be >= 1")
         if self.step_rule not in STEP_RULES:

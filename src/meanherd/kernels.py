@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DataError, InputError
 
 VALID_KINDS = ("linear", "gaussian", "polynomial")
 # The parameters each kind uses (gaussian is normalized already: K(x, x) = 1);
@@ -171,8 +171,13 @@ class _Points(NamedTuple):
 
 def _prepare(spec: KernelSpec, X: np.ndarray) -> _Points:
     if spec.kind == "gaussian":
-        Xr = X / spec.bandwidth
-        return _Points(Xr, 0.5 * np.sum(Xr * Xr, axis=1))
+        with np.errstate(over="ignore"):
+            Xr = X / spec.bandwidth
+            t = 0.5 * np.sum(Xr * Xr, axis=1)
+        if np.isinf(t).any():
+            raise DataError(f"gaussian bandwidth {spec.bandwidth!r} is too small for the data: "
+                            f"|x / bandwidth|^2 is beyond the float range")
+        return _Points(Xr, t)
     if spec.kind == "polynomial":
         X = np.hstack([X, np.full((X.shape[0], 1), math.sqrt(spec.offset))])
     if spec.normalized:

@@ -8,11 +8,17 @@ the whole class; the surrogate-regret audit scores its many small random
 distributions as one table of atoms tagged by trial.  ``brute_force_min``,
 the argmin of a class's risks, is the ground-truth minimizer oracle over
 finite score-table classes; anything cleverer added later must match it.
+
+``SUITES`` is the ``check`` command's table: each suite name, in run
+order, maps to a function from a seed and a kernel to the suite's reports.
+A suite of random instances draws them all from one generator,
+``np.random.default_rng(seed)``, report after report.  Each report
+serializes with ``dataclasses.asdict`` plus its ``passed`` verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,6 +34,7 @@ from .data import (
     contaminate,
     long_servedio,
     mutually_contaminate,
+    sorted_instances,
     synth_blobs,
     _distinct,
     _eta,
@@ -38,6 +45,7 @@ from .kernels import KernelSpec
 from .losses import (
     Loss,
     balanced_error,
+    hinge_loss,
     linear_loss,
     risk,
     sln_robustness_check,
@@ -94,15 +102,6 @@ class Assertion:
     tolerance: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
 
 @dataclass
 class ExperimentReport:
@@ -116,35 +115,26 @@ class ExperimentReport:
     def passed(self) -> bool:
         return all(a.passed for a in self.assertions)
 
+    def _add(self, name, expected, measured, tolerance, ok) -> Assertion:
+        self.assertions.append(Assertion(name, expected, measured, tolerance, bool(ok)))
+        return self.assertions[-1]
+
     def check(self, name, expected, measured, tolerance) -> Assertion:
         if isinstance(expected, str) or isinstance(measured, str):
             ok = expected == measured
         else:
             ok = abs(float(measured) - float(expected)) <= tolerance
-        a = Assertion(name, expected, measured, tolerance, bool(ok))
-        self.assertions.append(a)
-        return a
+        return self._add(name, expected, measured, tolerance, ok)
 
     def check_le(self, name, measured, limit, tolerance=0.0) -> Assertion:
         ok = float(measured) <= float(limit) + tolerance
-        a = Assertion(name, f"<= {limit}", float(measured), tolerance, bool(ok))
-        self.assertions.append(a)
-        return a
+        return self._add(name, f"<= {limit}", float(measured), tolerance, ok)
 
     def check_true(self, name, condition) -> Assertion:
-        a = Assertion(name, "true", "true" if condition else "false", 0.0, bool(condition))
-        self.assertions.append(a)
-        return a
+        return self._add(name, "true", "true" if condition else "false", 0.0, condition)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "inputs": self.inputs,
-            "passed": self.passed,
-            "assertions": [a.to_dict() for a in self.assertions],
-            "notes": self.notes,
-            "extras": self.extras,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 # ---------------------------------------------------------------------------
@@ -537,3 +527,55 @@ def run_compression_experiment(
         )
     report.extras["curve"] = curve
     return report
+
+
+# ---------------------------------------------------------------------------
+# The ``check`` suites
+
+
+def _each(count: int, draw):
+    """A suite of ``count`` reports ``draw(rng, kernel)`` from one generator seeded by the seed."""
+    def reports(seed, kernel):
+        rng = np.random.default_rng(seed)
+        return [draw(rng, kernel) for _ in range(count)]
+    return reports
+
+
+def _ber_immunity(rng, kernel) -> ExperimentReport:
+    P_pos = random_distribution(rng).instance_marginal()
+    P_neg = random_distribution(rng).instance_marginal()
+    fclass = random_function_class(rng, sorted_instances(P_pos, P_neg), k=8)
+    return check_ber_immunity(linear_loss, P_pos, P_neg, float(rng.uniform(0, 0.4)),
+                              float(rng.uniform(0, 0.4)), fclass)
+
+
+def _ghosh(rng, kernel) -> ExperimentReport:
+    P = random_distribution(rng)
+    table = NoiseFunctionTable([float(rng.uniform(0, 0.45)) for _ in range(len(P))])
+    fclass = random_function_class(rng, sorted_instances(P), k=10)
+    return check_ghosh_bound(P, table, linear_loss, fclass)
+
+
+def _order_reversal(seed, kernel) -> list[ExperimentReport]:
+    report = ExperimentReport(name="order-reversal", inputs={"loss": "hinge", "seed": seed})
+    witness = order_reversal_witness(hinge_loss, sigma=0.4, seed=seed)
+    report.check_true("hinge order-reversal witness found", witness is not None)
+    if witness is not None:
+        report.extras["witness"] = witness
+    return [report]
+
+
+# Suite name -> its reports for a seed and a kernel, in the order ``check --suite all`` runs them.
+SUITES = {
+    "surrogate-regret": lambda seed, kernel: [check_surrogate_regret(trials=1000, seed=seed)],
+    "sln-immunity": _each(20, lambda rng, kernel: check_sln_immunity(
+        random_distribution(rng), (0.1, 0.25, 0.4), kernel)),
+    "contamination": _each(20, lambda rng, kernel: check_contamination(
+        random_distribution(rng), random_distribution(rng), float(rng.uniform(0, 0.2)), kernel)),
+    "ber-immunity": _each(20, _ber_immunity),
+    "ghosh": _each(50, _ghosh),
+    "long-servedio": lambda seed, kernel: [run_long_servedio(1.0 / 24.0)],
+    "compression": lambda seed, kernel: [
+        run_compression_experiment(kernel, eps_list=(0.01,), seed=seed)],
+    "order-reversal": _order_reversal,
+}

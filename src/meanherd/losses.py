@@ -68,8 +68,8 @@ zero_one_loss = Loss("zero-one", _zero_one, convex=False)
 
 def margin_loss(gamma: float) -> Loss:
     """1 when y v < gamma (or v = 0); reduces to zero-one loss at gamma = 0."""
-    if gamma < 0:
-        raise InputError(f"margin must be >= 0, got {gamma}")
+    if not (0.0 <= gamma < np.inf):
+        raise InputError(f"margin must be finite and >= 0, got {gamma}")
 
     def fn(y, v):
         return np.where((y * v < gamma) | (v == 0), 1.0, 0.0)
@@ -156,7 +156,7 @@ def correct_sln(loss: Loss, sigma: float) -> Loss:
 
 def correct_cc(loss: Loss, sigma_neg: float, sigma_pos: float) -> Loss:
     """Class-conditional correction with flip rates (sigma_neg, sigma_pos)."""
-    if sigma_neg < 0 or sigma_pos < 0 or sigma_neg + sigma_pos >= 1.0:
+    if not (sigma_neg >= 0 and sigma_pos >= 0 and sigma_neg + sigma_pos < 1.0):
         raise InputError(
             f"rates must be >= 0 with sum < 1, got ({sigma_neg}, {sigma_pos})"
         )

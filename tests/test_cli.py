@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -516,6 +517,45 @@ def test_non_utf8_input_exit_3(command, toy_csv, tmp_path):
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert str(binary) in proc.stderr
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["eval", "--loss", "margin:nan"], "margin must be finite and >= 0, got nan"),
+    (["eval", "--loss", "cc-corrected:hinge:nan:0.1"], "rates must be >= 0 with sum < 1, got (nan, 0.1)"),
+    (["noise", "--model", "cc", "--sigma-neg", "nan", "--sigma-pos", "0.1"],
+     "class-conditional rates must be >= 0 with sum < 1, got (nan, 0.1)"),
+    (["herd", "--epsilon", "inf"], "tolerance must be finite and > 0, got inf"),
+])
+def test_a_non_finite_parameter_exits_2_and_names_it(argv, named, toy_csv, tmp_path, capsys):
+    model, dist, out = tmp_path / "model.json", tmp_path / "dist.json", tmp_path / "out.json"
+    assert main(["train", "--data", str(toy_csv), "--out", str(model)]) == 0
+    dist.write_text('{"support": [[[0.0], 1], [[1.0], -1]], "prob": [0.5, 0.5]}')
+    inputs = {"eval": ["--model", str(model), "--data", str(toy_csv)], "herd": ["--data", str(toy_csv)],
+              "noise": ["--dist", str(dist)]}[argv[0]]
+    assert main([*argv, *inputs, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bandwidth", [1e-200, 5e-324])
+def test_a_gaussian_bandwidth_too_small_for_the_data_exits_3(bandwidth, toy_csv, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"kernel": {"kind": "gaussian", "bandwidth": bandwidth},
+                                 "support": [{"x": [1.0, 0.0], "alpha": 1.0, "y": 1}]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["eval", "--model", str(model), "--data", str(toy_csv)]) == 3
+    assert not caught
+    assert f"gaussian bandwidth {bandwidth!r} is too small" in capsys.readouterr().err
+
+
+def test_herd_writes_no_document_when_the_trace_cannot_be_written(blob_csv, tmp_path):
+    # the trace CSV is written first, so a trace path that cannot be opened stops the run
+    out = tmp_path / "doc.json"
+    trace = tmp_path / "missing" / "trace.csv"
+    argv = ["herd", "--data", str(blob_csv), "--trace-out", str(trace), "--out", str(out)]
+    assert main(argv) == 3
+    assert not out.exists()
 
 
 def test_write_json_rejects_non_finite(tmp_path):

@@ -199,6 +199,9 @@ def test_mutually_contaminate():
     assert neg[2.0] == pytest.approx(0.9, abs=1e-15)
     with pytest.raises(InputError):
         mutually_contaminate(P_pos, P_neg, 0.6, 0.4)
+    for alpha, beta in ((float("nan"), 0.1), (0.1, float("nan")), (float("inf"), 0.0)):
+        with pytest.raises(InputError, match="alpha, beta >= 0"):
+            mutually_contaminate(P_pos, P_neg, alpha, beta)
     with pytest.raises(InputError):
         mutually_contaminate(P_pos, InstanceDistribution(np.zeros((1, 2)), np.ones(1)), 0.1, 0.1)
 
@@ -361,3 +364,26 @@ def test_load_sparse_rejects_indices_below_one(tmp_path, row, index):
     with pytest.raises(ParseError, match=message) as exc:
         load_sparse(f)
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("rates", [(float("nan"), 0.1), (0.1, float("nan")), (float("inf"), 0.1)])
+def test_flip_class_conditional_rejects_non_finite_rates(rates):
+    with pytest.raises(InputError, match="class-conditional rates must be >= 0 with sum < 1"):
+        flip_class_conditional(two_point(), *rates)
+
+
+def test_load_sparse_rejects_an_index_beyond_int64(tmp_path):
+    f = tmp_path / "big.txt"
+    f.write_text("-1 99999999999999999999:1\n")
+    with pytest.raises(ParseError, match="feature index 99999999999999999999 out of range") as exc:
+        load_sparse(f)
+    assert exc.value.line == 1
+
+
+def test_load_sparse_rejects_a_dense_shape_beyond_memory(tmp_path):
+    # 2 x 10^12 float64 entries are 14.6 TiB: np.zeros raises MemoryError, not a traceback
+    f = tmp_path / "wide.txt"
+    f.write_text("-1 1000000000000:1\n1 1:2\n")
+    with pytest.raises(ParseError, match="dense 2 x 1000000000000 matrix") as exc:
+        load_sparse(f)
+    assert exc.value.path == f

@@ -14,6 +14,7 @@ def test_demo_runs_from_checkout(demo):
     path = os.environ.get("PYTHONPATH")
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
-    proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
+    # -W error, as in the tests: a RuntimeWarning in a walkthrough fails it
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

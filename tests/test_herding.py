@@ -28,6 +28,9 @@ def blob_sample(n=200, seed=0) -> LabeledSample:
 def test_config_validation():
     with pytest.raises(InputError):
         HerdingConfig(tolerance=0.0)
+    for tolerance in (float("inf"), float("nan")):
+        with pytest.raises(InputError, match="tolerance must be finite and > 0"):
+            HerdingConfig(tolerance=tolerance)
     with pytest.raises(InputError):
         HerdingConfig(max_iterations=0)
     with pytest.raises(InputError):

@@ -378,3 +378,34 @@ def test_report_serialization():
     # no wall-clock fields: repeated runs serialize identically
     assert "runtime" not in d
     assert d == lab.check_surrogate_regret(trials=10, seed=0).to_dict()
+
+
+def test_a_report_serializes_in_the_check_document_layout():
+    report = lab.ExperimentReport(name="r", inputs={"seed": 3})
+    report.check("equal", 1.0, 1.5, 0.25)
+    report.check_le("below", 0.5, 1, tolerance=1e-12)
+    report.check_true("holds", True)
+    report.notes.append("a note")
+    report.extras["pair"] = ((1.0, -1), (0.5, 0.5))
+    assert report.to_dict() == {
+        "name": "r",
+        "inputs": {"seed": 3},
+        "passed": False,
+        "assertions": [
+            {"name": "equal", "expected": 1.0, "measured": 1.5, "tolerance": 0.25, "passed": False},
+            {"name": "below", "expected": "<= 1", "measured": 0.5, "tolerance": 1e-12, "passed": True},
+            {"name": "holds", "expected": "true", "measured": "true", "tolerance": 0.0, "passed": True},
+        ],
+        "notes": ["a note"],
+        "extras": {"pair": ((1.0, -1), (0.5, 0.5))},
+    }
+
+
+def test_suites_are_declared_in_run_order():
+    assert list(lab.SUITES) == ["surrogate-regret", "sln-immunity", "contamination", "ber-immunity",
+                                "ghosh", "long-servedio", "compression", "order-reversal"]
+
+
+def test_each_suite_gives_its_count_of_reports_at_seed_0():
+    counts = [len(reports(0, GAUSS)) for reports in lab.SUITES.values()]
+    assert counts == [1, 20, 20, 20, 50, 1, 1, 1]

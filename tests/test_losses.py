@@ -54,6 +54,19 @@ def test_margin_loss():
     assert np.array_equal(z(1, v), zero_one_loss(1, v))
 
 
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -0.1])
+def test_margin_loss_rejects_a_margin_that_is_not_finite_and_non_negative(gamma):
+    with pytest.raises(InputError, match="margin must be finite and >= 0"):
+        margin_loss(gamma)
+
+
+@pytest.mark.parametrize("rates", [(float("nan"), 0.1), (0.1, float("nan")), (float("inf"), 0.1),
+                                   (-0.1, 0.2), (0.5, 0.5)])
+def test_cc_correction_rejects_rates_that_are_not_non_negative_with_sum_below_one(rates):
+    with pytest.raises(InputError, match="rates must be >= 0 with sum < 1"):
+        correct_cc(hinge_loss, *rates)
+
+
 def test_label_validation():
     with pytest.raises(InputError):
         linear_loss(0, 0.5)

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meanherd import data
@@ -263,8 +263,15 @@ def model_documents(draw):
     return {"kernel": kernel, "support": support, "meta": {}}
 
 
+def _tiny_bandwidth(h):
+    return {"kernel": {"kind": "gaussian", "bandwidth": h},
+            "support": [{"x": [1.0, 0.0], "alpha": 1.0, "y": 1}], "meta": {}}
+
+
 @settings(max_examples=300, deadline=None)
 @given(model_documents())
+@example(_tiny_bandwidth(1e-200))  # |x / h|^2 overflows
+@example(_tiny_bandwidth(5e-324))  # the smallest positive float
 def test_model_documents_exit_0_2_or_3(tmp_path_factory, doc):
     """``eval`` on any model document succeeds or fails with the usage or the
     I/O code, never with another exception, and it fails when a point or a
