@@ -241,14 +241,17 @@ def cmd_eval(args) -> tuple[dict, int]:
     if S.dim != clf.dim:
         raise InputError(f"dimension mismatch: data is {S.dim}-D, model is {clf.dim}-D")
     scores = clf.scores(S.instances)
-    return {
-        "accuracy": float(np.mean(S.labels * scores > 0)),
-        "risk": empirical_risk(loss, S, scores),
-        "loss": loss.name,
-        "margin": margin_for_error(S, scores),
-        "abstentions": int(np.sum(scores == 0.0)),
-        "n": len(S),
-    }, EXIT_OK
+    # scores beyond the float range are +-inf, and a risk over both signs is nan:
+    # the output guard rejects either, so no RuntimeWarning is raised on the way
+    with np.errstate(invalid="ignore"):
+        return {
+            "accuracy": float(np.mean(S.labels * scores > 0)),
+            "risk": empirical_risk(loss, S, scores),
+            "loss": loss.name,
+            "margin": margin_for_error(S, scores),
+            "abstentions": int(np.sum(scores == 0.0)),
+            "n": len(S),
+        }, EXIT_OK
 
 
 def cmd_check(args) -> tuple[dict, int]:

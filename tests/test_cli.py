@@ -549,6 +549,21 @@ def test_a_gaussian_bandwidth_too_small_for_the_data_exits_3(bandwidth, toy_csv,
     assert f"gaussian bandwidth {bandwidth!r} is too small" in capsys.readouterr().err
 
 
+def test_eval_exits_3_when_losses_overflow_to_both_signs(tmp_path, capsys):
+    # (1 + x.z)^647 = 3^647 overflows on both rows: linear losses -inf and +inf have a nan mean,
+    # which the output guard rejects without a RuntimeWarning
+    data = tmp_path / "data.csv"
+    data.write_text("1.0,0.0,1\n-1.0,2.0,-1\n")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"kernel": {"kind": "polynomial", "degree": 647, "offset": 1.0},
+                                 "support": [{"x": [2.0, 2.0], "alpha": 1.0, "y": 1}]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["eval", "--model", str(model), "--data", str(data)]) == 3
+    assert not caught
+    assert "non-finite value in output" in capsys.readouterr().err
+
+
 def test_herd_writes_no_document_when_the_trace_cannot_be_written(blob_csv, tmp_path):
     # the trace CSV is written first, so a trace path that cannot be opened stops the run
     out = tmp_path / "doc.json"

@@ -272,6 +272,8 @@ def _tiny_bandwidth(h):
 @given(model_documents())
 @example(_tiny_bandwidth(1e-200))  # |x / h|^2 overflows
 @example(_tiny_bandwidth(5e-324))  # the smallest positive float
+@example({"kernel": {"kind": "polynomial", "degree": 647, "offset": 1.0},  # K beyond the float range
+          "support": [{"x": [2.0, 2.0], "alpha": 1.0, "y": 1}], "meta": {}})
 def test_model_documents_exit_0_2_or_3(tmp_path_factory, doc):
     """``eval`` on any model document succeeds or fails with the usage or the
     I/O code, never with another exception, and it fails when a point or a
