@@ -136,11 +136,21 @@ def _kernel(text: str) -> KernelSpec:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _seed(text: str) -> int:
-    """The ``--seed`` type: numpy's generators take integers >= 0 only."""
-    if not text.isdigit():
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
+def _at_least(low: int):
+    """The type of an integer flag >= ``low``: a message argparse reports with the flag."""
+    def integer(text: str) -> int:
+        if not (text.isdecimal() and int(text) >= low):
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+    return integer
+
+
+def _tolerance(text: str) -> float:
+    """The ``--epsilon`` type: a number that ``HerdingConfig`` accepts as its tolerance."""
+    try:
+        return HerdingConfig(tolerance=float(text)).tolerance
+    except (ValueError, InputError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _read_doc(path, from_dict):
@@ -204,6 +214,8 @@ def cmd_herd(args) -> tuple[dict, int]:
     if args.parallel is not None and args.recursive:
         raise InputError("--parallel and --recursive are mutually exclusive")
     S = _load_sample(args)
+    if args.parallel is not None and args.parallel > len(S):
+        raise InputError(f"--parallel must be at most the {len(S)} data rows, got {args.parallel}")
     hconfig = HerdingConfig(
         tolerance=args.epsilon, max_iterations=args.max_iterations, step_rule=args.step_rule
     )
@@ -320,13 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
     command("train", cmd_train, "fit the mean classifier and write a model file", data=True, kernel="linear")
 
     p = command("herd", cmd_herd, "compress a sample by kernel herding", data=True, kernel="linear")
-    p.add_argument("--epsilon", type=float, default=0.01, help="target approximation error")
-    p.add_argument("--max-iterations", type=int, default=10000)
+    p.add_argument("--epsilon", type=_tolerance, default=HerdingConfig.tolerance, help="target approximation error")
+    p.add_argument("--max-iterations", type=_at_least(1), default=HerdingConfig.max_iterations)
     p.add_argument("--step-rule", choices=STEP_RULES, default=HerdingConfig.step_rule)
-    p.add_argument("--parallel", type=int, help="herd this many groups independently")
+    p.add_argument("--parallel", type=_at_least(1), help="herd this many groups independently")
     p.add_argument("--recursive", action=argparse.BooleanOptionalAction, default=False,
                    help="herd stages until --min-size")
-    p.add_argument("--min-size", type=int, default=100)
+    p.add_argument("--min-size", type=_at_least(1), default=100)
     p.add_argument("--trace-out", help="CSV path for (iteration, error, size)")
 
     p = command("eval", cmd_eval, "evaluate a model file on data", data=True)
@@ -335,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("check", cmd_check, "run a theorem-check suite", kernel="gaussian:1.0")
     p.add_argument("--suite", choices=(*ALL_SUITES, "all"), help="suite to run, or all")
-    p.add_argument("--seed", type=_seed, default=0, help="RNG seed, an integer >= 0 (default: 0)")
+    p.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed, an integer >= 0 (default: 0)")
 
     p = command("bounds", cmd_bounds, "evaluate a generalization bound")
     p.add_argument("--kind", choices=_BOUNDS)

@@ -19,6 +19,7 @@ import csv
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
+from typing import NoReturn
 
 import numpy as np
 
@@ -461,7 +462,8 @@ def load_sparse(path) -> LabeledSample:
     """Sparse text rows ``<label> <idx>:<val> ...``, 1-based indices increasing in each row.
 
     Blank and ``#`` lines are skipped.  Rows convert in chunks of ``CSV_CHUNK_ROWS``
-    (``_sparse_chunk``); a chunk that fails is read row by row (``_sparse_rows``).
+    (``_sparse_chunk``); in a chunk that does not convert, the first bad token in
+    file order is the ParseError reported (``_raise_bad_token``).
     """
     chunks = _chunks(((n, line) for n, line in enumerate(map(str.strip, _lines(path)), start=1)
                       if line and not line.startswith("#")), lambda c: _sparse_chunk(c, path), path)
@@ -491,19 +493,19 @@ def _sparse_chunk(chunk, path):
         idx = np.fromiter(map(int, map(itemgetter(0), parts)), dtype=np.intp, count=len(parts))
         vals = np.fromiter(map(float, map(itemgetter(2), parts)), dtype=float, count=len(parts))
     except (ValueError, OverflowError):  # a non-number, or an index beyond int64
-        return _sparse_rows(chunk, path)
+        _raise_bad_token(chunk, path)
     prev = np.insert(idx[:-1], 0, 0)
     prev[(np.cumsum(counts) - counts)[counts > 0]] = 0  # a row's first index follows 0
-    return (labels, idx, vals, counts) if (idx > prev).all() else _sparse_rows(chunk, path)
+    if not (idx > prev).all():
+        _raise_bad_token(chunk, path)
+    return labels, idx, vals, counts
 
 
-def _sparse_rows(chunk, path):
-    """``_sparse_chunk`` as a loop over tokens that checks each as it reads it."""
-    labels, idx, vals, counts = [], [], [], []
+def _raise_bad_token(chunk, path) -> NoReturn:
+    """Raise the ParseError of the first bad token, in file order, of a chunk ``_sparse_chunk`` rejects."""
     for line_no, line in chunk:
         tokens = line.split()
-        labels.append(_parse_float(tokens[0], path, line_no))
-        counts.append(len(tokens) - 1)
+        _parse_float(tokens[0], path, line_no)
         prev = 0
         for tok in tokens[1:]:
             if ":" not in tok:
@@ -522,6 +524,5 @@ def _sparse_rows(chunk, path):
             if i <= prev:
                 raise ParseError(f"feature indices must be strictly increasing, got {i} after {prev}",
                                  path=path, line=line_no)
-            vals.append(_parse_float(val_s, path, line_no))
-            idx.append(prev := i)
-    return labels, np.array(idx, dtype=np.intp), np.array(vals), np.array(counts, dtype=np.intp)
+            _parse_float(val_s, path, line_no)
+            prev = i

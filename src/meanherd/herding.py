@@ -65,7 +65,7 @@ _STATIONARY_EPS = 1e-15
 @dataclass(frozen=True)
 class HerdingConfig:
     tolerance: float = 0.01
-    max_iterations: int = 1000
+    max_iterations: int = 10000
     step_rule: str = "line_search"
 
     def __post_init__(self):
@@ -93,15 +93,14 @@ class Herd:
     holds the kernel, the weights and the members' labels and points.  For
     bounded kernels its scores lie within ``error`` of the full mean's
     everywhere (Cauchy-Schwarz against ||phi(x)|| <= 1); otherwise only
-    within ``error`` sqrt(K(x, x)) at x.  ``error`` is the
-    tracked error, ``recomputed_error`` the same quantity evaluated exactly,
-    and ``squared_norm`` the herd's ||omega||^2 from that evaluation, which
-    the model document reports as ``meta.norm``.
+    within ``error`` sqrt(K(x, x)) at x.  ``error``, the last ``trace`` entry,
+    is the tracked error, ``recomputed_error`` the same quantity evaluated
+    exactly, and ``squared_norm`` the herd's ||omega||^2 from that evaluation,
+    which the model document reports as ``meta.norm``.
     """
 
     classifier: MeanClassifier
     indices: np.ndarray  # the members' indices into the source sample
-    error: float
     recomputed_error: float
     squared_norm: float
     trace: tuple[float, ...]
@@ -109,6 +108,10 @@ class Herd:
     sizes: tuple[int, ...]  # distinct members per trace entry
     stages: tuple[StageSummary, ...] = field(default=())
     group_errors: tuple[float, ...] = field(default=())
+
+    @property
+    def error(self) -> float:
+        return self.trace[-1]
 
     @property
     def size(self) -> int:
@@ -232,7 +235,7 @@ def herd(data, kernel: KernelSpec, config: HerdingConfig | None = None) -> Herd:
     c, target_sq = _target_pass(target)
     clf, members, trace, sizes, end = _frank_wolfe(target, config or HerdingConfig(), c, target_sq)
     err, herd_sq = _exact_error(clf, members, c, target_sq)
-    return Herd(clf, members, error=trace[-1], recomputed_error=err, squared_norm=herd_sq,
+    return Herd(clf, members, recomputed_error=err, squared_norm=herd_sq,
                 trace=trace, termination=end, sizes=sizes)
 
 
@@ -281,7 +284,7 @@ def parallel_herd(
     # One group is the whole sample, so its pass is already the uniform pass.
     full_pass = group_pass if groups == 1 else _target_pass(fit(S, kernel))
     err, herd_sq = _exact_error(clf, idx, *full_pass)
-    return Herd(clf, idx, error=err, recomputed_error=err, squared_norm=herd_sq,
+    return Herd(clf, idx, recomputed_error=err, squared_norm=herd_sq,
                 trace=(err,), sizes=(len(idx),),
                 termination="tolerance" if terminations == {"tolerance"} else "mixed",
                 group_errors=tuple(group_errors))
@@ -320,7 +323,7 @@ def recursive_herd(
     # With no stage the herd is the target itself: its error is exactly 0,
     # and its squared norm is the target pass's.
     err, herd_sq = _exact_error(target, idx, *full_pass) if stages else (0.0, full_pass[1])
-    return Herd(target, idx, error=err, recomputed_error=err, squared_norm=herd_sq,
+    return Herd(target, idx, recomputed_error=err, squared_norm=herd_sq,
                 trace=(err,), sizes=(len(idx),), termination="recursive", stages=tuple(stages))
 
 

@@ -31,11 +31,10 @@ CONSTANCY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Loss:
-    """A named binary-margin loss with a declared convexity flag."""
+    """A named binary-margin loss: ``loss(y, v)`` checks the labels and calls ``fn``."""
 
     name: str
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    convex: bool
 
     def __call__(self, y, v):
         y = np.asarray(y)
@@ -60,10 +59,10 @@ def _zero_one(y, v):
     return np.where((y * v < 0) | (v == 0), 1.0, 0.0)
 
 
-linear_loss = Loss("linear", _linear, convex=True)
-hinge_loss = Loss("hinge", _hinge, convex=True)
-logistic_loss = Loss("logistic", _logistic, convex=True)
-zero_one_loss = Loss("zero-one", _zero_one, convex=False)
+linear_loss = Loss("linear", _linear)
+hinge_loss = Loss("hinge", _hinge)
+logistic_loss = Loss("logistic", _logistic)
+zero_one_loss = Loss("zero-one", _zero_one)
 
 
 def margin_loss(gamma: float) -> Loss:
@@ -74,7 +73,7 @@ def margin_loss(gamma: float) -> Loss:
     def fn(y, v):
         return np.where((y * v < gamma) | (v == 0), 1.0, 0.0)
 
-    return Loss(f"margin:{gamma:g}", fn, convex=False)
+    return Loss(f"margin:{gamma:g}", fn)
 
 
 BUILTIN_LOSSES = {
@@ -149,9 +148,7 @@ def correct_sln(loss: Loss, sigma: float) -> Loss:
     def fn(y, v):
         return ((1.0 - sigma) * loss.fn(y, v) - sigma * loss.fn(-y, v)) / (1.0 - 2.0 * sigma)
 
-    # The correction preserves convexity only for noise-robust bases;
-    # declared conservatively.
-    return Loss(f"sln-corrected:{loss.name}:{sigma:g}", fn, convex=False)
+    return Loss(f"sln-corrected:{loss.name}:{sigma:g}", fn)
 
 
 def correct_cc(loss: Loss, sigma_neg: float, sigma_pos: float) -> Loss:
@@ -167,7 +164,7 @@ def correct_cc(loss: Loss, sigma_neg: float, sigma_pos: float) -> Loss:
         s_my = np.where(y == 1, sigma_neg, sigma_pos)
         return ((1.0 - s_my) * loss.fn(y, v) - s_y * loss.fn(-y, v)) / denom
 
-    return Loss(f"cc-corrected:{loss.name}:{sigma_neg:g}:{sigma_pos:g}", fn, convex=False)
+    return Loss(f"cc-corrected:{loss.name}:{sigma_neg:g}:{sigma_pos:g}", fn)
 
 
 # ---------------------------------------------------------------------------

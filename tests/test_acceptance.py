@@ -122,7 +122,7 @@ def test_04_robustness_characterization(capsys):
 
 
 def test_05_long_servedio(capsys):
-    rep = lab.run_long_servedio(1.0 / 24.0, angle_step=0.001)
+    rep = lab.run_long_servedio(1.0 / 24.0)
     ok = rep.passed and bool(rep.extras["failing_sigmas"])
     _report(capsys, 5, "hinge collapses to coin flipping, mean never does", ok)
 

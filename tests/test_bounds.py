@@ -69,6 +69,7 @@ def test_bounds_decrease_in_n():
         lambda: bound_pac_bayes_multi(0.0, 100, 0, 0.05),
         lambda: bound_generic_pac_bayes(0.0, -1.0, 100, 0.05),
         lambda: bound_generic_pac_bayes(0.0, 1.0, 100, 0.05, beta=0.0),
+        lambda: optimal_beta(-1.0, 100, 0.05),
     ],
 )
 def test_parameter_validation(call):

@@ -12,7 +12,7 @@ import pytest
 
 from meanherd import bounds, herding, kernels
 from meanherd.classifier import margin_for_error
-from meanherd.cli import ALL_SUITES, _write_json, main
+from meanherd.cli import ALL_SUITES, _write_json, build_parser, main
 from meanherd.data import DiscreteDistribution, flip_symmetric, load_csv, synth_blobs
 from meanherd.errors import DataError
 from meanherd.herding import (
@@ -246,6 +246,39 @@ def test_herd_recursive_flag(blob_csv, tmp_path):
     assert read_json(out)["stages"]
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--epsilon", "inf"], "argument --epsilon: tolerance must be finite and > 0, got inf"),
+    (["--max-iterations", "0"], "argument --max-iterations: expected an integer >= 1, got '0'"),
+    (["--parallel", "0"], "argument --parallel: expected an integer >= 1, got '0'"),
+    (["--parallel", "201"], "--parallel must be at most the 200 data rows, got 201"),
+    (["--recursive", "--min-size", "0"], "argument --min-size: expected an integer >= 1, got '0'"),
+])
+def test_herd_usage_errors_name_the_flag(flags, named, blob_csv, tmp_path, capsys):
+    out = tmp_path / "herd.json"
+    assert run_cli(["herd", "--data", str(blob_csv), *flags, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
+def test_herd_flag_defaults_are_the_library_defaults():
+    args = build_parser().parse_args(["herd"])
+    config = HerdingConfig()
+    assert (args.epsilon, args.max_iterations, args.step_rule) == (
+        config.tolerance, config.max_iterations, config.step_rule)
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_herd_parallel_and_recursive_exit_2(source, blob_csv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"recursive": True}))
+    out = tmp_path / "herd.json"
+    argv = {"flag": ["herd", "--recursive"], "config": ["--config", str(cfg), "herd"]}[source]
+    assert main([*argv, "--data", str(blob_csv), "--parallel", "2", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "--parallel and --recursive are mutually exclusive" in capsys.readouterr().err
+
+
 def test_eval_on_training_data(toy_csv, tmp_path):
     model = tmp_path / "model.json"
     main(["train", "--data", str(toy_csv), "--kernel", "linear", "--out", str(model)])
@@ -440,6 +473,15 @@ def test_mmd_command(blob_csv, capsys):
     assert doc["n_pos"] == doc["n_neg"] == 100
 
 
+def test_mmd_on_one_class_exit_3(tmp_path, capsys):
+    data = tmp_path / "one-class.csv"
+    data.write_text("1.0,0.0,1\n-1.0,0.0,1\n")
+    out = tmp_path / "mmd.json"
+    assert main(["mmd", "--data", str(data), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "mmd needs both classes present in the data" in capsys.readouterr().err
+
+
 def test_noise_command_sln(tmp_path, capsys):
     P = DiscreteDistribution(
         instances=np.array([[0.0], [1.0]]), labels=np.array([1, -1]),
@@ -532,7 +574,7 @@ def test_a_non_finite_parameter_exits_2_and_names_it(argv, named, toy_csv, tmp_p
     dist.write_text('{"support": [[[0.0], 1], [[1.0], -1]], "prob": [0.5, 0.5]}')
     inputs = {"eval": ["--model", str(model), "--data", str(toy_csv)], "herd": ["--data", str(toy_csv)],
               "noise": ["--dist", str(dist)]}[argv[0]]
-    assert main([*argv, *inputs, "--out", str(out)]) == 2
+    assert run_cli([*argv, *inputs, "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
 
@@ -704,6 +746,24 @@ def test_every_document_is_one_line_with_sorted_keys(argv, blob_csv, tmp_path):
     assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("role, content, message", [
+    ("config", b"\xff\xfe{}", "not UTF-8 text"),
+    ("config", b'{"kernel": ', "not JSON"),
+    ("config", b"[1, 2]", "config file must contain a JSON object"),
+    ("model", b"\xff\xfe{}", "not UTF-8 text"),
+    ("model", b'{"kernel": ', "not JSON"),
+])
+def test_unreadable_json_input_exit_3(role, content, message, toy_csv, tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(content)
+    out = tmp_path / "out.json"
+    argv = {"config": ["--config", str(doc), "train"], "model": ["eval", "--model", str(doc)]}[role]
+    assert main([*argv, "--data", str(toy_csv), "--out", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert str(doc) in err and message in err
+
+
 @pytest.mark.parametrize("case", ["eval-empty", "eval-list", "eval-scalar-x", "noise-empty",
                                   "noise-bad-atom"])
 def test_malformed_document_exit_3(case, toy_csv, tmp_path, capsys):
@@ -760,7 +820,8 @@ def run_cli(argv) -> int:
 
 
 @pytest.mark.parametrize("entry", [{"epsilon": "abc"}, {"recursive": "no"}, {"format": "xml"},
-                                   {"parallel": True}, {"kernel": {"kind": "gaussian"}}])
+                                   {"parallel": True}, {"kernel": {"kind": "gaussian"}},
+                                   {"epsilon": "inf"}])
 def test_config_value_rejected_like_its_flag(entry, blob_csv, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(entry))

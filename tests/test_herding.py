@@ -272,6 +272,14 @@ def test_recursive_respects_min_size():
     assert all(st.size_before > 90 for st in h.stages)
 
 
+def test_recursive_stops_when_a_stage_keeps_every_member():
+    # two points of one label: the stage needs both, and herding them again would never end
+    S = LabeledSample(np.array([[0.0], [1.0]]), np.array([1, 1]))
+    h = recursive_herd(S, GAUSS, min_size=1, config=HerdingConfig(tolerance=1e-9))
+    assert [(st.size_before, st.size_after) for st in h.stages] == [(2, 2)]
+    assert h.size == 2 and h.error <= 1e-9
+
+
 def test_kernel_sum_passes_stay_below_n_squared_memory():
     # One n x n float64 matrix at n=3000 is 69 MiB; the blocked passes need
     # a few 16 MiB blocks.

@@ -7,6 +7,7 @@ from meanherd.data import (
     InstanceDistribution,
     NoiseFunctionTable,
     flip_symmetric,
+    long_servedio,
     sorted_instances,
 )
 from meanherd.errors import DataError, InputError
@@ -346,7 +347,7 @@ def test_no_order_reversal_for_linear():
 
 
 def test_long_servedio_report():
-    report = lab.run_long_servedio(1.0 / 24.0, angle_step=0.005)
+    report = lab.run_long_servedio(1.0 / 24.0)
     assert report.passed
     assert report.extras["failing_sigmas"]
 
@@ -354,10 +355,35 @@ def test_long_servedio_report():
 def test_long_servedio_failure_onset_decreases_with_gamma():
     onsets = []
     for gamma in (1.0 / 12.0, 1.0 / 24.0, 1.0 / 48.0):
-        report = lab.run_long_servedio(gamma, angle_step=0.005)
+        report = lab.run_long_servedio(gamma)
         assert report.passed
         onsets.append(report.extras["min_failing_sigma"])
     assert onsets[0] >= onsets[1] >= onsets[2]
+
+
+@pytest.mark.parametrize("gamma, failing", [
+    (1.0 / 12.0, [0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45]),
+    (1.0 / 24.0, [0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45]),
+    (1.0 / 48.0, [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45]),
+])
+def test_long_servedio_hinge_minimizers_are_optimal(gamma, failing):
+    """No step of 1e-6 in 64 directions lowers the corrupted hinge risk.
+
+    The risk is convex in w, so a point no small step improves is its
+    global minimum.
+    """
+    P = long_servedio(gamma)
+    angles = 2.0 * np.pi * np.arange(64) / 64
+    steps = 1e-6 * np.column_stack([np.cos(angles), np.sin(angles)])
+    for sigma in (0.0, *lab._LONG_SERVEDIO_SIGMAS):
+        P_sigma = flip_symmetric(P, sigma)
+        w, r = lab._hinge_min_over_hyperplanes(P.instances, P.probabilities, sigma)
+        assert risk(hinge_loss, P_sigma, P_sigma.instances @ w) == pytest.approx(r, abs=1e-14)
+        neighbours = risk(hinge_loss, P_sigma, (w + steps) @ P_sigma.instances.T)
+        assert neighbours.min() >= r - 1e-12, sigma
+    report = lab.run_long_servedio(gamma)
+    assert report.extras["failing_sigmas"] == failing
+    assert report.extras["min_failing_sigma"] == failing[0]
 
 
 def test_compression_experiment_blobs():

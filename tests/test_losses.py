@@ -7,6 +7,7 @@ from meanherd.data import DiscreteDistribution
 from meanherd.errors import InputError
 from meanherd.losses import (
     GRID,
+    Loss,
     balanced_error,
     cc_ratio_check,
     correct_cc,
@@ -159,6 +160,15 @@ def test_sln_corrected_robust_loss_is_affine_image():
 def test_order_equivalence_rejects_unrelated():
     fit = order_equivalence_fit(linear_loss, logistic_loss)
     assert not fit.order_equivalent
+
+
+def test_losses_that_ignore_the_label_are_degenerate_and_constant_losses_unfittable():
+    even = Loss("square", lambda y, v: v * v)
+    verdict = sln_robustness_check(even)
+    assert verdict.degenerate and not verdict.is_robust and verdict.verdict == "degenerate"
+    constant = Loss("constant", lambda y, v: np.ones(np.broadcast(y, v).shape))
+    fit = order_equivalence_fit(constant, linear_loss)
+    assert not fit.fittable and not fit.order_equivalent
 
 
 def test_cc_ratio_check():
