@@ -25,7 +25,8 @@ error.  Non-finite data (nan or inf in a sample, a probability or a
 model), a file that is not UTF-8 and a JSON input with missing keys or
 wrong types exit 3, and no output ever holds a non-finite number, so every
 emitted file is strict JSON: one line ending in a newline, keys sorted,
-with the separators ``", "`` and ``": "``.
+with the separators ``", "`` and ``": "``.  Every input is read as UTF-8
+less a leading byte-order mark.
 
 ``train`` and ``herd`` write one model format, ``MeanClassifier.to_dict``:
 kernel, weighted support points and meta.  ``meta.min_linear_loss`` is
@@ -38,7 +39,8 @@ stages.  ``eval`` reads either through ``MeanClassifier.from_dict``.
 Kernel sums are evaluated in row blocks (``kernels.kernel_sums``, and
 ``kernels.self_sums`` for a sum over a support's own points), one block
 alive at a time and each finished in cache-sized row strips, so memory is
-one block of at most 2^21 entries plus O(n * d), never n^2.  ``herd``
+one block plus O(n * d), never n^2: a block holds at most 2^18 entries (2
+MiB) up to 2048 columns and 128 rows beyond.  ``herd``
 makes one pass over the n x n kernel matrix, for the herding target, and
 that pass evaluates only its upper triangle, about n^2 / 2 entries; the
 exact error in ``recomputed_error`` reuses that pass and adds only the
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import sys
 
@@ -92,9 +95,10 @@ _BOUNDS = {
 
 
 def _read_json(path):
-    """The JSON document in ``path``; bytes that are not UTF-8 JSON are a ParseError."""
+    """The JSON document in ``path``, after any leading byte-order mark; bytes
+    that are not UTF-8 JSON are a ParseError."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return json.load(fh)
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: {exc}", path=path) from None
@@ -193,11 +197,11 @@ def _config(args) -> dict:
 
 
 def _load_sample(args) -> LabeledSample:
-    """Load --data; ``--format auto`` reads .txt/.svm/.libsvm as sparse, the rest as CSV."""
+    """Load --data; ``--format auto`` reads .txt/.svm/.libsvm in any case as sparse, the rest as CSV."""
     path = _required(args, "data")
     fmt = args.format
     if fmt == "auto":
-        fmt = "sparse" if path.endswith((".txt", ".svm", ".libsvm")) else "csv"
+        fmt = "sparse" if path.lower().endswith((".txt", ".svm", ".libsvm")) else "csv"
     return load_sparse(path) if fmt == "sparse" else load_csv(path, args.label_column)
 
 
@@ -372,6 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # The process runs this one command (``python -m meanherd.cli`` or the
+        # ``meanherd`` script): move the import graph out of the collector's
+        # reach, so its passes, the final ones at exit included, skip it.
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

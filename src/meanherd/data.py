@@ -355,8 +355,9 @@ CSV_CHUNK_ROWS = 2**12
 
 
 def _lines(path, newline=None):
-    """The lines of a UTF-8 text file; bytes that are not UTF-8 are a ParseError naming it."""
-    with open(path, encoding="utf-8", newline=newline) as fh:
+    """The lines of a UTF-8 text file, less a leading byte-order mark; bytes
+    that are not UTF-8 are a ParseError naming it."""
+    with open(path, encoding="utf-8-sig", newline=newline) as fh:
         try:
             yield from fh
         except UnicodeDecodeError as exc:

@@ -15,8 +15,10 @@ only, so K(0, 0) = 1 and K(0, z) = 0, and is divided by its largest
 norm.  ``_block`` finishes the gemm (a polynomial's power, a Gaussian's
 exp) in row strips of at most ``STRIP_ENTRIES`` entries, small enough to
 stay in cache, and a sum drops each block before it evaluates the next,
-so a sum holds one block of at most ``BLOCK_ENTRIES`` entries, a
-strip-sized temporary and the prepared points, never n x n.
+so a sum holds one block, a strip-sized temporary and the prepared
+points, never n x n.  A block is ``max(BLOCK_ROWS, BLOCK_ENTRIES // m)``
+rows of m columns: at most 2 MiB up to m = 2048, and BLOCK_ROWS x m
+entries beyond.
 
 The theory modules assume bounded feature maps (|K(x,x')| <= 1); the
 gaussian kernel is bounded by construction, linear and polynomial kernels
@@ -46,8 +48,14 @@ _PARAMETERS = {"linear": ("normalized",), "gaussian": ("bandwidth",),
                "polynomial": ("degree", "offset", "normalized")}
 
 # Kernel entries per row block in ``kernel_sums`` and ``self_sums``:
-# 2**21 float64 = 16 MiB.
-BLOCK_ENTRIES = 2**21
+# 2**18 float64 = 2 MiB, so a block's gemv passes read from cache, and a
+# freed block that the allocator keeps resident holds 2 MiB, not 16.  A
+# block is never thinner than ``BLOCK_ROWS`` rows, so beyond 2048 points a
+# block is BLOCK_ROWS x n entries and the gemm does not re-read every
+# point for each few rows (at 64 rows a linear sum over 20000 points is
+# 4-6% slower than at 128).
+BLOCK_ENTRIES = 2**18
+BLOCK_ROWS = 128
 
 # Kernel entries per row strip in which ``_block`` finishes a block after
 # its gemm: 2**15 float64 = 256 KiB, so a strip stays in L2 cache through
@@ -264,13 +272,14 @@ def kernel_sums(spec: KernelSpec, X, Z, coef) -> np.ndarray:
     """K(X, Z) @ coef, evaluated one row block of K at a time.
 
     Every rectangular kernel sum (scores on other points) goes through here.
-    A block holds at most ``BLOCK_ENTRIES`` kernel entries, so K(X, Z) is
-    never held whole.  Z is prepared once per call.
+    A block is ``max(BLOCK_ROWS, BLOCK_ENTRIES // m)`` rows of K for m
+    points in Z, so K(X, Z) is never held whole.  Z is prepared once per
+    call.
     """
     X, Z = _checked(X, Z)
     coef = np.asarray(coef, dtype=float)
     a, b = _prepare(spec, X), _prepare(spec, Z)
-    rows = max(1, BLOCK_ENTRIES // max(1, Z.shape[0]))
+    rows = max(BLOCK_ROWS, BLOCK_ENTRIES // max(1, Z.shape[0]))
     out = np.empty(X.shape[0])
     for lo in range(0, X.shape[0], rows):
         out[lo:lo + rows] = _block(spec, a.rows(lo, lo + rows), b) @ coef
@@ -282,16 +291,16 @@ def self_sums(spec: KernelSpec, X, coef) -> np.ndarray:
 
     Each row block B = K(X[lo:hi], X[lo:]) adds B @ coef[lo:] to its own
     rows and its off-diagonal part, transposed, to the later rows.  With r =
-    ``BLOCK_ENTRIES // n`` rows per block that is at most n (n + r) / 2
-    kernel entries, about half of ``kernel_sums(spec, X, X, coef)``'s, in
-    blocks of at most ``BLOCK_ENTRIES`` entries.  A support of at most r
-    points is one square block.
+    ``max(BLOCK_ROWS, BLOCK_ENTRIES // n)`` rows per block that is at most
+    n (n + r) / 2 kernel entries, about half of ``kernel_sums(spec, X, X,
+    coef)``'s, in blocks of at most r n entries.  A support of at most r
+    points, so of at most 512, is one square block.
     """
     X = _as_matrix(X)
     coef = np.asarray(coef, dtype=float)
     n = X.shape[0]
     a = _prepare(spec, X)
-    rows = max(1, BLOCK_ENTRIES // max(1, n))
+    rows = max(BLOCK_ROWS, BLOCK_ENTRIES // max(1, n))
     if rows >= n:
         return _block(spec, a, a) @ coef
     out = np.zeros(n)

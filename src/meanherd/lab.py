@@ -456,10 +456,6 @@ def load_compression_npz(path):
     return train, test
 
 
-def _accuracy(clf, S: LabeledSample) -> float:
-    return float(np.mean(S.labels * clf.scores(S.instances) > 0))
-
-
 def run_compression_experiment(
     kernel: KernelSpec,
     eps_list=(0.01,),
@@ -492,19 +488,17 @@ def run_compression_experiment(
     else:
         train = synth_blobs(n, 2, _BLOB_SEPARATION, seed)
         test = synth_blobs(max(2, n // 2), 2, _BLOB_SEPARATION, seed + 1)
-    full = fit(train, kernel)
-    baseline = _accuracy(full, test)
-    report.extras["baseline_accuracy"] = baseline
-    full_scores = full.scores(test.instances)
+    full_scores = fit(train, kernel).scores(test.instances)
+    report.extras["baseline_accuracy"] = float(np.mean(test.labels * full_scores > 0))
 
     curve = []
     for eps in eps_list:
         config = HerdingConfig(tolerance=eps)
         h = recursive_herd(train, kernel, min_size=min_size, config=config)
         err = h.recomputed_error
-        sparse = h.classifier
-        acc = _accuracy(sparse, test)
-        gap = float(np.max(np.abs(full_scores - sparse.scores(test.instances))))
+        sparse_scores = h.classifier.scores(test.instances)
+        acc = float(np.mean(test.labels * sparse_scores > 0))
+        gap = float(np.max(np.abs(full_scores - sparse_scores)))
         report.check_le(f"sup-norm audit on test points (eps={eps})", gap, err, 1e-9)
         curve.append(
             {"eps": eps, "herd_size": h.size, "fraction": h.size / len(train),

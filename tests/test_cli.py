@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import math
 import os
@@ -149,6 +150,7 @@ def test_herd_makes_one_n_squared_pass(mode, blob_csv, tmp_path, monkeypatch):
     # the target pass's, so the target pass is all.
     n = 200
     monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 25 * n)  # n spans 8 blocks of 25 rows
+    monkeypatch.setattr(kernels, "BLOCK_ROWS", 1)
     entries, rows = [], []
     block, kernel_rows = kernels._block, herding.kernel_rows
 
@@ -542,6 +544,15 @@ def test_non_finite_input_exit_3(case, toy_csv, tmp_path, capsys):
     assert "non-finite value in output" not in capsys.readouterr().err
 
 
+def run_child(argv) -> subprocess.CompletedProcess:
+    """``python -m meanherd.cli`` with ``argv`` in a child process, ``src`` first on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
+    return subprocess.run([sys.executable, "-m", "meanherd.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "sparse", "noise", "config"])
 def test_non_utf8_input_exit_3(command, toy_csv, tmp_path):
     binary = tmp_path / "bin.csv"
@@ -551,14 +562,47 @@ def test_non_utf8_input_exit_3(command, toy_csv, tmp_path):
             "sparse": ["mmd", "--data", str(binary), "--format", "sparse"],
             "noise": ["noise", "--dist", str(binary)],
             "config": ["--config", str(binary), "train", "--data", str(toy_csv)]}[command]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
-    proc = subprocess.run([sys.executable, "-m", "meanherd.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = run_child(argv)
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert str(binary) in proc.stderr
+
+
+def test_a_child_process_writes_what_main_writes_in_process(blob_csv, tmp_path):
+    # the child freezes its import graph out of the collector; main(argv) does not
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    out = tmp_path / "herd.json"
+    argv = ["herd", "--data", str(blob_csv), "--kernel", "gaussian:1.0", "--epsilon", "0.05",
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+    inside = out.read_bytes()
+    assert run_child(argv).returncode == 0
+    assert out.read_bytes() == inside
+
+
+@pytest.mark.parametrize("reader", ["config", "model", "dist"])
+def test_json_inputs_may_start_with_a_byte_order_mark(reader, toy_csv, tmp_path):
+    model, out = tmp_path / "model.json", tmp_path / "out.json"
+    assert main(["train", "--data", str(toy_csv), "--out", str(model)]) == 0
+    marked = tmp_path / "marked.json"
+    text = {"config": '{"kernel": "linear"}', "model": model.read_text(),
+            "dist": '{"support": [[[0.0], 1], [[1.0], -1]], "prob": [0.5, 0.5]}'}[reader]
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    argv = {"config": ["--config", str(marked), "train", "--data", str(toy_csv)],
+            "model": ["eval", "--model", str(marked), "--data", str(toy_csv)],
+            "dist": ["noise", "--dist", str(marked)]}[reader]
+    assert main([*argv, "--out", str(out)]) == 0
+    if reader == "config":
+        assert read_json(out)["config"]["kernel"] == {"kind": "linear", "normalized": False}
+
+
+@pytest.mark.parametrize("suffix", [".txt", ".TXT", ".Svm", ".LIBSVM"])
+def test_format_auto_reads_a_sparse_suffix_in_any_case(suffix, tmp_path):
+    data, out = tmp_path / f"train{suffix}", tmp_path / "mmd.json"
+    data.write_text("1 1:1.37\n-1 1:-0.5\n1 1:2.0\n")
+    assert main(["mmd", "--data", str(data), "--out", str(out)]) == 0
+    assert read_json(out)["n_pos"] == 2
 
 
 @pytest.mark.parametrize("argv, named", [

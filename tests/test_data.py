@@ -320,6 +320,20 @@ def test_load_sparse(tmp_path):
     assert np.array_equal(S.labels, np.array([1, -1]))
 
 
+@pytest.mark.parametrize("loader, name, text", [
+    (lambda f: load_csv(f, -1), "bom.csv", "1.0,2.0,1\n3.0,4.0,-1\n5.0,6.0,1\n"),
+    (load_sparse, "bom.txt", "1 1:1.0 2:2.0\n-1 1:3.0 2:4.0\n1 1:5.0 2:6.0\n"),
+])
+def test_a_leading_byte_order_mark_is_not_data(loader, name, text, tmp_path):
+    # the mark decoded into the first token would make line 1 a CSV header
+    # and a sparse file's bad label
+    f = tmp_path / name
+    f.write_text("\ufeff" + text, encoding="utf-8")
+    S = loader(f)
+    assert np.array_equal(S.instances, np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+    assert np.array_equal(S.labels, np.array([1, -1, 1]))
+
+
 def test_load_sparse_reads_a_file_of_several_chunks(tmp_path):
     # rows with no features, indices that restart in each row, and -0.0 among the values
     rng = np.random.default_rng(0)

@@ -235,6 +235,7 @@ def test_parallel_one_group_evaluates_a_plain_herds_kernel_entries(monkeypatch):
     # rows and the m-member self-sum of the exact error
     n = 150
     monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 20 * n)
+    monkeypatch.setattr(kernels, "BLOCK_ROWS", 1)
     entries = []
     block = kernels._block
 
@@ -282,7 +283,7 @@ def test_recursive_stops_when_a_stage_keeps_every_member():
 
 def test_kernel_sum_passes_stay_below_n_squared_memory():
     # One n x n float64 matrix at n=3000 is 69 MiB; the blocked passes need
-    # a few 16 MiB blocks.
+    # a few 2 MiB blocks.
     S = synth_blobs(3000, 20, 4.0, seed=1)
     kernel = KernelSpec("gaussian", bandwidth=4.0)
     h = herd(S, kernel, HerdingConfig(tolerance=0.05))

@@ -86,6 +86,7 @@ def test_kernel_sums_match_dense_product_across_blocks(monkeypatch, text):
     # 64 entries per block over 7 columns gives blocks of 9 rows, so the
     # 50 rows end in a partial block.
     monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 64)
+    monkeypatch.setattr(kernels, "BLOCK_ROWS", 1)
     spec = KernelSpec.parse(text)
     rng = np.random.default_rng(11)
     X = rng.normal(size=(50, 3))
@@ -112,13 +113,12 @@ def dense_kernel(spec, X, Z):
         sq = np.sum((X[:, None, :] - Z[None, :, :]) ** 2, axis=2)
         return np.exp(-sq / (2.0 * spec.bandwidth**2))
 
-    def raw(A, B):
-        G = A @ B.T
+    def power(G):
         return G if spec.kind == "linear" else (G + spec.offset) ** spec.degree
 
-    K = raw(X, Z)
+    K = power(X @ Z.T)
     if spec.normalized:
-        kx, kz = np.diag(raw(X, X)), np.diag(raw(Z, Z))
+        kx, kz = power(np.sum(X * X, axis=1)), power(np.sum(Z * Z, axis=1))
         denom = np.sqrt(np.outer(kx, kz))
         K = np.divide(K, denom, out=np.zeros_like(K), where=denom > 0)
         K[np.outer(kx == 0, kz == 0)] = 1.0
@@ -173,6 +173,7 @@ def test_self_sums_match_dense_product_across_blocks(monkeypatch, text, n):
     # block a strip of 3 rows and a partial one of 2, a 2-row block fewer
     # rows than one strip, and a row of 50 is longer than a strip.
     monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 64)
+    monkeypatch.setattr(kernels, "BLOCK_ROWS", 1)
     monkeypatch.setattr(kernels, "STRIP_ENTRIES", 16)
     spec = KernelSpec.parse(text)
     X = support(n)
@@ -188,13 +189,13 @@ def test_self_sums_match_dense_product_across_blocks(monkeypatch, text, n):
 
 @pytest.mark.parametrize("text", ["gaussian:4.0", "linear:norm", "poly:2:1.0:norm"])
 def test_one_sum_holds_one_block_and_o_of_n_d_besides(text):
-    # the block of BLOCK_ENTRIES float64 entries, at most 10% more for
-    # strip temporaries, and a few copies of the (n, d) points
+    # the block of max(BLOCK_ENTRIES, BLOCK_ROWS n) float64 entries, at most
+    # 10% more for strip temporaries, and a few copies of the (n, d) points
     n, d = 4000, 20
     rng = np.random.default_rng(17)
     X, coef = rng.normal(size=(n, d)), rng.normal(size=n)
     spec = KernelSpec.parse(text)
-    bound = 1.1 * kernels.BLOCK_ENTRIES * 8 + 4 * n * d * 8
+    bound = 1.1 * max(kernels.BLOCK_ENTRIES, kernels.BLOCK_ROWS * n) * 8 + 4 * n * d * 8
     for call in (lambda: self_sums(spec, X, coef), lambda: kernel_sums(spec, X, X, coef)):
         tracemalloc.start()
         try:
@@ -209,6 +210,7 @@ def test_one_sum_holds_one_block_and_o_of_n_d_besides(text):
 def test_self_sums_evaluate_at_most_half_of_k_plus_the_diagonal_blocks(monkeypatch, n, block):
     # r = block // n rows per block: at most n (n + r) / 2 entries, n^2 for one block
     monkeypatch.setattr(kernels, "BLOCK_ENTRIES", block)
+    monkeypatch.setattr(kernels, "BLOCK_ROWS", 1)
     sizes = []
     evaluate = kernels._block
 
@@ -222,6 +224,47 @@ def test_self_sums_evaluate_at_most_half_of_k_plus_the_diagonal_blocks(monkeypat
     r = min(n, block // n)
     assert sum(sizes) <= n * (n + r) // 2
     assert max(sizes) <= block
+
+
+@pytest.mark.parametrize("text", KERNELS)
+@pytest.mark.parametrize("n", [1, 300, 512])
+def test_a_support_of_at_most_512_points_is_one_block(monkeypatch, text, n):
+    # 2^18 entries hold a 512 x 512 block, so a sum over at most 512 points
+    # is one block and that block's product, bit for bit
+    spec = KernelSpec.parse(text)
+    X, Z = support(n), support(n, seed=16)
+    coef = np.random.default_rng(13).normal(size=n)
+    a, b = kernels._prepare(spec, X), kernels._prepare(spec, Z)
+    own, other = kernels._block(spec, a, a) @ coef, kernels._block(spec, a, b) @ coef
+    shapes = []
+    evaluate = kernels._block
+
+    def counted(spec, a, b):
+        K = evaluate(spec, a, b)
+        shapes.append(K.shape)
+        return K
+
+    monkeypatch.setattr(kernels, "_block", counted)
+    assert np.array_equal(self_sums(spec, X, coef), own)
+    assert np.array_equal(kernel_sums(spec, X, Z, coef), other)
+    assert shapes == [(n, n), (n, n)]
+
+
+@pytest.mark.parametrize("text", KERNELS)
+@pytest.mark.parametrize("n", [513, 1000, 4097])
+def test_sums_over_many_blocks_match_the_dense_formula(text, n):
+    # blocks of 511 rows and a partial one of 2 at n = 513, of 262 rows at
+    # n = 1000, and of the 128-row floor at n = 4097
+    spec = KernelSpec.parse(text)
+    X = support(n)
+    coef = np.random.default_rng(13).normal(size=n)
+    expected, scale = np.empty(n), 1.0  # 1e-14 of the sum's scale, 1 for the bounded kernels
+    for lo in range(0, n, 256):  # dense_kernel a few rows at a time
+        K = dense_kernel(spec, X[lo:lo + 256], X)
+        expected[lo:lo + 256] = K @ coef
+        scale = max(scale, float(np.max(np.abs(K) @ np.abs(coef))))
+    for sums in (self_sums(spec, X, coef), kernel_sums(spec, X, X, coef)):
+        assert np.allclose(sums, expected, rtol=0, atol=1e-14 * scale)
 
 
 @pytest.mark.parametrize("text", KERNELS)
