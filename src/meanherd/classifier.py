@@ -129,10 +129,21 @@ class KernelSelection:
 
 
 def select_kernel(data, kernels) -> KernelSelection:
-    """Pick the feature space minimizing 1 - ||omega||; ties go to the lowest index."""
+    """Pick the feature space minimizing 1 - ||omega||; ties go to the lowest index.
+
+    1 - ||omega|| is an attainable loss only where |K| <= 1, as in the model
+    document's ``min_linear_loss``: a menu kernel with K(x, x) > 1 at a data
+    point is an InputError naming its menu index.
+    """
     kernels = list(kernels)
     if not kernels:
         raise InputError("kernel menu must be non-empty")
+    X = _weighted(data)[0]
+    for i, k in enumerate(kernels):
+        k_max = float(np.max(diagonal(k, X)))
+        if k_max > 1.0:
+            raise InputError(f"menu kernel {i} ({k.to_dict()}) is unbounded on the data "
+                             f"(max K(x, x) = {k_max:.6g}): 1 - ||omega|| is no attainable loss")
     losses = tuple(mean_norm(data, k).min_linear_loss for k in kernels)
     return KernelSelection(index=int(np.argmin(losses)), min_losses=losses)
 

@@ -7,9 +7,11 @@ name, defaults included, the kernel as a dict) and writes the document,
 the one JSON write of a run.  Every run is deterministic given its inputs
 and flags.  Only ``check`` draws random numbers, so only ``check`` takes
 ``--seed``; its suites are ``lab.SUITES``, run in that table's order by
-``--suite all``, with one stderr line per report.  ``herd --trace-out``
-writes its CSV before the document is written, so a CSV path that cannot
-be opened exits 3 with no document.
+``--suite all``, with one stderr line per report.  ``check`` takes no
+``--kernel``: its suites assume |K| <= 1 and run on one bounded kernel,
+``lab.SUITE_KERNEL``.  ``herd --trace-out`` writes its CSV before the
+document is written, so a CSV path that cannot be opened exits 3 with no
+document.
 
 Each flag is declared once, in ``build_parser``, with its type, default
 and choices.  Flag precedence: explicit flags > JSON config file
@@ -36,18 +38,10 @@ adds the herd's members (indices into the data file), error, trace,
 termination and, for parallel and recursive herds, group errors or
 stages.  ``eval`` reads either through ``MeanClassifier.from_dict``.
 
-Kernel sums are evaluated in row blocks (``kernels.kernel_sums``, and
-``kernels.self_sums`` for a sum over a support's own points), one block
-alive at a time and each finished in cache-sized row strips, so memory is
-one block plus O(n * d), never n^2: a block holds at most 2^18 entries (2
-MiB) up to 2048 columns and 128 rows beyond.  ``herd``
-makes one pass over the n x n kernel matrix, for the herding target, and
-that pass evaluates only its upper triangle, about n^2 / 2 entries; the
-exact error in ``recomputed_error`` reuses that pass and adds only the
-herd's own self-sum over its m members, whose value is also the
-document's ``meta.norm``.  A recursive herd shares its one pass between
-its first stage and its exact error; a parallel herd makes it once, after
-its groups' own passes.
+Kernel sums are evaluated in row blocks that never hold the n x n
+matrix: the ``kernels`` docstring gives the block sizes, and the
+``herding`` docstring the one pass over the kernel matrix that a herd
+and its exact error share.
 """
 
 from __future__ import annotations
@@ -274,7 +268,7 @@ def cmd_check(args) -> tuple[dict, int]:
     suite = _required(args, "suite")
     reports = []
     for name in ALL_SUITES if suite == "all" else (suite,):
-        for rep in lab.SUITES[name](args.seed, args.kernel):
+        for rep in lab.SUITES[name](args.seed):
             reports.append(rep)
             print(f"{rep.name}: {'pass' if rep.passed else 'FAIL'}", file=sys.stderr)
     passed = all(rep.passed for rep in reports)
@@ -349,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="model JSON file written by train or herd")
     p.add_argument("--loss", default="linear", help="loss name (default: linear)")
 
-    p = command("check", cmd_check, "run a theorem-check suite", kernel="gaussian:1.0")
+    p = command("check", cmd_check, "run a theorem-check suite")
     p.add_argument("--suite", choices=(*ALL_SUITES, "all"), help="suite to run, or all")
     p.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed, an integer >= 0 (default: 0)")
 

@@ -14,11 +14,12 @@ only, so K(0, 0) = 1 and K(0, z) = 0, and is divided by its largest
 |entry|, so its squared norm neither overflows nor underflows, then by its
 norm.  ``_block`` finishes the gemm (a polynomial's power, a Gaussian's
 exp) in row strips of at most ``STRIP_ENTRIES`` entries, small enough to
-stay in cache, and a sum drops each block before it evaluates the next,
-so a sum holds one block, a strip-sized temporary and the prepared
-points, never n x n.  A block is ``max(BLOCK_ROWS, BLOCK_ENTRIES // m)``
-rows of m columns: at most 2 MiB up to m = 2048, and BLOCK_ROWS x m
-entries beyond.
+stay in cache, and a sum evaluates all its blocks into one buffer, so a
+sum holds one block, a strip-sized temporary and the prepared points,
+never n x n, and a block beyond the allocator's mmap threshold is mapped
+and faulted in once per sum, not once per block.  A block is
+``max(BLOCK_ROWS, BLOCK_ENTRIES // m)`` rows of m columns: at most 2 MiB
+up to m = 2048, and BLOCK_ROWS x m entries beyond.
 
 The theory modules assume bounded feature maps (|K(x,x')| <= 1); the
 gaussian kernel is bounded by construction, linear and polynomial kernels
@@ -49,11 +50,11 @@ _PARAMETERS = {"linear": ("normalized",), "gaussian": ("bandwidth",),
 
 # Kernel entries per row block in ``kernel_sums`` and ``self_sums``:
 # 2**18 float64 = 2 MiB, so a block's gemv passes read from cache, and a
-# freed block that the allocator keeps resident holds 2 MiB, not 16.  A
-# block is never thinner than ``BLOCK_ROWS`` rows, so beyond 2048 points a
-# block is BLOCK_ROWS x n entries and the gemm does not re-read every
-# point for each few rows (at 64 rows a linear sum over 20000 points is
-# 4-6% slower than at 128).
+# sum's freed block buffer that the allocator keeps resident holds 2 MiB,
+# not 16.  A block is never thinner than ``BLOCK_ROWS`` rows, so beyond
+# 2048 points a block is BLOCK_ROWS x n entries and the gemm does not
+# re-read every point for each few rows (at 64 rows a linear sum over
+# 20000 points is 4-6% slower than at 128).
 BLOCK_ENTRIES = 2**18
 BLOCK_ROWS = 128
 
@@ -196,9 +197,11 @@ def _prepare(spec: KernelSpec, X: np.ndarray) -> _Points:
 
 
 @np.errstate(over="ignore")  # an entry beyond the float range is inf, which callers reject
-def _block(spec: KernelSpec, a: _Points, b: _Points) -> np.ndarray:
+def _block(spec: KernelSpec, a: _Points, b: _Points, out: np.ndarray | None = None) -> np.ndarray:
     """K(a, b) for prepared points: the one kernel block evaluator.
 
+    The block is a new array, or a view of the flat buffer ``out`` over its
+    first len(a) x len(b) entries; a sum passes all its blocks one buffer.
     The gemm a.x @ b.x.T is a linear block.  Other kernels finish it in
     place one row strip at a time (one row if a row is longer than a strip),
     each entry by the same operations whatever the strip, so the block does
@@ -211,7 +214,10 @@ def _block(spec: KernelSpec, a: _Points, b: _Points) -> np.ndarray:
     (2 h^2)).  Polynomial: the gemm to the integral degree by repeated
     squaring, O(log degree) multiplies and no libm ``pow``.
     """
-    K = a.x @ b.x.T
+    shape = (a.x.shape[0], b.x.shape[0])
+    if out is not None:
+        out = out[:shape[0] * shape[1]].reshape(shape)
+    K = np.matmul(a.x, b.x.T, out=out)
     if spec.kind == "linear":
         return K
     step = max(1, STRIP_ENTRIES // max(1, K.shape[1]))
@@ -268,24 +274,29 @@ def diagonal(spec: KernelSpec, X) -> np.ndarray:
     return sq if spec.kind == "linear" else (sq + spec.offset) ** spec.degree
 
 
+# A sum's matrix-vector passes over a block holding inf (entries beyond the
+# float range) give inf or nan, which callers reject as non-finite, not warn of.
+@np.errstate(over="ignore", invalid="ignore")
 def kernel_sums(spec: KernelSpec, X, Z, coef) -> np.ndarray:
     """K(X, Z) @ coef, evaluated one row block of K at a time.
 
     Every rectangular kernel sum (scores on other points) goes through here.
     A block is ``max(BLOCK_ROWS, BLOCK_ENTRIES // m)`` rows of K for m
-    points in Z, so K(X, Z) is never held whole.  Z is prepared once per
-    call.
+    points in Z, so K(X, Z) is never held whole, and every block is
+    evaluated into one buffer of that size.  Z is prepared once per call.
     """
     X, Z = _checked(X, Z)
     coef = np.asarray(coef, dtype=float)
     a, b = _prepare(spec, X), _prepare(spec, Z)
     rows = max(BLOCK_ROWS, BLOCK_ENTRIES // max(1, Z.shape[0]))
+    buf = np.empty(min(rows, X.shape[0]) * Z.shape[0])
     out = np.empty(X.shape[0])
     for lo in range(0, X.shape[0], rows):
-        out[lo:lo + rows] = _block(spec, a.rows(lo, lo + rows), b) @ coef
+        out[lo:lo + rows] = _block(spec, a.rows(lo, lo + rows), b, buf) @ coef
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in kernel_sums
 def self_sums(spec: KernelSpec, X, coef) -> np.ndarray:
     """K(X, X) @ coef from the upper triangle of K only.
 
@@ -293,8 +304,9 @@ def self_sums(spec: KernelSpec, X, coef) -> np.ndarray:
     rows and its off-diagonal part, transposed, to the later rows.  With r =
     ``max(BLOCK_ROWS, BLOCK_ENTRIES // n)`` rows per block that is at most
     n (n + r) / 2 kernel entries, about half of ``kernel_sums(spec, X, X,
-    coef)``'s, in blocks of at most r n entries.  A support of at most r
-    points, so of at most 512, is one square block.
+    coef)``'s, in blocks of at most r n entries, each evaluated into one
+    buffer of that size.  A support of at most r points, so of at most 512,
+    is one square block.
     """
     X = _as_matrix(X)
     coef = np.asarray(coef, dtype=float)
@@ -303,13 +315,13 @@ def self_sums(spec: KernelSpec, X, coef) -> np.ndarray:
     rows = max(BLOCK_ROWS, BLOCK_ENTRIES // max(1, n))
     if rows >= n:
         return _block(spec, a, a) @ coef
+    buf = np.empty(rows * n)
     out = np.zeros(n)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        B = _block(spec, a.rows(lo, hi), a.rows(lo, n))
+        B = _block(spec, a.rows(lo, hi), a.rows(lo, n), buf)
         out[lo:hi] += B @ coef[lo:]
         out[hi:] += B[:, hi - lo:].T @ coef[lo:hi]
-        del B  # so the next block is evaluated with this one freed
     return out
 
 

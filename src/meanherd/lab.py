@@ -10,10 +10,14 @@ the argmin of a class's risks, is the ground-truth minimizer oracle over
 finite score-table classes; anything cleverer added later must match it.
 
 ``SUITES`` is the ``check`` command's table: each suite name, in run
-order, maps to a function from a seed and a kernel to the suite's reports.
-A suite of random instances draws them all from one generator,
-``np.random.default_rng(seed)``, report after report.  Each report
-serializes with ``dataclasses.asdict`` plus its ``passed`` verdict.
+order, maps to a function from a seed to the suite's reports.  A suite of
+random instances draws them all from one generator,
+``np.random.default_rng(seed)``, report after report.  The suites that
+fit a kernel mean (``sln-immunity``, ``contamination``, ``compression``)
+all use ``SUITE_KERNEL``, a bounded kernel: their theorems assume
+|K| <= 1, so an unbounded kernel would fail their audits for a broken
+hypothesis, not a broken theorem.  Each report serializes with
+``dataclasses.asdict`` plus its ``passed`` verdict.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ _ZERO_SCORE_TOL = 1e-12  # scores below this magnitude count as abstentions
 _REGRET_MAX_SUPPORT = 5
 _LONG_SERVEDIO_SIGMAS = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45)
 _BLOB_SEPARATION = 4.0
+SUITE_KERNEL = KernelSpec("gaussian", bandwidth=1.0)
 
 
 @dataclass(frozen=True)
@@ -513,14 +518,14 @@ def run_compression_experiment(
 
 
 def _each(count: int, draw):
-    """A suite of ``count`` reports ``draw(rng, kernel)`` from one generator seeded by the seed."""
-    def reports(seed, kernel):
+    """A suite of ``count`` reports ``draw(rng)`` from one generator seeded by the seed."""
+    def reports(seed):
         rng = np.random.default_rng(seed)
-        return [draw(rng, kernel) for _ in range(count)]
+        return [draw(rng) for _ in range(count)]
     return reports
 
 
-def _ber_immunity(rng, kernel) -> ExperimentReport:
+def _ber_immunity(rng) -> ExperimentReport:
     P_pos = random_distribution(rng).instance_marginal()
     P_neg = random_distribution(rng).instance_marginal()
     fclass = random_function_class(rng, sorted_instances(P_pos, P_neg), k=8)
@@ -528,14 +533,14 @@ def _ber_immunity(rng, kernel) -> ExperimentReport:
                               float(rng.uniform(0, 0.4)), fclass)
 
 
-def _ghosh(rng, kernel) -> ExperimentReport:
+def _ghosh(rng) -> ExperimentReport:
     P = random_distribution(rng)
     table = NoiseFunctionTable([float(rng.uniform(0, 0.45)) for _ in range(len(P))])
     fclass = random_function_class(rng, sorted_instances(P), k=10)
     return check_ghosh_bound(P, table, linear_loss, fclass)
 
 
-def _order_reversal(seed, kernel) -> list[ExperimentReport]:
+def _order_reversal(seed) -> list[ExperimentReport]:
     report = ExperimentReport(name="order-reversal", inputs={"loss": "hinge", "seed": seed})
     witness = order_reversal_witness(hinge_loss, sigma=0.4, seed=seed)
     report.check_true("hinge order-reversal witness found", witness is not None)
@@ -544,17 +549,18 @@ def _order_reversal(seed, kernel) -> list[ExperimentReport]:
     return [report]
 
 
-# Suite name -> its reports for a seed and a kernel, in the order ``check --suite all`` runs them.
+# Suite name -> its reports for a seed, in the order ``check --suite all`` runs them.
 SUITES = {
-    "surrogate-regret": lambda seed, kernel: [check_surrogate_regret(trials=1000, seed=seed)],
-    "sln-immunity": _each(20, lambda rng, kernel: check_sln_immunity(
-        random_distribution(rng), (0.1, 0.25, 0.4), kernel)),
-    "contamination": _each(20, lambda rng, kernel: check_contamination(
-        random_distribution(rng), random_distribution(rng), float(rng.uniform(0, 0.2)), kernel)),
+    "surrogate-regret": lambda seed: [check_surrogate_regret(trials=1000, seed=seed)],
+    "sln-immunity": _each(20, lambda rng: check_sln_immunity(
+        random_distribution(rng), (0.1, 0.25, 0.4), SUITE_KERNEL)),
+    "contamination": _each(20, lambda rng: check_contamination(
+        random_distribution(rng), random_distribution(rng), float(rng.uniform(0, 0.2)),
+        SUITE_KERNEL)),
     "ber-immunity": _each(20, _ber_immunity),
     "ghosh": _each(50, _ghosh),
-    "long-servedio": lambda seed, kernel: [run_long_servedio(1.0 / 24.0)],
-    "compression": lambda seed, kernel: [
-        run_compression_experiment(kernel, eps_list=(0.01,), seed=seed)],
+    "long-servedio": lambda seed: [run_long_servedio(1.0 / 24.0)],
+    "compression": lambda seed: [
+        run_compression_experiment(SUITE_KERNEL, eps_list=(0.01,), seed=seed)],
     "order-reversal": _order_reversal,
 }

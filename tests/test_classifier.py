@@ -152,6 +152,26 @@ def test_select_kernel_prefers_separating_space():
     assert sel.index == 1
 
 
+def test_select_kernel_rejects_an_empty_menu():
+    with pytest.raises(InputError, match="kernel menu must be non-empty"):
+        select_kernel(toy_sample(), [])
+
+
+def test_select_kernel_rejects_a_kernel_unbounded_on_the_data():
+    # linear on points of norm above 1 has 1 - ||omega|| = -9.03, no attainable
+    # loss, which the model document writes as null; it would win the menu
+    S = synth_blobs(200, 5, 20.0, 0)
+    menu = [KernelSpec("gaussian", bandwidth=1.0), KernelSpec("linear"),
+            KernelSpec("linear", normalized=True)]
+    assert fit(S, menu[1]).to_dict()["meta"]["min_linear_loss"] is None
+    with pytest.raises(InputError, match="menu kernel 1 .* unbounded on the data"):
+        select_kernel(S, menu)
+    assert select_kernel(S, [menu[0], menu[2]]).index == 1
+    P = DiscreteDistribution(np.array([[0.5], [2.0]]), np.array([1, -1]), np.array([0.5, 0.5]))
+    with pytest.raises(InputError, match="menu kernel 0 "):
+        select_kernel(P, [KernelSpec("polynomial", degree=2, offset=1.0), menu[0]])
+
+
 # ---------------------------------------------------------------------------
 # MMD
 
@@ -228,4 +248,10 @@ def test_margin_and_risk_accept_precomputed_scores():
 def test_margin_for_error_no_positive_margin():
     P = DiscreteDistribution(np.array([[1.0]]), np.array([-1]), np.array([1.0]))
     assert margin_for_error(P, P.instances[:, 0]) == 0.0
+
+
+def test_margin_for_error_takes_one_score_per_atom():
+    P = DiscreteDistribution(np.array([[1.0], [2.0]]), np.array([1, -1]), np.array([0.5, 0.5]))
+    with pytest.raises(InputError, match=r"expected 2 scores, got shape \(3,\)"):
+        margin_for_error(P, np.zeros(3))
 

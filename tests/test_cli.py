@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meanherd import bounds, herding, kernels
+from meanherd import bounds, herding, kernels, lab
 from meanherd.classifier import margin_for_error
 from meanherd.cli import ALL_SUITES, _write_json, build_parser, main
 from meanherd.data import DiscreteDistribution, flip_symmetric, load_csv, synth_blobs
@@ -62,6 +62,23 @@ def test_train_writes_model(toy_csv, tmp_path):
     assert doc["config"]["subcommand"] == "train"
     assert doc["config"]["label-column"] == -1  # defaults recorded, never implicit
     assert "seed" not in doc["config"]  # train draws no random numbers
+
+
+@pytest.mark.parametrize("command, message", [
+    ("herd", "non-finite kernel values in candidate set"),
+    ("train", "non-finite value in output"),
+    ("mmd", "non-finite value in output"),
+])
+def test_a_kernel_sum_that_overflows_exits_3_without_a_warning(command, message, blob_csv,
+                                                                tmp_path, capsys):
+    # (x.z + 1)^400 is beyond the float range on the blobs, so the blocks hold
+    # inf, and a pass over coefficients of both signs sums inf - inf = nan:
+    # a non-finite value that exits 3, with no RuntimeWarning on the way
+    out = tmp_path / "out.json"
+    assert main([command, "--data", str(blob_csv), "--kernel", "poly:400:1.0",
+                 "--out", str(out)]) == 3
+    assert not out.exists()
+    assert message in capsys.readouterr().err
 
 
 def test_train_with_an_unbounded_kernel_writes_no_min_linear_loss(blob_csv, tmp_path):
@@ -154,8 +171,8 @@ def test_herd_makes_one_n_squared_pass(mode, blob_csv, tmp_path, monkeypatch):
     entries, rows = [], []
     block, kernel_rows = kernels._block, herding.kernel_rows
 
-    def counted(spec, a, b):
-        K = block(spec, a, b)
+    def counted(spec, a, b, out=None):
+        K = block(spec, a, b, out)
         entries.append(K.size)
         return K
 
@@ -357,6 +374,20 @@ def test_check_surrogate_regret_suite(tmp_path):
     doc = read_json(out)
     assert doc["passed"] is True
     assert doc["config"]["seed"] == 0
+
+
+def test_check_takes_no_kernel(tmp_path, capsys):
+    # the suites assume |K| <= 1 and fit lab.SUITE_KERNEL; a config file's
+    # "kernel" names no check flag, so it is ignored like any such key
+    assert run_cli(["check", "--suite", "ghosh", "--kernel", "gaussian:1.0"]) == 2
+    assert "unrecognized arguments: --kernel gaussian:1.0" in capsys.readouterr().err
+    cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps({"kernel": "linear"}))
+    assert main(["--config", str(cfg), "check", "--suite", "compression", "--out", str(out)]) == 0
+    doc = read_json(out)
+    assert "kernel" not in doc["config"]
+    assert doc["reports"][0]["inputs"]["kernel"] == lab.SUITE_KERNEL.to_dict() == {
+        "kind": "gaussian", "bandwidth": 1.0, "normalized": False}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -932,8 +963,8 @@ def test_kernel_parameters_that_break_or_do_nothing_exit_2(kernel, toy_csv, tmp_
     assert "argument --kernel" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["train", "check"])
+@pytest.mark.parametrize("command", ["train", "herd", "mmd"])
 def test_bad_json_kernel_exit_2(command, toy_csv, capsys):
-    argv = {"train": ["train", "--data", str(toy_csv)], "check": ["check", "--suite", "ghosh"]}[command]
+    argv = [command, "--data", str(toy_csv)]
     assert run_cli([*argv, "--kernel", '{"kind": "gaussian", "bandwidth": "wide"}']) == 2
     assert "bad kernel JSON" in capsys.readouterr().err

@@ -386,6 +386,17 @@ def test_flip_class_conditional_rejects_non_finite_rates(rates):
         flip_class_conditional(two_point(), *rates)
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda P: flip_symmetric(P, 0.5), r"sigma must lie in \[0, 0.5\), got 0.5"),
+    (lambda P: flip_symmetric(P, float("nan")), r"sigma must lie in \[0, 0.5\), got nan"),
+    (lambda P: contaminate(P, P, -0.1), r"sigma must lie in \[0, 1\], got -0.1"),
+    (lambda P: contaminate(P, dist([[5.0]], [-1], [1.0]), 0.1), "dimension mismatch: 2 vs 1"),
+])
+def test_corruptions_reject_bad_parameters(corrupt, message):
+    with pytest.raises(InputError, match=message):
+        corrupt(two_point())
+
+
 def test_load_sparse_rejects_an_index_beyond_int64(tmp_path):
     f = tmp_path / "big.txt"
     f.write_text("-1 99999999999999999999:1\n")

@@ -239,8 +239,8 @@ def test_parallel_one_group_evaluates_a_plain_herds_kernel_entries(monkeypatch):
     entries = []
     block = kernels._block
 
-    def counted(spec, a, b):
-        K = block(spec, a, b)
+    def counted(spec, a, b, out=None):
+        K = block(spec, a, b, out)
         entries.append(K.size)
         return K
 
@@ -324,3 +324,25 @@ def test_convergence_report():
     assert rep.fitted_rate < 0.0
     with pytest.raises(InputError):
         convergence_report((1.0, 0.5))
+
+
+@pytest.mark.parametrize("trace, rate", [((1.0, 0.5, 0.0, 0.0), np.log(0.5)),
+                                         ((1.0, 0.0, 0.0), 0.0)])
+def test_convergence_report_fits_the_positive_error_prefix(trace, rate):
+    # log(0) is no point of the fit: the rate is fitted before the first zero
+    # error, and is 0 when fewer than two errors precede it
+    rep = convergence_report(trace)
+    assert rep.monotone
+    assert rep.fitted_rate == pytest.approx(rate, abs=1e-12)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda S: parallel_herd(S, 0, GAUSS), r"groups must lie in \[1, 20\], got 0"),
+    (lambda S: parallel_herd(S, 21, GAUSS), r"groups must lie in \[1, 20\], got 21"),
+    (lambda S: recursive_herd(S, GAUSS, min_size=0), "min_size must be >= 1"),
+    (lambda S: approximation_error(herd(S, GAUSS), S.subset(np.arange(2))),
+     "herd indices out of range"),
+])
+def test_herding_rejects_bad_arguments(call, message):
+    with pytest.raises(InputError, match=message):
+        call(blob_sample(n=20))

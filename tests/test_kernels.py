@@ -214,8 +214,8 @@ def test_self_sums_evaluate_at_most_half_of_k_plus_the_diagonal_blocks(monkeypat
     sizes = []
     evaluate = kernels._block
 
-    def counted(spec, a, b):
-        K = evaluate(spec, a, b)
+    def counted(spec, a, b, out=None):
+        K = evaluate(spec, a, b, out)
         sizes.append(K.size)
         return K
 
@@ -239,8 +239,8 @@ def test_a_support_of_at_most_512_points_is_one_block(monkeypatch, text, n):
     shapes = []
     evaluate = kernels._block
 
-    def counted(spec, a, b):
-        K = evaluate(spec, a, b)
+    def counted(spec, a, b, out=None):
+        K = evaluate(spec, a, b, out)
         shapes.append(K.shape)
         return K
 

@@ -433,5 +433,5 @@ def test_suites_are_declared_in_run_order():
 
 
 def test_each_suite_gives_its_count_of_reports_at_seed_0():
-    counts = [len(reports(0, GAUSS)) for reports in lab.SUITES.values()]
+    counts = [len(reports(0)) for reports in lab.SUITES.values()]
     assert counts == [1, 20, 20, 20, 50, 1, 1, 1]
