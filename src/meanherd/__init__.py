@@ -67,7 +67,6 @@ from .herding import (
 from .kernels import (
     KernelSpec,
     cross_gram,
-    eval_kernel,
     kernel_sums,
 )
 from .losses import (

@@ -9,9 +9,7 @@ and flags.  Only ``check`` draws random numbers, so only ``check`` takes
 ``--seed``; its suites are ``lab.SUITES``, run in that table's order by
 ``--suite all``, with one stderr line per report.  ``check`` takes no
 ``--kernel``: its suites assume |K| <= 1 and run on one bounded kernel,
-``lab.SUITE_KERNEL``.  ``herd --trace-out`` writes its CSV before the
-document is written, so a CSV path that cannot be opened exits 3 with no
-document.
+``lab.SUITE_KERNEL``.
 
 Each flag is declared once, in ``build_parser``, with its type, default
 and choices.  Flag precedence: explicit flags > JSON config file
@@ -34,9 +32,10 @@ less a leading byte-order mark.
 kernel, weighted support points and meta.  ``meta.min_linear_loss`` is
 1 - ``meta.norm``, or null when a support point has K(x, x) > 1: there
 |K| <= 1 fails and 1 - ||omega|| is no attainable loss.  A herd document
-adds the herd's members (indices into the data file), error, trace,
-termination and, for parallel and recursive herds, group errors or
-stages.  ``eval`` reads either through ``MeanClassifier.from_dict``.
+adds the herd's members (indices into the data file), error, trace, sizes
+(distinct members per trace entry), termination and, for parallel and
+recursive herds, group errors or stages: the run's one record.  ``eval``
+reads either through ``MeanClassifier.from_dict``.
 
 Kernel sums are evaluated in row blocks that never hold the n x n
 matrix: the ``kernels`` docstring gives the block sizes, and the
@@ -47,7 +46,6 @@ and its exact error share.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import json
 import sys
@@ -230,13 +228,6 @@ def cmd_herd(args) -> tuple[dict, int]:
         print(f"unbounded kernel (max K(x, x) = {k_max:.6g} on the data): herd scores lie "
               f"within error*sqrt(K(x, x)) of the full mean's, not within error", file=sys.stderr)
 
-    if args.trace_out is not None:
-        with open(args.trace_out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "error", "size"])
-            for i, (e, m) in enumerate(zip(h.trace, h.sizes)):
-                writer.writerow([i, repr(e), m])
-
     capped = h.termination == "max_iterations"
     if capped:
         print(f"iteration cap reached at error {h.error}", file=sys.stderr)
@@ -337,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recursive", action=argparse.BooleanOptionalAction, default=False,
                    help="herd stages until --min-size")
     p.add_argument("--min-size", type=_at_least(1), default=100)
-    p.add_argument("--trace-out", help="CSV path for (iteration, error, size)")
 
     p = command("eval", cmd_eval, "evaluate a model file on data", data=True)
     p.add_argument("--model", help="model JSON file written by train or herd")

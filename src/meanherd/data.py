@@ -378,7 +378,9 @@ def _remap_labels(raw: list[float], path) -> np.ndarray:
     if values <= {0.0, 1.0}:
         return np.array([1 if v == 1.0 else -1 for v in raw], dtype=int)
     bad = sorted(values - {-1.0, 0.0, 1.0})
-    raise InputError(f"unknown label value(s) {bad} in {path}")
+    # name a few, so the message stays one short line whatever the file holds
+    shown = ", ".join(map(repr, bad[:5])) + (", ..." if len(bad) > 5 else "")
+    raise InputError(f"unknown label value(s) [{shown}] ({len(bad)} distinct) in {path}")
 
 
 def _chunks(rows, convert, path) -> list:

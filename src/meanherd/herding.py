@@ -96,7 +96,8 @@ class Herd:
     within ``error`` sqrt(K(x, x)) at x.  ``error``, the last ``trace`` entry,
     is the tracked error, ``recomputed_error`` the same quantity evaluated
     exactly, and ``squared_norm`` the herd's ||omega||^2 from that evaluation,
-    which the model document reports as ``meta.norm``.
+    which the model document reports as ``meta.norm``.  ``sizes`` holds the
+    distinct members at each ``trace`` entry; the document writes both.
     """
 
     classifier: MeanClassifier
@@ -105,7 +106,7 @@ class Herd:
     squared_norm: float
     trace: tuple[float, ...]
     termination: str
-    sizes: tuple[int, ...]  # distinct members per trace entry
+    sizes: tuple[int, ...]
     stages: tuple[StageSummary, ...] = field(default=())
     group_errors: tuple[float, ...] = field(default=())
 
@@ -128,6 +129,7 @@ class Herd:
         doc["error"] = float(self.error)
         doc["recomputed_error"] = float(self.recomputed_error)
         doc["trace"] = list(self.trace)
+        doc["sizes"] = list(self.sizes)
         doc["termination"] = self.termination
         if self.group_errors:
             doc["group_errors"] = list(self.group_errors)

@@ -42,11 +42,15 @@ import numpy as np
 
 from .errors import DataError, InputError
 
-VALID_KINDS = ("linear", "gaussian", "polynomial")
-# The parameters each kind uses (gaussian is normalized already: K(x, x) = 1);
-# a parameter of another kind must keep its default, so none is ignored.
+# The parameters each kind uses, in the order of its shorthand, where
+# ``normalized`` is the optional trailing ``norm`` token and a parameter with
+# a default may be left out.  ``to_dict`` writes these with ``kind`` and
+# ``normalized``, and a parameter of another kind must keep its default, so
+# none is ignored (gaussian is normalized already: K(x, x) = 1).
 _PARAMETERS = {"linear": ("normalized",), "gaussian": ("bandwidth",),
                "polynomial": ("degree", "offset", "normalized")}
+VALID_KINDS = tuple(_PARAMETERS)
+_SHORTHAND = "linear[:norm], gaussian:<bandwidth> or poly:<degree>[:<offset>][:norm]"
 
 # Kernel entries per row block in ``kernel_sums`` and ``self_sums``:
 # 2**18 float64 = 2 MiB, so a block's gemv passes read from cache, and a
@@ -85,8 +89,8 @@ class KernelSpec:
         kind = self.kind
         if kind not in VALID_KINDS:
             raise InputError(f"unknown kernel kind {kind!r}, expected one of {VALID_KINDS}")
-        unused = [name for name in ("bandwidth", "degree", "offset", "normalized")
-                  if name not in _PARAMETERS[kind] and getattr(self, name) not in (None, 0.0, False)]
+        unused = [f.name for f in fields(self)[1:]
+                  if f.name not in _PARAMETERS[kind] and getattr(self, f.name) not in (None, 0.0, False)]
         if unused:
             raise InputError(f"{kind} kernel takes no {' or '.join(unused)}")
         if not isinstance(self.normalized, bool):
@@ -104,13 +108,8 @@ class KernelSpec:
         return self.kind == "gaussian" or self.normalized
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind, "normalized": self.normalized}
-        if self.kind == "gaussian":
-            d["bandwidth"] = self.bandwidth
-        if self.kind == "polynomial":
-            d["degree"] = self.degree
-            d["offset"] = self.offset
-        return d
+        return {"kind": self.kind, "normalized": self.normalized,
+                **{name: getattr(self, name) for name in _PARAMETERS[self.kind]}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSpec":
@@ -121,10 +120,10 @@ class KernelSpec:
 
     @classmethod
     def parse(cls, text: str) -> "KernelSpec":
-        """Parse either a JSON object or the CLI shorthand.
+        """Parse either a JSON object or the CLI shorthand, ``_SHORTHAND``.
 
-        Shorthand grammar: ``linear``, ``linear:norm``, ``gaussian:<h>``,
-        ``poly:<degree>:<offset>`` with an optional trailing ``:norm``.
+        The tokens after the kind are the kind's ``_PARAMETERS`` in order:
+        an integer for the degree, a number for the others.
         """
         text = text.strip()
         if text.startswith("{"):
@@ -132,30 +131,21 @@ class KernelSpec:
                 return cls.from_dict(json.loads(text))
             except (ValueError, KeyError, TypeError) as exc:
                 raise InputError(f"bad kernel JSON {text!r}: {exc}") from None
-        parts = text.split(":")
-        kind, args = parts[0], parts[1:]
-        normalized = False
-        if args and args[-1] == "norm":
-            normalized = True
-            args = args[:-1]
-        try:
-            if kind == "linear":
-                if args:
-                    raise InputError("linear kernel takes no parameters")
-                return cls("linear", normalized=normalized)
-            if kind == "gaussian":
-                if len(args) != 1:
-                    raise InputError("gaussian shorthand is gaussian:<bandwidth>")
-                return cls("gaussian", bandwidth=float(args[0]), normalized=normalized)
-            if kind in ("poly", "polynomial"):
-                if len(args) not in (1, 2):
-                    raise InputError("polynomial shorthand is poly:<degree>[:<offset>]")
-                degree = int(args[0])
-                offset = float(args[1]) if len(args) == 2 else 0.0
-                return cls("polynomial", degree=degree, offset=offset, normalized=normalized)
+        kind, *tokens = text.split(":")
+        kind = "polynomial" if kind == "poly" else kind
+        if kind not in _PARAMETERS:
+            raise InputError(f"unknown kernel shorthand {text!r}")
+        normalized = tokens[-1:] == ["norm"]
+        tokens = tokens[:len(tokens) - normalized]
+        names = [name for name in _PARAMETERS[kind] if name != "normalized"]
+        required = sum(cls.__dataclass_fields__[name].default is None for name in names)
+        if not required <= len(tokens) <= len(names):
+            raise InputError(f"bad kernel shorthand {text!r}: expected {_SHORTHAND}")
+        try:  # an InputError is a ValueError too
+            return cls(kind, normalized=normalized, **{
+                name: (int if name == "degree" else float)(token) for name, token in zip(names, tokens)})
         except ValueError as exc:
             raise InputError(f"bad kernel shorthand {text!r}: {exc}") from exc
-        raise InputError(f"unknown kernel shorthand {text!r}")
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -253,15 +243,6 @@ def cross_gram(spec: KernelSpec, X, Z) -> np.ndarray:
     a = _prepare(spec, X)
     # the same prepared array on both sides keeps K(X, X) exactly symmetric
     return _block(spec, a, a if Z is X else _prepare(spec, Z))
-
-
-def eval_kernel(spec: KernelSpec, x, x2) -> float:
-    """K(x, x') for a single pair of vectors."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    if x.shape != x2.shape:
-        raise InputError(f"dimension mismatch: {x.shape} vs {x2.shape}")
-    return float(cross_gram(spec, x[np.newaxis], x2[np.newaxis])[0, 0])
 
 
 @np.errstate(over="ignore")  # as in _block

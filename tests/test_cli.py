@@ -1,4 +1,3 @@
-import csv
 import gc
 import json
 import math
@@ -133,21 +132,22 @@ def test_unknown_subcommand_exit_2(capsys):
 
 def test_herd_outputs_and_trace(blob_csv, tmp_path):
     out = tmp_path / "herd.json"
-    trace = tmp_path / "trace.csv"
     code = main([
         "herd", "--data", str(blob_csv), "--kernel", "gaussian:1.0",
-        "--epsilon", "0.05", "--out", str(out), "--trace-out", str(trace),
+        "--epsilon", "0.05", "--out", str(out),
     ])
     assert code == 0
     doc = read_json(out)
     assert doc["error"] <= 0.05
     assert doc["recomputed_error"] == pytest.approx(doc["error"], abs=1e-8)
     assert doc["termination"] == "tolerance"
-    with open(trace) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["iteration", "error", "size"]
-    errors = [float(r[1]) for r in rows[1:]]
-    assert errors == sorted(errors, reverse=True)
+    # the document is the run's one record: the trace and its member counts
+    assert doc["trace"] == sorted(doc["trace"], reverse=True)
+    assert doc["trace"][-1] == doc["error"]
+    sizes = doc["sizes"]
+    assert len(sizes) == len(doc["trace"])
+    assert sizes[0] == 1 and sizes[-1] == len(doc["members"])
+    assert all(b - a <= 1 for a, b in zip(sizes, sizes[1:]))  # a step adds at most one member
 
 
 @pytest.mark.parametrize("mode", ["plain", "parallel", "parallel-1", "recursive",
@@ -346,6 +346,17 @@ def test_eval_dimension_mismatch_exit_2(toy_csv, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,2.0,3.0,1\n-1.0,0.0,0.0,-1\n")
     assert main(["eval", "--model", str(model), "--data", str(bad)]) == 2
+
+
+def test_unknown_labels_exit_2_with_a_short_message(tmp_path, capsys):
+    # 1000 distinct bad labels: the message names the first five sorted and the count
+    data = tmp_path / "labels.csv"
+    data.write_text("".join(f"{i + 0.5!r},0.5\n" for i in range(1000)))
+    assert main(["train", "--data", str(data), "--label-column", "0"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 300
+    assert err == (f"usage error: unknown label value(s) [0.5, 1.5, 2.5, 3.5, 4.5, ...] "
+                   f"(1000 distinct) in {data}\n")
 
 
 @pytest.mark.parametrize("label", [1.7, True])
@@ -681,13 +692,14 @@ def test_eval_exits_3_when_losses_overflow_to_both_signs(tmp_path, capsys):
     assert "non-finite value in output" in capsys.readouterr().err
 
 
-def test_herd_writes_no_document_when_the_trace_cannot_be_written(blob_csv, tmp_path):
-    # the trace CSV is written first, so a trace path that cannot be opened stops the run
+def test_herd_takes_no_trace_out_and_writes_no_document(blob_csv, tmp_path):
+    # the document holds the trace and its sizes, so --trace-out is an unknown flag
     out = tmp_path / "doc.json"
-    trace = tmp_path / "missing" / "trace.csv"
-    argv = ["herd", "--data", str(blob_csv), "--trace-out", str(trace), "--out", str(out)]
-    assert main(argv) == 3
-    assert not out.exists()
+    argv = ["herd", "--data", str(blob_csv), "--trace-out", str(tmp_path / "t.csv"), "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not out.exists() and not (tmp_path / "t.csv").exists()
 
 
 def test_write_json_rejects_non_finite(tmp_path):
@@ -763,7 +775,6 @@ TOY3_HERD = {
     "config": {"data": "toy3.csv", "epsilon": 0.3, "format": "auto", "label-column": -1,
                "max-iterations": 10000, "min-size": 100, "out": "out.json", "parallel": None,
                "recursive": False, "step-rule": "line_search", "subcommand": "herd",
-               "trace-out": None,
                "kernel": {"bandwidth": 1.0, "kind": "gaussian", "normalized": False}},
     "error": 0.2332442466388378,
     "kernel": {"bandwidth": 1.0, "kind": "gaussian", "normalized": False},
@@ -771,6 +782,7 @@ TOY3_HERD = {
                 {"alpha": 0.32746084275048915, "index": 1}],
     "meta": {"min_linear_loss": 0.2880070090053425, "n_source": 3, "norm": 0.7119929909946575},
     "recomputed_error": 0.2332442466388378,
+    "sizes": [1, 2],
     "support": [{"alpha": 0.6725391572495109, "x": [1.0, 0.0], "y": 1},
                 {"alpha": 0.32746084275048915, "x": [-1.0, 0.5], "y": -1}],
     "termination": "tolerance",

@@ -9,7 +9,6 @@ from meanherd.errors import InputError
 from meanherd.kernels import (
     KernelSpec,
     cross_gram,
-    eval_kernel,
     kernel_rows,
     kernel_sums,
     self_sums,
@@ -20,28 +19,28 @@ KERNELS = ["linear", "linear:norm", "gaussian:0.8", "poly:3:1.0", "poly:2:0.5:no
 
 def test_linear_kernel_is_dot_product():
     spec = KernelSpec("linear")
-    assert eval_kernel(spec, [1.0, 2.0], [3.0, -1.0]) == 1.0
-    assert eval_kernel(spec, [0.0, 0.0], [3.0, -1.0]) == 0.0
+    assert cross_gram(spec, [[1.0, 2.0]], [[3.0, -1.0]])[0, 0] == 1.0
+    assert cross_gram(spec, [[0.0, 0.0]], [[3.0, -1.0]])[0, 0] == 0.0
 
 
 def test_gaussian_kernel_convention():
     # exp(-||x - x'||^2 / (2 h^2)) with h = 1: distance sqrt(2) gives e^-1
     spec = KernelSpec("gaussian", bandwidth=1.0)
-    v = eval_kernel(spec, [0.0, 0.0], [1.0, 1.0])
+    v = cross_gram(spec, [[0.0, 0.0]], [[1.0, 1.0]])[0, 0]
     assert v == pytest.approx(np.exp(-1.0), abs=1e-15)
-    assert eval_kernel(spec, [2.0, 3.0], [2.0, 3.0]) == 1.0
+    assert cross_gram(spec, [[2.0, 3.0]], [[2.0, 3.0]])[0, 0] == 1.0
 
 
 def test_gaussian_bandwidth_scaling():
     spec = KernelSpec("gaussian", bandwidth=2.0)
-    v = eval_kernel(spec, [0.0], [2.0])
+    v = cross_gram(spec, [[0.0]], [[2.0]])[0, 0]
     assert v == pytest.approx(np.exp(-4.0 / 8.0), abs=1e-15)
 
 
 def test_polynomial_kernel():
     spec = KernelSpec("polynomial", degree=2, offset=1.0)
     # (x.z + 1)^2 with x.z = 2
-    assert eval_kernel(spec, [1.0, 1.0], [1.0, 1.0]) == 9.0
+    assert cross_gram(spec, [[1.0, 1.0]], [[1.0, 1.0]])[0, 0] == 9.0
 
 
 def test_normalized_polynomial_is_bounded():
