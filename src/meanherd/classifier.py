@@ -60,13 +60,13 @@ class MeanClassifier:
         return self._document(n_source, emb.squared_norm(self.kernel, self.points, self.coef))
 
     def _document(self, n_source: int | None, squared_norm: float) -> dict:
-        """The model document, given ||omega||^2 (checked and clamped as in ``emb.norm``).
+        """The model document, given ||omega||^2 as ``emb.squared_norm`` returns it.
 
         ``min_linear_loss`` = 1 - ||omega|| holds only when |K| <= 1 on the
         support, which max_i K(x_i, x_i) <= 1 implies (Cauchy-Schwarz); for
         a support where that fails it is null.
         """
-        geo = float(np.sqrt(emb.psd(squared_norm)))
+        geo = float(np.sqrt(squared_norm))
         unit = float(np.max(diagonal(self.kernel, self.points))) <= 1.0
         return {
             "kernel": self.kernel.to_dict(),
@@ -117,7 +117,7 @@ class MeanGeometry:
 def mean_norm(data, kernel: KernelSpec) -> MeanGeometry:
     """Exact double kernel sum giving the mean-embedding geometry of the data."""
     clf = fit(data, kernel)
-    sq = emb.psd(emb.squared_norm(kernel, clf.points, clf.coef))
+    sq = emb.squared_norm(kernel, clf.points, clf.coef)
     n = float(np.sqrt(sq))
     return MeanGeometry(norm=n, self_similarity=sq, min_linear_loss=1.0 - n)
 

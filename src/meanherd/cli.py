@@ -19,9 +19,9 @@ token ``--k=v`` by the subcommand's own parser (``true`` as the bare switch
 parsed and checked exactly like its flag, and keys that are not the full
 name of one of the subcommand's flags are ignored.
 
-Exit codes: 0 success, 1 assertion failure (or herding stopped by the
-iteration cap), 2 usage error (a bad flag or config value), 3 I/O or parse
-error.  Non-finite data (nan or inf in a sample, a probability or a
+Exit codes: 0 success, 1 assertion failure (or a herd in any mode that
+ended ``max_iterations``), 2 usage error (a bad flag or config value), 3 I/O
+or parse error.  Non-finite data (nan or inf in a sample, a probability or a
 model), a file that is not UTF-8 and a JSON input with missing keys or
 wrong types exit 3, and no output ever holds a non-finite number, so every
 emitted file is strict JSON: one line ending in a newline, keys sorted,

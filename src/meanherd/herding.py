@@ -25,20 +25,20 @@ row it selects (``kernels.kernel_rows``, from points prepared once).
 Memory is one block of kernel entries plus a few n-vectors, never n x n.
 
 Every herd also carries ``recomputed_error``, the error evaluated exactly
-from c and the herd's own squared norm (``embedding.squared_norm`` over
-its m members, a self-sum with equal points merged)
-instead of through the recurrences for b and q, and that squared norm,
-which the herd's model document reports as its ``meta.norm``.  So every
-herd makes one n^2 pass over the sample: a plain herd and the first stage
-of a recursive herd herd from their own c, and a recursive herd takes its
-final error from that same c (later stages pass only over the previous
-stage's members).
-A parallel herd makes the uniform pass once for its error, besides each
-group's own pass; with one group the two are the same pass.  Groups and
-stages carry no exact error of their own, so a parallel herd with one
-group evaluates exactly the kernel entries of a plain herd.  A recursive
-herd with no stage is its target, with error exactly 0 and the target
-pass's squared norm.
+from c and the herd's own squared norm (``embedding.squared_norm`` over its
+m members) instead of through the recurrences for b and q, and that squared
+norm, which its model document reports as ``meta.norm``.  So every herd
+makes one n^2 pass over the sample: a plain herd and the first stage of a
+recursive herd herd from their own c, and a recursive herd takes its final
+error from that same c (later stages pass only over the previous stage's
+members).  A parallel herd makes the uniform pass once for its error,
+besides each group's own pass; with one group the two are the same pass.
+Groups and stages carry no exact error of their own, so a parallel herd
+with one group evaluates exactly the kernel entries of a plain herd.  A
+recursive herd with no stage is its target, with error exactly 0 and the
+target pass's squared norm, and ends ``tolerance``.  Every Frank-Wolfe run
+ends ``tolerance``, ``stationary`` or ``max_iterations`` (the cap); a
+parallel or recursive herd ends as the worst of its group or stage runs.
 ``approximation_error`` is the from-scratch audit of a herd against a
 sample; no herding path calls it.
 """
@@ -56,6 +56,8 @@ from .errors import DataError, InputError
 from .kernels import KernelSpec, kernel_rows, self_sums
 
 STEP_RULES = ("line_search", "uniform")
+# How a Frank-Wolfe run ends, worst first (``_worst``)
+TERMINATIONS = ("max_iterations", "stationary", "tolerance")
 
 # Improvements below this are indistinguishable from rounding noise;
 # treated as stationarity.
@@ -98,6 +100,7 @@ class Herd:
     exactly, and ``squared_norm`` the herd's ||omega||^2 from that evaluation,
     which the model document reports as ``meta.norm``.  ``sizes`` holds the
     distinct members at each ``trace`` entry; the document writes both.
+    ``termination`` is the run's, or its worst group's or stage's.
     """
 
     classifier: MeanClassifier
@@ -136,6 +139,11 @@ class Herd:
         if self.stages:
             doc["stages"] = [asdict(st) for st in self.stages]
         return doc
+
+
+def _worst(terminations) -> str:
+    """The worst of some runs' terminations; ``tolerance`` when there is no run."""
+    return min(terminations, key=TERMINATIONS.index, default="tolerance")
 
 
 def _finite(v: np.ndarray) -> np.ndarray:
@@ -270,8 +278,7 @@ def parallel_herd(
         raise InputError(f"groups must lie in [1, {n}], got {groups}")
     blocks = np.array_split(np.arange(n), groups)
 
-    group_idx, group_alphas, group_errors = [], [], []
-    terminations = set()
+    group_idx, group_alphas, group_errors, terminations = [], [], [], []
     for block in blocks:
         target = fit(S.subset(block), kernel)
         group_pass = _target_pass(target)
@@ -279,7 +286,7 @@ def parallel_herd(
         group_idx.append(block[members])
         group_alphas.append(clf.alphas * (len(block) / n))
         group_errors.append(trace[-1])
-        terminations.add(termination)
+        terminations.append(termination)
     idx = np.concatenate(group_idx)
     alphas = np.concatenate(group_alphas)
     clf = MeanClassifier(kernel, alphas / alphas.sum(), S.labels[idx], S.instances[idx])
@@ -287,8 +294,7 @@ def parallel_herd(
     full_pass = group_pass if groups == 1 else _target_pass(fit(S, kernel))
     err, herd_sq = _exact_error(clf, idx, *full_pass)
     return Herd(clf, idx, recomputed_error=err, squared_norm=herd_sq,
-                trace=(err,), sizes=(len(idx),),
-                termination="tolerance" if terminations == {"tolerance"} else "mixed",
+                trace=(err,), sizes=(len(idx),), termination=_worst(terminations),
                 group_errors=tuple(group_errors))
 
 
@@ -323,10 +329,10 @@ def recursive_herd(
             break
 
     # With no stage the herd is the target itself: its error is exactly 0,
-    # and its squared norm is the target pass's.
-    err, herd_sq = _exact_error(target, idx, *full_pass) if stages else (0.0, full_pass[1])
-    return Herd(target, idx, recomputed_error=err, squared_norm=herd_sq,
-                trace=(err,), sizes=(len(idx),), termination="recursive", stages=tuple(stages))
+    # and its squared norm is the target pass's, clamped as the exact error is.
+    err, herd_sq = _exact_error(target, idx, *full_pass) if stages else (0.0, max(full_pass[1], 0.0))
+    return Herd(target, idx, recomputed_error=err, squared_norm=herd_sq, trace=(err,), sizes=(len(idx),),
+                termination=_worst(st.termination for st in stages), stages=tuple(stages))
 
 
 @dataclass(frozen=True)

@@ -294,9 +294,7 @@ def self_sums(spec: KernelSpec, X, coef) -> np.ndarray:
     n = X.shape[0]
     a = _prepare(spec, X)
     rows = max(BLOCK_ROWS, BLOCK_ENTRIES // max(1, n))
-    if rows >= n:
-        return _block(spec, a, a) @ coef
-    buf = np.empty(rows * n)
+    buf = np.empty(min(rows, n) * n)
     out = np.zeros(n)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)

@@ -292,6 +292,15 @@ def check_contamination(
     return report
 
 
+def _robust_constant(loss: Loss, claim: str) -> float:
+    """The sum constant C of a noise-robust loss; an InputError that ``claim`` needs one otherwise."""
+    verdict = sln_robustness_check(loss)
+    if not verdict.is_robust:
+        raise InputError(f"{claim} requires a noise-robust loss; "
+                         f"sln_robustness_check({loss.name}) returned {verdict.verdict}")
+    return verdict.constant
+
+
 def check_ber_immunity(
     loss: Loss,
     P_pos: InstanceDistribution,
@@ -301,17 +310,9 @@ def check_ber_immunity(
     fclass: FiniteFunctionClass,
 ) -> ExperimentReport:
     """Mutual contamination shifts balanced error affinely, preserving argmins."""
-    verdict = sln_robustness_check(loss)
-    if not verdict.is_robust:
-        raise InputError(
-            f"balanced-error immunity requires a noise-robust loss; "
-            f"sln_robustness_check({loss.name}) returned {verdict.verdict}"
-        )
-    report = ExperimentReport(
-        name="ber-immunity",
-        inputs={"loss": loss.name, "alpha": alpha, "beta": beta, "class_size": fclass.size},
-    )
-    C = verdict.constant
+    C = _robust_constant(loss, "balanced-error immunity")
+    report = ExperimentReport(name="ber-immunity", inputs={
+        "loss": loss.name, "alpha": alpha, "beta": beta, "class_size": fclass.size})
     t_pos, t_neg = mutually_contaminate(P_pos, P_neg, alpha, beta)
     slope = 1.0 - alpha - beta
     intercept = (alpha + beta) / 2.0 * C
@@ -337,15 +338,8 @@ def check_ghosh_bound(
     fclass: FiniteFunctionClass,
 ) -> ExperimentReport:
     """Instance-dependent noise degrades a robust loss by at most 1/min(1 - 2 sigma)."""
-    verdict = sln_robustness_check(loss)
-    if not verdict.is_robust:
-        raise InputError(
-            f"the bound requires a noise-robust loss; "
-            f"sln_robustness_check({loss.name}) returned {verdict.verdict}"
-        )
-    report = ExperimentReport(
-        name="ghosh-bound", inputs={"loss": loss.name, "class_size": fclass.size}
-    )
+    _robust_constant(loss, "the bound")
+    report = ExperimentReport(name="ghosh-bound", inputs={"loss": loss.name, "class_size": fclass.size})
     i_noisy, _ = brute_force_min(loss, flip_instance_dependent(P, table), fclass)
     clean = risk(loss, P, fclass.table(P.instances))
     i_clean = int(np.argmin(clean))

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import DiscreteDistribution, InstanceDistribution, LabeledSample
+from .data import DiscreteDistribution, InstanceDistribution, LabeledSample, as_labels
 from .errors import InputError
 
 CONSTANCY_TOL = 1e-9
@@ -37,10 +37,7 @@ class Loss:
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __call__(self, y, v):
-        y = np.asarray(y)
-        if not np.all((y == 1) | (y == -1)):
-            raise InputError(f"labels must be -1 or +1, got {y!r}")
-        return self.fn(y, np.asarray(v, dtype=float))
+        return self.fn(as_labels(y), np.asarray(v, dtype=float))
 
 
 def _linear(y, v):

@@ -243,6 +243,40 @@ def test_herd_iteration_cap_exit_1(blob_csv, tmp_path):
     assert code == 1
 
 
+def _write_csv(path, X, y):
+    path.write_text("".join(",".join(repr(float(v)) for v in x) + f",{int(t)}\n" for x, t in zip(X, y)))
+    return path
+
+
+@pytest.mark.parametrize("flags", [[], ["--parallel", "2"], ["--recursive", "--min-size", "10"]],
+                         ids=["plain", "parallel", "recursive"])
+def test_herd_iteration_cap_exits_1_in_every_mode(flags, tmp_path, capsys):
+    # a parallel herd ends as its worst group, a recursive one as its worst stage:
+    # here every run stops at the cap, so each mode ends max_iterations and exits 1
+    S = synth_blobs(200, 2, 2.0, seed=0)
+    data, out = _write_csv(tmp_path / "blobs.csv", S.instances, S.labels), tmp_path / "h.json"
+    code = main(["herd", "--data", str(data), "--kernel", "gaussian:1.0", "--epsilon", "1e-6",
+                 "--max-iterations", "5", *flags, "--out", str(out)])
+    assert code == 1
+    assert "iteration cap reached at error" in capsys.readouterr().err
+    assert read_json(out)["termination"] == "max_iterations"
+
+
+@pytest.mark.parametrize("command", ["train", "mmd", "herd"])
+def test_large_scale_linear_data_is_not_reported_indefinite(command, tmp_path):
+    # points at the 1e6 scale and their 1e-3 perturbations: the squared norms
+    # round to about -1e-6, rounding at the scale of their terms (about 1e13),
+    # which the PSD check clamps instead of exiting 3
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((50, 3)) * 1e6
+    B = A + rng.standard_normal((50, 3)) * 1e-3
+    data = _write_csv(tmp_path / "scaled.csv", np.vstack([A, B]), [1] * 50 + [-1] * 50)
+    out = tmp_path / "out.json"
+    assert main([command, "--data", str(data), "--out", str(out)]) == 0
+    doc = read_json(out)
+    assert doc["mmd"] >= 0.0 if command == "mmd" else doc["meta"]["norm"] >= 0.0
+
+
 def test_herd_parallel_flag(blob_csv, tmp_path):
     out = tmp_path / "herd.json"
     code = main([

@@ -55,3 +55,22 @@ def test_psd_clamps_rounding_and_rejects_indefinite():
     assert emb.psd(0.25) == 0.25
     with pytest.raises(ConsistencyError):
         emb.psd(-1e-11)
+
+
+def test_psd_floor_scales_with_the_terms_of_the_sum():
+    # -1e-12 max(1, scale): today's floor for scale <= 1, proportional beyond
+    assert emb.psd(-1e-3, scale=1e12) == 0.0
+    with pytest.raises(ConsistencyError, match="below -1e-12"):
+        emb.psd(-1e-11, scale=0.5)
+    with pytest.raises(ConsistencyError, match="below -1"):
+        emb.psd(-2.0, scale=1e12)
+
+
+def test_mmd_of_nearby_large_scale_sets_is_not_reported_indefinite():
+    # at the 1e6 scale, the squared norm of A - (A + 1e-4 noise) rounds to about
+    # -1e-6 in half of such cases; the scaled floor clamps every one to >= 0
+    from meanherd.classifier import mmd
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        A = rng.standard_normal((5, 3)) * 1e6
+        assert mmd(A, A + rng.standard_normal((5, 3)) * 1e-4, KernelSpec("linear")) >= 0.0

@@ -206,6 +206,34 @@ def test_herd_classifier_holds_its_members(variant):
     assert len(h.sizes) == len(h.trace)
 
 
+@pytest.mark.parametrize("variant", ["plain", "parallel", "recursive"])
+def test_herd_that_reaches_the_tolerance_ends_tolerance(variant):
+    # a parallel or recursive herd ends as the worst of its runs, all of which reach the tolerance here
+    S = blob_sample(n=120)
+    cfg = HerdingConfig(tolerance=0.03, max_iterations=2000)
+    h = {"plain": lambda: herd(S, GAUSS, cfg),
+         "parallel": lambda: parallel_herd(S, 3, GAUSS, cfg),
+         "recursive": lambda: recursive_herd(S, GAUSS, min_size=10, config=cfg)}[variant]()
+    runs = [st.termination for st in h.stages] if variant == "recursive" else [h.termination]
+    assert runs and set(runs) == {"tolerance"}
+    assert h.termination == "tolerance"
+
+
+def test_herd_ends_as_its_worst_run():
+    # one of four groups, and the first of two stages, stop at the cap while the
+    # others reach the tolerance: each herd ends max_iterations
+    S = blob_sample(n=120)
+    cfg = HerdingConfig(tolerance=0.03, max_iterations=40)
+    groups = [herd(S.subset(block), GAUSS, cfg).termination for block in np.array_split(np.arange(120), 4)]
+    assert sorted(groups) == ["max_iterations", "tolerance", "tolerance", "tolerance"]
+    assert parallel_herd(S, 4, GAUSS, cfg).termination == "max_iterations"
+    cfg = HerdingConfig(tolerance=0.03, max_iterations=12)
+    h = recursive_herd(S, GAUSS, min_size=10, config=cfg)
+    assert [st.termination for st in h.stages] == ["max_iterations", "tolerance"]
+    assert h.termination == "max_iterations"
+    assert recursive_herd(S, GAUSS, min_size=120, config=cfg).termination == "tolerance"  # no stage
+
+
 # ---------------------------------------------------------------------------
 # Parallel and recursive
 
