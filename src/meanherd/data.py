@@ -66,17 +66,17 @@ def _merge(keys: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def _support(instances, labels=None, weights=None) -> tuple[np.ndarray, np.ndarray | None]:
     """Checked (m, d) points and (m,) weights: the one rule for a finite weighted support.
 
-    m >= 1 rows, one label per row when ``labels`` is given, every value
-    finite (a DataError, found first: nan passes the sign and sum checks),
-    and ``weights``, when given, non-negative and summing to 1.
+    m >= 1 rows of d >= 1 features, one label per row when ``labels`` is
+    given, every value finite (a DataError, found first: nan passes the sign
+    and sum checks), and ``weights``, when given, non-negative and summing to 1.
     """
     X = np.asarray(instances, dtype=float)
     w = None if weights is None else np.asarray(weights, dtype=float)
-    m = X.shape[0] if X.ndim == 2 else 0
+    m = X.shape[0] if X.ndim == 2 and X.shape[1] >= 1 else 0
     if m < 1 or any(a is not None and a.shape != (m,) for a in (labels, w)):
         shapes = " and ".join(str(a.shape) for a in (X, labels if w is None else w) if a is not None)
-        raise InputError(f"need m > 0 atoms: (m, d) instances, (m,) labels and (m,) "
-                         f"probabilities, got shapes {shapes}")
+        raise InputError(f"need m > 0 atoms of d > 0 features: (m, d) instances, (m,) labels "
+                         f"and (m,) probabilities, got shapes {shapes}")
     if not (np.isfinite(X).all() and (w is None or np.isfinite(w).all())):
         raise DataError("instances and probabilities must be finite (found nan or inf)")
     if w is not None and (w < 0).any():
@@ -378,6 +378,9 @@ def _remap_labels(raw: list[float], path) -> np.ndarray:
     if values <= {0.0, 1.0}:
         return np.array([1 if v == 1.0 else -1 for v in raw], dtype=int)
     bad = sorted(values - {-1.0, 0.0, 1.0})
+    if not bad:  # only -1, 0 and 1 occur, but under neither convention
+        raise InputError(f"label values [{', '.join(map(repr, sorted(values)))}] mix the "
+                         f"{{-1, 1}} and {{0, 1}} conventions in {path}")
     # name a few, so the message stays one short line whatever the file holds
     shown = ", ".join(map(repr, bad[:5])) + (", ..." if len(bad) > 5 else "")
     raise InputError(f"unknown label value(s) [{shown}] ({len(bad)} distinct) in {path}")

@@ -16,8 +16,9 @@ random instances draws them all from one generator,
 fit a kernel mean (``sln-immunity``, ``contamination``, ``compression``)
 all use ``SUITE_KERNEL``, a bounded kernel: their theorems assume
 |K| <= 1, so an unbounded kernel would fail their audits for a broken
-hypothesis, not a broken theorem.  Each report serializes with
-``dataclasses.asdict`` plus its ``passed`` verdict.
+hypothesis, not a broken theorem.  The compression suite compresses the
+mean by plain kernel herding, ``herding.herd`` to each tolerance.  Each
+report serializes with ``dataclasses.asdict`` plus its ``passed`` verdict.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .data import (
     _eta,
 )
 from .errors import DataError, InputError
-from .herding import HerdingConfig, recursive_herd
+from .herding import HerdingConfig, herd
 from .kernels import KernelSpec
 from .losses import (
     Loss,
@@ -447,43 +448,37 @@ def run_long_servedio(gamma: float) -> ExperimentReport:
 # Compression experiment
 
 
-def load_compression_npz(path):
-    """Optional dataset asset: an .npz with X_train, y_train, X_test, y_test."""
-    data = np.load(path)
-    train = LabeledSample(data["X_train"], data["y_train"])
-    test = LabeledSample(data["X_test"], data["y_test"])
-    return train, test
-
-
 def run_compression_experiment(
     kernel: KernelSpec,
     eps_list=(0.01,),
     seed: int = 0,
     n: int = 2000,
     dataset_path=None,
-    min_size: int = 100,
 ) -> ExperimentReport:
-    """Test accuracy of recursively herded classifiers versus the full-mean baseline.
+    """Test accuracy of herded classifiers versus the full-mean baseline.
 
-    Each tolerance in ``eps_list`` gives one ``recursive_herd`` (down to
-    ``min_size`` members, at most ``HerdingConfig``'s default number of
-    steps a stage).  Without a dataset asset, a seeded two-blob sample with
-    centers ``_BLOB_SEPARATION`` apart stands in for a real dataset.
-    Emits (herd fraction, accuracy) curve rows and asserts the sup-norm
-    audit |full score - sparse score| <= herd error on every test point.
+    Each tolerance in ``eps_list`` gives one ``herd`` (at most
+    ``HerdingConfig``'s default number of steps), so a curve row's exact
+    ``error`` is its ``eps`` or less, up to rounding, whenever the herd ends
+    ``tolerance``.  The data is an .npz asset with X_train, y_train, X_test
+    and y_test when ``dataset_path`` is given, and otherwise a seeded
+    two-blob sample with centers ``_BLOB_SEPARATION`` apart.  Emits (herd
+    fraction, accuracy) curve rows and asserts the sup-norm audit
+    |full score - sparse score| <= herd error on every test point.
     """
     report = ExperimentReport(
         name="compression",
         inputs={
             "kernel": kernel.to_dict(),
             "eps_list": list(eps_list),
-            "mode": "recursive",
             "seed": seed,
             "dataset": str(dataset_path) if dataset_path else f"blobs(n={n}, sep={_BLOB_SEPARATION})",
         },
     )
     if dataset_path is not None:
-        train, test = load_compression_npz(dataset_path)
+        with np.load(dataset_path) as data:
+            train = LabeledSample(data["X_train"], data["y_train"])
+            test = LabeledSample(data["X_test"], data["y_test"])
     else:
         train = synth_blobs(n, 2, _BLOB_SEPARATION, seed)
         test = synth_blobs(max(2, n // 2), 2, _BLOB_SEPARATION, seed + 1)
@@ -492,8 +487,7 @@ def run_compression_experiment(
 
     curve = []
     for eps in eps_list:
-        config = HerdingConfig(tolerance=eps)
-        h = recursive_herd(train, kernel, min_size=min_size, config=config)
+        h = herd(train, kernel, HerdingConfig(tolerance=eps))
         err = h.recomputed_error
         sparse_scores = h.classifier.scores(test.instances)
         acc = float(np.mean(test.labels * sparse_scores > 0))

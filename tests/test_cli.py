@@ -393,6 +393,17 @@ def test_unknown_labels_exit_2_with_a_short_message(tmp_path, capsys):
                    f"(1000 distinct) in {data}\n")
 
 
+@pytest.mark.parametrize("command", ["train", "herd", "mmd"])
+def test_a_csv_of_labels_alone_exits_2(command, tmp_path, capsys):
+    # the label column is the only column, so each row has no feature
+    data = tmp_path / "labels.csv"
+    data.write_text("1\n-1\n1\n")
+    out = tmp_path / "out.json"
+    assert main([command, "--data", str(data), "--kernel", "gaussian:1.0", "--out", str(out)]) == 2
+    assert "got shapes (3, 0) and (3,)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("label", [1.7, True])
 @pytest.mark.parametrize("command", ["eval", "noise"])
 def test_label_not_plus_or_minus_one_exit_2(command, label, toy_csv, tmp_path, capsys):

@@ -72,6 +72,7 @@ POINTS, LABELS, WEIGHTS = [[0.0, 1.0], [2.0, 3.0]], [1, -1], [0.5, 0.5]
 MALFORMED = {
     "1-D points": ([0.0, 2.0], LABELS, WEIGHTS, InputError),
     "zero rows": (np.zeros((0, 2)), [], [], InputError),
+    "zero columns": (np.zeros((2, 0)), LABELS, WEIGHTS, InputError),
     "label count": (POINTS, [1], WEIGHTS, InputError),
     "weight count": (POINTS, LABELS, [1.0], InputError),
     "nan point": ([[np.nan, 1.0], [2.0, 3.0]], LABELS, WEIGHTS, DataError),
@@ -104,6 +105,11 @@ def test_one_validator_for_every_weighted_support(case, kind):
     build(kind, POINTS, LABELS, WEIGHTS)  # the well-formed support is accepted
     with pytest.raises(error):
         build(kind, points, labels, weights)
+
+
+def test_a_support_without_feature_columns_is_rejected_naming_its_shapes():
+    with pytest.raises(InputError, match=r"d > 0 features.*got shapes \(3, 0\) and \(3,\)"):
+        LabeledSample(np.zeros((3, 0)), [1, -1, 1])
 
 
 def test_mixtures_merge_the_duplicate_atoms_the_constructor_rejects():
@@ -263,6 +269,19 @@ def test_load_csv_remaps_01_labels(tmp_path):
     f.write_text("1.0,0\n2.0,1\n")
     S = load_csv(f, label_column=1)
     assert np.array_equal(S.labels, np.array([-1, 1]))
+
+
+@pytest.mark.parametrize("load, text, values", [
+    (lambda f: load_csv(f, label_column=-1), "0.5,0\n1.5,-1\n2.5,1\n", "[-1.0, 0.0, 1.0]"),
+    (load_sparse, "0 1:0.5\n-1 1:1.5\n", "[-1.0, 0.0]"),
+], ids=["csv", "sparse"])
+def test_labels_that_mix_the_two_conventions_are_named(tmp_path, load, text, values):
+    # every value is -1, 0 or 1, but neither {-1, 1} nor {0, 1} holds them all
+    f = tmp_path / "mixed"
+    f.write_text(text)
+    with pytest.raises(InputError) as exc:
+        load(f)
+    assert str(exc.value) == f"label values {values} mix the {{-1, 1}} and {{0, 1}} conventions in {f}"
 
 
 def test_load_csv_parse_error_carries_line(tmp_path):

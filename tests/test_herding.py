@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from meanherd import kernels
+from meanherd import embedding as emb
+from meanherd import herding, kernels
 from meanherd.classifier import MeanClassifier, fit, mean_norm
 from meanherd.data import DiscreteDistribution, LabeledSample, synth_blobs
 from meanherd.errors import InputError
@@ -232,6 +233,22 @@ def test_herd_ends_as_its_worst_run():
     assert [st.termination for st in h.stages] == ["max_iterations", "tolerance"]
     assert h.termination == "max_iterations"
     assert recursive_herd(S, GAUSS, min_size=120, config=cfg).termination == "tolerance"  # no stage
+
+
+def test_a_target_outside_the_candidates_hull_ends_stationary():
+    # candidates x = 0 and x = 1 (label +1) against the linear mean of {0, 1, 3},
+    # omega = 4/3: the first pick x = 1 is the hull's closest point, at error 1/3,
+    # and the line search toward it again has a zero denominator
+    linear = KernelSpec("linear")
+    full = fit(LabeledSample([[0.0], [1.0], [3.0]], [1, 1, 1]), linear)
+    candidates = fit(LabeledSample([[0.0], [1.0]], [1, 1]), linear)
+    c = full.scores(candidates.points)
+    target_sq = emb.squared_norm(linear, full.points, full.coef)
+    _, members, trace, sizes, termination = herding._frank_wolfe(
+        candidates, HerdingConfig(), c, target_sq)
+    assert trace == pytest.approx((1.0 / 3.0,), abs=1e-15)
+    assert members.tolist() == [1] and sizes == (1,)
+    assert termination == "stationary"
 
 
 # ---------------------------------------------------------------------------

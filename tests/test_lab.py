@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from meanherd import lab
+from meanherd.classifier import fit
 from meanherd.data import (
     DiscreteDistribution,
     InstanceDistribution,
@@ -9,6 +10,7 @@ from meanherd.data import (
     flip_symmetric,
     long_servedio,
     sorted_instances,
+    synth_blobs,
 )
 from meanherd.errors import DataError, InputError
 from meanherd.kernels import KernelSpec
@@ -388,12 +390,52 @@ def test_long_servedio_hinge_minimizers_are_optimal(gamma, failing):
 
 def test_compression_experiment_blobs():
     report = lab.run_compression_experiment(
-        GAUSS, eps_list=(0.05,), seed=0, n=400, min_size=40
+        GAUSS, eps_list=(0.05,), seed=0, n=400
     )
     assert report.passed
     curve = report.extras["curve"]
     assert curve[0]["fraction"] < 1.0
     assert abs(curve[0]["accuracy"] - report.extras["baseline_accuracy"]) <= 0.05
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_compression_suite_herds_each_row_to_its_eps(seed):
+    [report] = lab.SUITES["compression"](seed)
+    assert report.passed
+    assert all(row["error"] <= row["eps"] for row in report.extras["curve"])
+
+
+def test_compression_experiment_reads_a_dataset_asset(tmp_path):
+    train, test = synth_blobs(200, 2, 4.0, seed=0), synth_blobs(100, 2, 4.0, seed=1)
+    asset = tmp_path / "blobs.npz"
+    np.savez(asset, X_train=train.instances, y_train=train.labels,
+             X_test=test.instances, y_test=test.labels)
+    report = lab.run_compression_experiment(GAUSS, eps_list=(0.05,), dataset_path=asset)
+    assert report.passed
+    assert report.inputs["dataset"] == str(asset)
+    [row] = report.extras["curve"]
+    assert row["fraction"] == row["herd_size"] / 200 and row["error"] <= 0.05
+    full = fit(train, GAUSS).scores(test.instances)
+    assert report.extras["baseline_accuracy"] == float(np.mean(test.labels * full > 0))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: lab.FiniteFunctionClass(np.zeros((3, 2)), np.zeros((2, 2))),
+     r"scores must be \(k, len\(instances\)\)"),
+    (lambda: lab.FiniteFunctionClass(np.zeros((3, 2)), np.zeros((0, 3))),
+     "function class must be non-empty"),
+    (lambda: lab.FiniteFunctionClass(np.zeros((3, 2)), np.full((1, 3), np.inf)),
+     "scores must be finite"),
+    (lambda: fit([[0.0], [1.0]], GAUSS),
+     "expected LabeledSample or DiscreteDistribution, got list"),
+    (lambda: synth_blobs(3, 2, 1.0, seed=0), "n must be even and >= 2"),
+    (lambda: synth_blobs(4, 0, 1.0, seed=0), "d must be >= 1"),
+    (lambda: synth_blobs(4, 2, 0.0, seed=0), "separation must be > 0"),
+], ids=["scores-shape", "empty-class", "non-finite-scores", "fit-type", "blobs-n", "blobs-d",
+        "blobs-separation"])
+def test_argument_checks_raise_input_error(make, message):
+    with pytest.raises(InputError, match=message):
+        make()
 
 
 def test_report_serialization():
