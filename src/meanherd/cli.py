@@ -58,6 +58,7 @@ from .classifier import MeanClassifier, fit, margin_for_error, mmd
 from .data import (
     DiscreteDistribution,
     LabeledSample,
+    _lines,
     contaminate,
     flip_class_conditional,
     flip_symmetric,
@@ -87,13 +88,10 @@ _BOUNDS = {
 
 
 def _read_json(path):
-    """The JSON document in ``path``, after any leading byte-order mark; bytes
-    that are not UTF-8 JSON are a ParseError."""
+    """The JSON document in ``path``, read by ``data._lines``, which drops a leading
+    byte-order mark; bytes that are not UTF-8 JSON are a ParseError."""
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            return json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text: {exc}", path=path) from None
+        return json.loads("".join(_lines(path)))
     except json.JSONDecodeError as exc:
         raise ParseError(f"not JSON: {exc}", path=path) from None
 

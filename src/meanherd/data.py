@@ -10,7 +10,9 @@ below builds the corrupted distribution as an *exact* finite mixture, and
 one merge, ``_merge``, collapses duplicate atoms by exact equality in the
 order they first occur.  Empirical noise is obtained by sampling from the
 corrupted population (``sample_from``) rather than by a separate in-place
-flipper.
+flipper.  Symmetric label noise is the class-conditional flip at equal
+rates, and one check, ``_rates``, is the rule for a pair of flip or
+contamination rates: each >= 0 and their sum < 1 (nan fails).
 """
 
 from __future__ import annotations
@@ -235,21 +237,23 @@ def _flip(P: DiscreteDistribution, rates) -> DiscreteDistribution:
                     np.column_stack([(1.0 - rates) * p, rates * p]).ravel())
 
 
+def _rates(a: float, b: float):
+    """The one flip-rate rule: both rates >= 0 with sum < 1 (a nan fails it)."""
+    if not (a >= 0 and b >= 0 and a + b < 1.0):
+        raise InputError(f"rates must be >= 0 with sum < 1, got ({a}, {b})")
+
+
 def flip_symmetric(P: DiscreteDistribution, sigma: float) -> DiscreteDistribution:
-    """Exact mixture (1 - sigma) P + sigma P' with P' the label-flipped P."""
-    if not (0.0 <= sigma < 0.5):
-        raise InputError(f"sigma must lie in [0, 0.5), got {sigma}")
-    return _flip(P, np.full(len(P), sigma))
+    """Exact mixture (1 - sigma) P + sigma P' with P' the label-flipped P: the
+    class-conditional flip at equal rates."""
+    return flip_class_conditional(P, sigma, sigma)
 
 
 def flip_class_conditional(
     P: DiscreteDistribution, sigma_neg: float, sigma_pos: float
 ) -> DiscreteDistribution:
     """Label-dependent flips: rate sigma_pos on y=+1 atoms, sigma_neg on y=-1."""
-    if not (sigma_neg >= 0 and sigma_pos >= 0 and sigma_neg + sigma_pos < 1.0):
-        raise InputError(
-            f"class-conditional rates must be >= 0 with sum < 1, got ({sigma_neg}, {sigma_pos})"
-        )
+    _rates(sigma_neg, sigma_pos)
     return _flip(P, np.where(P.labels == 1, sigma_pos, sigma_neg))
 
 
@@ -282,8 +286,7 @@ def mutually_contaminate(
     beta: float,
 ) -> tuple[InstanceDistribution, InstanceDistribution]:
     """Mutual contamination of the two class-conditional instance distributions."""
-    if not (alpha >= 0 and beta >= 0 and alpha + beta < 1.0):
-        raise InputError(f"need alpha, beta >= 0 with alpha + beta < 1, got ({alpha}, {beta})")
+    _rates(alpha, beta)
     if P_pos.dim != P_neg.dim:
         raise InputError("the two class-conditional distributions differ in dimension")
     X = np.vstack([P_pos.instances, P_neg.instances])
@@ -474,7 +477,7 @@ def load_sparse(path) -> LabeledSample:
     chunks = _chunks(((n, line) for n, line in enumerate(map(str.strip, _lines(path)), start=1)
                       if line and not line.startswith("#")), lambda c: _sparse_chunk(c, path), path)
     labels, idx, vals, counts = zip(*chunks)
-    shape = (sum(map(len, labels)), max(1, *(i.max(initial=0) for i in idx)))
+    shape = (sum(map(len, labels)), max(i.max(initial=0) for i in idx))
     try:
         X = np.zeros(shape)
     except (MemoryError, ValueError):  # ValueError: more bytes than an index can address

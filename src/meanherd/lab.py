@@ -384,21 +384,22 @@ def order_reversal_witness(loss: Loss, sigma: float, seed: int = 0, trials: int 
 # Long-Servedio reproduction
 
 
-def _hinge_min_over_hyperplanes(P_atoms, probs, flip_sigma):
-    """Exact hinge minimizer over planar hyperplanes through the origin.
+def _hinge_min_over_hyperplanes(P: DiscreteDistribution, sigma: float):
+    """Exact minimizer of the hinge risk on ``flip_symmetric(P, sigma)`` over
+    hyperplanes through the origin, for P with planar atoms.
 
-    R(w) = sum_i p_i [(1 - sigma)(1 - <w, x_i>)_+ + sigma (1 + <w, x_i>)_+]
-    is convex piecewise linear with kinks on the lines <w, x_i> = +-1.  No
-    two atoms are parallel, so R is least at a vertex where the kink lines
-    of two atoms cross; all 4 per pair are evaluated.  Tie-break: the first
-    vertex, pairs (i < j) in order, then signs (+,+), (+,-), (-,+), (-,-).
+    The risk R(w) = ``risk(hinge_loss, P_sigma, <w, x>)`` is convex piecewise
+    linear with kinks on the lines <w, x_i> = +-1.  No two atoms are
+    parallel, so R is least at a vertex where the kink lines of two atoms
+    cross; all 4 per pair are evaluated.  Tie-break: the first vertex, pairs
+    (i < j) in order, then signs (+,+), (+,-), (-,+), (-,-).
     """
-    A = np.stack([P_atoms[[i, j]] for i, j in combinations(range(len(P_atoms)), 2)])
+    X = P.instances
+    A = np.stack([X[[i, j]] for i, j in combinations(range(len(X)), 2)])
     signs = np.array(list(product((1.0, -1.0), repeat=2)))
     W = np.linalg.solve(A[:, np.newaxis], signs[np.newaxis, ..., np.newaxis])[..., 0].reshape(-1, 2)
-    V = W @ P_atoms.T  # (vertices, m) scores
-    risks = ((1.0 - flip_sigma) * np.maximum(1.0 - V, 0.0)
-             + flip_sigma * np.maximum(1.0 + V, 0.0)) @ probs
+    P_sigma = flip_symmetric(P, sigma)
+    risks = risk(hinge_loss, P_sigma, W @ P_sigma.instances.T)
     i = int(np.argmin(risks))
     return W[i], float(risks[i])
 
@@ -422,14 +423,14 @@ def run_long_servedio(gamma: float) -> ExperimentReport:
     probs = P.probabilities
     kernel = KernelSpec("linear")
 
-    w0, _ = _hinge_min_over_hyperplanes(atoms, probs, 0.0)
+    w0, _ = _hinge_min_over_hyperplanes(P, 0.0)
     mis0 = float(probs @ ((atoms @ w0) <= 0))
     report.check("hinge minimizer correct at sigma=0", 0.0, mis0, 0.0)
 
     failing = []
     mean_ok = True
     for sigma in _LONG_SERVEDIO_SIGMAS:
-        w, _ = _hinge_min_over_hyperplanes(atoms, probs, sigma)
+        w, _ = _hinge_min_over_hyperplanes(P, sigma)
         mis = float(probs @ ((atoms @ w) <= 0))
         if abs(mis - 0.5) <= 1e-12:
             failing.append(sigma)

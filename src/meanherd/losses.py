@@ -9,11 +9,15 @@ A function on a finite support is its score array: one score per atom,
 shape (m,), or one row per function of a class, shape (k, m).  The risks
 below take such arrays and return one risk per row.
 
+The zero-one loss is the margin loss at gamma = 0, and the symmetric
+label-noise correction is the class-conditional one at equal rates.
+
 The robustness analysis below evaluates losses on one fixed score grid,
 ``GRID`` = 0.01 k for |k| <= 300.  The "sum constancy" checks test
-l(1, v) + l(-1, v) = C on it.  The abstention convention double-counts
-the single point v = 0 (both labels pay 1 there), so constancy scans skip
-v = 0; every other grid point is evaluated exactly.
+l(1, v) + l(-1, v) = C, or a weighted sum, on it by one rule, ``_constant``.
+The abstention convention double-counts the single point v = 0 (both
+labels pay 1 there), so constancy scans skip v = 0; every other grid
+point is evaluated exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import DiscreteDistribution, InstanceDistribution, LabeledSample, as_labels
+from .data import DiscreteDistribution, InstanceDistribution, LabeledSample, _rates, as_labels
 from .errors import InputError
 
 CONSTANCY_TOL = 1e-9
@@ -52,18 +56,8 @@ def _logistic(y, v):
     return np.logaddexp(0.0, -y * v)
 
 
-def _zero_one(y, v):
-    return np.where((y * v < 0) | (v == 0), 1.0, 0.0)
-
-
-linear_loss = Loss("linear", _linear)
-hinge_loss = Loss("hinge", _hinge)
-logistic_loss = Loss("logistic", _logistic)
-zero_one_loss = Loss("zero-one", _zero_one)
-
-
 def margin_loss(gamma: float) -> Loss:
-    """1 when y v < gamma (or v = 0); reduces to zero-one loss at gamma = 0."""
+    """1 when y v < gamma (or v = 0); the zero-one loss at gamma = 0."""
     if not (0.0 <= gamma < np.inf):
         raise InputError(f"margin must be finite and >= 0, got {gamma}")
 
@@ -71,6 +65,12 @@ def margin_loss(gamma: float) -> Loss:
         return np.where((y * v < gamma) | (v == 0), 1.0, 0.0)
 
     return Loss(f"margin:{gamma:g}", fn)
+
+
+linear_loss = Loss("linear", _linear)
+hinge_loss = Loss("hinge", _hinge)
+logistic_loss = Loss("logistic", _logistic)
+zero_one_loss = Loss("zero-one", margin_loss(0.0).fn)
 
 
 BUILTIN_LOSSES = {
@@ -138,23 +138,15 @@ def balanced_error(loss: Loss, P_pos: InstanceDistribution, P_neg: InstanceDistr
 
 
 def correct_sln(loss: Loss, sigma: float) -> Loss:
-    """Unbiased-estimator correction for symmetric label noise at rate sigma."""
-    if not (0.0 <= sigma < 0.5):
-        raise InputError(f"sigma must lie in [0, 0.5), got {sigma}")
-
-    def fn(y, v):
-        return ((1.0 - sigma) * loss.fn(y, v) - sigma * loss.fn(-y, v)) / (1.0 - 2.0 * sigma)
-
-    return Loss(f"sln-corrected:{loss.name}:{sigma:g}", fn)
+    """Unbiased-estimator correction for symmetric label noise at rate sigma:
+    the class-conditional correction at equal rates."""
+    return Loss(f"sln-corrected:{loss.name}:{sigma:g}", correct_cc(loss, sigma, sigma).fn)
 
 
 def correct_cc(loss: Loss, sigma_neg: float, sigma_pos: float) -> Loss:
     """Class-conditional correction with flip rates (sigma_neg, sigma_pos)."""
-    if not (sigma_neg >= 0 and sigma_pos >= 0 and sigma_neg + sigma_pos < 1.0):
-        raise InputError(
-            f"rates must be >= 0 with sum < 1, got ({sigma_neg}, {sigma_pos})"
-        )
-    denom = 1.0 - sigma_neg - sigma_pos
+    _rates(sigma_neg, sigma_pos)
+    denom = 1.0 - (sigma_neg + sigma_pos)
 
     def fn(y, v):
         s_y = np.where(y == 1, sigma_pos, sigma_neg)
@@ -181,18 +173,21 @@ class RobustnessVerdict:
         return "robust" if self.is_robust else "not-robust"
 
 
+def _constant(values: np.ndarray) -> float | None:
+    """The median of ``values`` when every value lies within ``CONSTANCY_TOL`` of it,
+    else None: the one constancy rule (a nan anywhere fails it)."""
+    c = float(np.median(values))
+    return c if np.max(np.abs(values - c)) <= CONSTANCY_TOL else None
+
+
 def sln_robustness_check(loss: Loss) -> RobustnessVerdict:
     """Noise robustness iff l(1, v) + l(-1, v) is constant over the grid."""
-    v = _CONSTANCY_GRID
-    pos = loss(1, v)
-    neg = loss(-1, v)
+    pos = loss(1, _CONSTANCY_GRID)
+    neg = loss(-1, _CONSTANCY_GRID)
     if np.max(np.abs(pos - neg)) <= 1e-12:
         return RobustnessVerdict(is_robust=False, constant=None, degenerate=True)
-    sums = pos + neg
-    c = float(np.median(sums))
-    if np.max(np.abs(sums - c)) <= CONSTANCY_TOL:
-        return RobustnessVerdict(is_robust=True, constant=c, degenerate=False)
-    return RobustnessVerdict(is_robust=False, constant=None, degenerate=False)
+    c = _constant(pos + neg)
+    return RobustnessVerdict(is_robust=c is not None, constant=c, degenerate=False)
 
 
 @dataclass(frozen=True)
@@ -238,10 +233,8 @@ def cc_ratio_check(loss: Loss, sigma_neg: float, sigma_pos: float) -> CCRatioRes
     loss is a positive affine image of the original, and the affine fit
     is returned as the certificate.
     """
-    v = _CONSTANCY_GRID
-    weighted = sigma_pos * loss(-1, v) + sigma_neg * loss(1, v)
-    c = float(np.median(weighted))
-    if np.max(np.abs(weighted - c)) > CONSTANCY_TOL:
+    c = _constant(sigma_pos * loss(-1, _CONSTANCY_GRID) + sigma_neg * loss(1, _CONSTANCY_GRID))
+    if c is None:
         return CCRatioResult(holds=False, constant=None, fit=None)
     fit = order_equivalence_fit(loss, correct_cc(loss, sigma_neg, sigma_pos))
     return CCRatioResult(holds=True, constant=c, fit=fit)

@@ -404,6 +404,19 @@ def test_a_csv_of_labels_alone_exits_2(command, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_file_of_labels_alone_exits_2_alike_as_csv_and_sparse_text(tmp_path, capsys):
+    errors = []
+    for suffix in (".csv", ".txt"):
+        data = tmp_path / f"labels{suffix}"
+        data.write_text("1\n-1\n1\n")
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "model.json")]) == 2
+        errors.append(capsys.readouterr().err.replace(str(data), "FILE"))
+    assert errors[0] == errors[1]
+    assert "need m > 0 atoms of d > 0 features" in errors[0]
+    assert "got shapes (3, 0) and (3,)" in errors[0]
+    assert not (tmp_path / "model.json").exists()
+
+
 @pytest.mark.parametrize("label", [1.7, True])
 @pytest.mark.parametrize("command", ["eval", "noise"])
 def test_label_not_plus_or_minus_one_exit_2(command, label, toy_csv, tmp_path, capsys):
@@ -696,7 +709,7 @@ def test_format_auto_reads_a_sparse_suffix_in_any_case(suffix, tmp_path):
     (["eval", "--loss", "margin:nan"], "margin must be finite and >= 0, got nan"),
     (["eval", "--loss", "cc-corrected:hinge:nan:0.1"], "rates must be >= 0 with sum < 1, got (nan, 0.1)"),
     (["noise", "--model", "cc", "--sigma-neg", "nan", "--sigma-pos", "0.1"],
-     "class-conditional rates must be >= 0 with sum < 1, got (nan, 0.1)"),
+     "rates must be >= 0 with sum < 1, got (nan, 0.1)"),
     (["herd", "--epsilon", "inf"], "tolerance must be finite and > 0, got inf"),
 ])
 def test_a_non_finite_parameter_exits_2_and_names_it(argv, named, toy_csv, tmp_path, capsys):

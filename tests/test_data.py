@@ -142,6 +142,9 @@ def test_flip_symmetric_exact_mixture():
     assert probs[((0.0, 0.0), -1)] == pytest.approx(0.15, abs=1e-15)
     assert probs[((1.0, 1.0), -1)] == pytest.approx(0.30, abs=1e-15)
     assert probs[((1.0, 1.0), 1)] == pytest.approx(0.10, abs=1e-15)
+    P_cc = flip_class_conditional(P, 0.25, 0.25)
+    for field in ("instances", "labels", "probabilities"):
+        assert np.array_equal(getattr(P_s, field), getattr(P_cc, field))
 
 
 def test_flip_symmetric_zero_is_identity():
@@ -206,7 +209,7 @@ def test_mutually_contaminate():
     with pytest.raises(InputError):
         mutually_contaminate(P_pos, P_neg, 0.6, 0.4)
     for alpha, beta in ((float("nan"), 0.1), (0.1, float("nan")), (float("inf"), 0.0)):
-        with pytest.raises(InputError, match="alpha, beta >= 0"):
+        with pytest.raises(InputError, match="rates must be >= 0 with sum < 1"):
             mutually_contaminate(P_pos, P_neg, alpha, beta)
     with pytest.raises(InputError):
         mutually_contaminate(P_pos, InstanceDistribution(np.zeros((1, 2)), np.ones(1)), 0.1, 0.1)
@@ -401,13 +404,14 @@ def test_load_sparse_rejects_indices_below_one(tmp_path, row, index):
 
 @pytest.mark.parametrize("rates", [(float("nan"), 0.1), (0.1, float("nan")), (float("inf"), 0.1)])
 def test_flip_class_conditional_rejects_non_finite_rates(rates):
-    with pytest.raises(InputError, match="class-conditional rates must be >= 0 with sum < 1"):
+    with pytest.raises(InputError, match="rates must be >= 0 with sum < 1"):
         flip_class_conditional(two_point(), *rates)
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda P: flip_symmetric(P, 0.5), r"sigma must lie in \[0, 0.5\), got 0.5"),
-    (lambda P: flip_symmetric(P, float("nan")), r"sigma must lie in \[0, 0.5\), got nan"),
+    (lambda P: flip_symmetric(P, 0.5), r"rates must be >= 0 with sum < 1, got \(0.5, 0.5\)"),
+    (lambda P: flip_symmetric(P, float("nan")), r"rates must be >= 0 with sum < 1, got \(nan, nan\)"),
+    (lambda P: flip_symmetric(P, -0.1), r"rates must be >= 0 with sum < 1, got \(-0.1, -0.1\)"),
     (lambda P: contaminate(P, P, -0.1), r"sigma must lie in \[0, 1\], got -0.1"),
     (lambda P: contaminate(P, dist([[5.0]], [-1], [1.0]), 0.1), "dimension mismatch: 2 vs 1"),
 ])

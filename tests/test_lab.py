@@ -379,7 +379,7 @@ def test_long_servedio_hinge_minimizers_are_optimal(gamma, failing):
     steps = 1e-6 * np.column_stack([np.cos(angles), np.sin(angles)])
     for sigma in (0.0, *lab._LONG_SERVEDIO_SIGMAS):
         P_sigma = flip_symmetric(P, sigma)
-        w, r = lab._hinge_min_over_hyperplanes(P.instances, P.probabilities, sigma)
+        w, r = lab._hinge_min_over_hyperplanes(P, sigma)
         assert risk(hinge_loss, P_sigma, P_sigma.instances @ w) == pytest.approx(r, abs=1e-14)
         neighbours = risk(hinge_loss, P_sigma, (w + steps) @ P_sigma.instances.T)
         assert neighbours.min() >= r - 1e-12, sigma

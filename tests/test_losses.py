@@ -6,6 +6,7 @@ import pytest
 from meanherd.data import DiscreteDistribution
 from meanherd.errors import InputError
 from meanherd.losses import (
+    CCRatioResult,
     GRID,
     Loss,
     balanced_error,
@@ -51,8 +52,8 @@ def test_margin_loss():
     assert m(1, 0.4) == 1.0
     assert m(1, 0.6) == 0.0
     z = margin_loss(0.0)
-    v = np.linspace(-2, 2, 41)
-    assert np.array_equal(z(1, v), zero_one_loss(1, v))
+    for y in (1, -1):
+        assert np.array_equal(z(y, GRID), zero_one_loss(y, GRID))
 
 
 @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -0.1])
@@ -133,6 +134,14 @@ def test_sln_correction_unbiased(loss, sigma):
         assert noisy == pytest.approx(clean, abs=1e-12)
 
 
+@pytest.mark.parametrize("sigma", [0.1, 0.2, 0.3, 0.45])
+@pytest.mark.parametrize("loss", [linear_loss, hinge_loss, logistic_loss], ids=lambda l: l.name)
+def test_sln_correction_is_the_cc_correction_at_equal_rates(loss, sigma):
+    for y in (1, -1):
+        sln, cc = correct_sln(loss, sigma)(y, GRID), correct_cc(loss, sigma, sigma)(y, GRID)
+        assert np.array_equal(sln, cc)
+
+
 def test_sln_correction_sigma_zero_is_identity():
     corrected = correct_sln(hinge_loss, 0.0)
     v = np.linspace(-3, 3, 61)
@@ -177,6 +186,9 @@ def test_cc_ratio_check():
     r = cc_ratio_check(linear_loss, 0.2, 0.2)
     assert r.fit is not None and r.fit.order_equivalent
     assert not cc_ratio_check(linear_loss, 0.1, 0.3).holds
+    # a loss undefined somewhere on the grid is not constant there
+    partial = Loss("partial", lambda y, v: np.where(np.abs(v) > 2.5, np.nan, 1.0 - y * v))
+    assert cc_ratio_check(partial, 0.2, 0.2) == CCRatioResult(holds=False, constant=None, fit=None)
 
 
 # ---------------------------------------------------------------------------

@@ -194,8 +194,7 @@ def reference_load_sparse(path) -> LabeledSample:
         parsed.append(entries)
     if not parsed:
         raise ParseError("no data rows", path=path)
-    d = max(max_index, 1)
-    X = np.zeros((len(parsed), d))
+    X = np.zeros((len(parsed), max_index))
     for i, entries in enumerate(parsed):
         for idx, val in entries:
             X[i, idx - 1] = val
