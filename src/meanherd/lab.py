@@ -197,10 +197,9 @@ def _regret_gaps(trial, X, y, p, v) -> np.ndarray:
     table = np.stack([loss(y, s) for loss in (zero_one_loss, linear_loss) for s in (v, bayes)])
     size = np.bincount(trial)
     risks = np.empty((4, size.size))
-    for m in np.unique(size):  # per trial, the dot that ``losses.risk`` takes, bit for bit
+    for m in np.unique(size):  # per trial, the sum that ``losses.risk`` takes, bit for bit
         rows = size[trial] == m
-        dots = table[:, rows].reshape(4, -1, 1, m) @ p[rows].reshape(-1, m, 1)
-        risks[:, size == m] = dots[..., 0, 0]
+        risks[:, size == m] = np.sum((table[:, rows] * p[rows]).reshape(4, -1, m), axis=-1)
     mis_v, mis_bayes, lin_v, lin_bayes = risks
     return (mis_v - mis_bayes) - (lin_v - lin_bayes)
 
@@ -241,9 +240,9 @@ def check_sln_immunity(
     report = ExperimentReport(
         name="sln-immunity", inputs={"sigmas": list(sigmas), "kernel": kernel.to_dict()}
     )
-    clean = fit(P, kernel)
     X = P.instances
-    clean_scores = clean.scores(X)
+    clean_scores = fit(P, kernel).scores(X)
+    s_clean = np.where(np.abs(clean_scores) <= _ZERO_SCORE_TOL, 0, np.sign(clean_scores))
     for sigma in sigmas:
         if not (0.0 < sigma < 0.5):
             raise InputError(f"sigma must lie in (0, 0.5), got {sigma}")
@@ -255,7 +254,6 @@ def check_sln_immunity(
             tolerance=1e-12,
         )
         noisy_scores = fit(P_sigma, kernel).scores(X)
-        s_clean = np.where(np.abs(clean_scores) <= _ZERO_SCORE_TOL, 0, np.sign(clean_scores))
         s_noisy = np.where(np.abs(noisy_scores) <= _ZERO_SCORE_TOL, 0, np.sign(noisy_scores))
         report.check_true(f"labels agree on support (sigma={sigma})", np.array_equal(s_clean, s_noisy))
     return report
@@ -420,18 +418,17 @@ def run_long_servedio(gamma: float) -> ExperimentReport:
     )
     P = long_servedio(gamma)
     atoms = P.instances
-    probs = P.probabilities
     kernel = KernelSpec("linear")
 
     w0, _ = _hinge_min_over_hyperplanes(P, 0.0)
-    mis0 = float(probs @ ((atoms @ w0) <= 0))
+    mis0 = risk(zero_one_loss, P, atoms @ w0)
     report.check("hinge minimizer correct at sigma=0", 0.0, mis0, 0.0)
 
     failing = []
     mean_ok = True
     for sigma in _LONG_SERVEDIO_SIGMAS:
         w, _ = _hinge_min_over_hyperplanes(P, sigma)
-        mis = float(probs @ ((atoms @ w) <= 0))
+        mis = risk(zero_one_loss, P, atoms @ w)
         if abs(mis - 0.5) <= 1e-12:
             failing.append(sigma)
         mean_clf = fit(flip_symmetric(P, sigma), kernel)

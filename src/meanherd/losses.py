@@ -7,7 +7,8 @@ loss (both labels pay 1 at v = 0).
 
 A function on a finite support is its score array: one score per atom,
 shape (m,), or one row per function of a class, shape (k, m).  The risks
-below take such arrays and return one risk per row.
+below take such arrays and return one risk per row, each the one sum
+``np.sum(loss * p, axis=-1)`` over C-ordered scores (see ``risk``).
 
 The zero-one loss is the margin loss at gamma = 0, and the symmetric
 label-noise correction is the class-conditional one at equal rates.
@@ -95,8 +96,8 @@ _CONSTANCY_GRID = GRID[GRID != 0.0]
 
 
 def _scores(v, m: int) -> np.ndarray:
-    """Scores at m atoms: shape (m,) for one function or (k, m) for k."""
-    v = np.asarray(v, dtype=float)
+    """Scores at m atoms, C-ordered: shape (m,) for one function or (k, m) for k."""
+    v = np.asarray(v, dtype=float, order="C")
     if v.ndim not in (1, 2) or v.shape[-1] != m:
         raise InputError(f"expected scores of shape ({m},) or (k, {m}), got {v.shape}")
     return v
@@ -111,9 +112,10 @@ def risk(loss: Loss, P: DiscreteDistribution, V):
     """Exact expectation of loss(y, v) over the finite support of P.
 
     ``V`` holds the scores at ``P``'s atoms, shape (m,), or a class's
-    score table, shape (k, m); the result is a float or k risks.
+    score table, shape (k, m); the result is a float or k risks.  Numpy's
+    pairwise sum over the atoms gives row i bitwise the risk of V[i] alone.
     """
-    return _one_or_many(loss(P.labels, _scores(V, len(P))) @ P.probabilities)
+    return _one_or_many(np.sum(loss(P.labels, _scores(V, len(P))) * P.probabilities, axis=-1))
 
 
 def empirical_risk(loss: Loss, S: LabeledSample, V):
@@ -128,8 +130,8 @@ def balanced_error(loss: Loss, P_pos: InstanceDistribution, P_neg: InstanceDistr
     ``v_pos`` and ``v_neg`` are the scores at each class's atoms, shaped
     as in ``risk``.
     """
-    pos = loss(1, _scores(v_pos, len(P_pos))) @ P_pos.probabilities
-    neg = loss(-1, _scores(v_neg, len(P_neg))) @ P_neg.probabilities
+    pos = np.sum(loss(1, _scores(v_pos, len(P_pos))) * P_pos.probabilities, axis=-1)
+    neg = np.sum(loss(-1, _scores(v_neg, len(P_neg))) * P_neg.probabilities, axis=-1)
     return _one_or_many(0.5 * pos + 0.5 * neg)
 
 

@@ -76,7 +76,7 @@ def test_risk_of_a_table_is_its_rows_risks():
             risks = risk(loss, P, V)
             assert risks.shape == (fclass.size,)
             for row, r in zip(V, risks):
-                assert r == pytest.approx(risk(loss, P, row), abs=1e-15)
+                assert r == risk(loss, P, row)
             best = int(np.argmin(risks))
             assert lab.brute_force_min(loss, P, fclass) == (best, float(risks[best]))
 
@@ -171,6 +171,13 @@ def test_random_distribution_draws_as_before(seed):
         assert np.array_equal(P.instances, X) and np.array_equal(P.labels, y)
         assert np.array_equal(P.probabilities, p)
     assert old.integers(1 << 62) == new.integers(1 << 62)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_regret_gaps_equal_the_per_trial_oracle_trial_by_trial(seed):
+    dists, scores = zip(*per_trial_draws(300, seed))
+    gaps = lab._regret_gaps(*stacked(dists, scores))
+    assert gaps.tolist() == [per_trial_regret_gap(Q, v) for Q, v in zip(dists, scores)]
 
 
 def test_regret_gaps_match_the_oracle_on_repeated_instances():
@@ -380,7 +387,7 @@ def test_long_servedio_hinge_minimizers_are_optimal(gamma, failing):
     for sigma in (0.0, *lab._LONG_SERVEDIO_SIGMAS):
         P_sigma = flip_symmetric(P, sigma)
         w, r = lab._hinge_min_over_hyperplanes(P, sigma)
-        assert risk(hinge_loss, P_sigma, P_sigma.instances @ w) == pytest.approx(r, abs=1e-14)
+        assert risk(hinge_loss, P_sigma, P_sigma.instances @ w) == r
         neighbours = risk(hinge_loss, P_sigma, (w + steps) @ P_sigma.instances.T)
         assert neighbours.min() >= r - 1e-12, sigma
     report = lab.run_long_servedio(gamma)

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from meanherd.data import DiscreteDistribution
+from meanherd.data import DiscreteDistribution, InstanceDistribution, flip_symmetric, long_servedio
 from meanherd.errors import InputError
+from meanherd.lab import _LONG_SERVEDIO_SIGMAS
 from meanherd.losses import (
     CCRatioResult,
     GRID,
@@ -203,6 +204,32 @@ def test_risk_and_balanced_error():
     f = np.ones(2)
     assert risk(zero_one_loss, P, f) == pytest.approx(0.5, abs=1e-15)
     assert risk(linear_loss, P, f) == pytest.approx(1.0, abs=1e-15)
+
+
+def score_tables():
+    """(P, V): the scores of 50 random directions on each corrupted long-Servedio
+    support of the suite, then on 40 random atoms as a column-major table."""
+    W = np.random.default_rng(0).normal(size=(50, 2))
+    for gamma in (1.0 / 12.0, 1.0 / 24.0, 1.0 / 48.0):
+        for sigma in _LONG_SERVEDIO_SIGMAS:
+            P = flip_symmetric(long_servedio(gamma), sigma)
+            yield P, W @ P.instances.T
+    rng = np.random.default_rng(1)
+    P = DiscreteDistribution(rng.normal(size=(40, 2)), rng.choice((-1, 1), size=40),
+                             rng.dirichlet(np.ones(40)))
+    yield P, np.asfortranarray(W @ P.instances.T)
+
+
+@pytest.mark.parametrize("loss", [hinge_loss, linear_loss, logistic_loss, zero_one_loss],
+                         ids=lambda loss: loss.name)
+def test_a_table_row_risk_is_the_row_own_risk_bit_for_bit(loss):
+    for P, V in score_tables():
+        assert risk(loss, P, V).tolist() == [risk(loss, P, v) for v in V]
+        pos, neg = P.labels == 1, P.labels == -1
+        A, B = (InstanceDistribution(P.instances[c], P.probabilities[c] / P.probabilities[c].sum())
+                for c in (pos, neg))
+        assert (balanced_error(loss, A, B, V[:, pos], V[:, neg]).tolist()
+                == [balanced_error(loss, A, B, v[pos], v[neg]) for v in V])
 
 
 def test_grid_is_symmetric_and_covers_tails():
