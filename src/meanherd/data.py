@@ -293,9 +293,7 @@ def mutually_contaminate(
 
     def mix(wa: float, wb: float) -> InstanceDistribution:
         p = np.concatenate([wa * P_pos.probabilities, wb * P_neg.probabilities])
-        keep = p != 0.0
-        rows, _, mass = _merge(X[keep], p[keep])
-        return InstanceDistribution(X[keep][rows], mass)
+        return _mixture(X, np.ones(len(p), dtype=int), p).instance_marginal()
 
     return mix(1.0 - alpha, alpha), mix(beta, 1.0 - beta)
 

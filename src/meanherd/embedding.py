@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import DiscreteDistribution, _merge
 from .errors import ConsistencyError
-from .kernels import KernelSpec, _as_matrix, diagonal, self_sums
+from .kernels import KernelSpec, _as_matrix, _checked, diagonal, self_sums
 
 
 def squared_norm(spec: KernelSpec, X, coef) -> float:
@@ -47,6 +47,5 @@ def norm(spec: KernelSpec, X, coef) -> float:
 def distance(spec: KernelSpec, P: DiscreteDistribution, Q: DiscreteDistribution,
              scale: float = 1.0) -> float:
     """||omega_P - scale omega_Q|| for the signed mean embeddings omega = E[y phi(x)]."""
-    X = np.vstack([P.instances, Q.instances])
     coef = np.concatenate([P.probabilities * P.labels, -scale * (Q.probabilities * Q.labels)])
-    return norm(spec, X, coef)
+    return norm(spec, np.vstack(_checked(P.instances, Q.instances)), coef)

@@ -2,12 +2,14 @@
 
 Every check here runs at the population level on exact finite-support
 distributions, so the identities are verified to 1e-10..1e-12 rather
-than statistically.  A function on a finite support is its score array,
-and a class of them is a score table, so one ``losses.risk`` call scores
-the whole class; the surrogate-regret audit scores its many small random
-distributions as one table of atoms tagged by trial.  ``brute_force_min``,
-the argmin of a class's risks, is the ground-truth minimizer oracle over
-finite score-table classes; anything cleverer added later must match it.
+than statistically.  The lab restates none of the library: corrupted
+distributions come from ``data``, risks from ``losses.risk`` and every
+risk-table minimizer from ``brute_force_min``, the ground-truth oracle over
+finite score-table classes that anything cleverer added later must match.
+A function on a finite support is its score array, and a class of them is
+a score table, so one ``risk`` call scores the whole class; the
+surrogate-regret audit scores its many small random distributions as one
+table of atoms tagged by trial.
 
 ``SUITES`` is the ``check`` command's table: each suite name, in run
 order, maps to a function from a seed to the suite's reports.  A suite of
@@ -244,8 +246,6 @@ def check_sln_immunity(
     clean_scores = fit(P, kernel).scores(X)
     s_clean = np.where(np.abs(clean_scores) <= _ZERO_SCORE_TOL, 0, np.sign(clean_scores))
     for sigma in sigmas:
-        if not (0.0 < sigma < 0.5):
-            raise InputError(f"sigma must lie in (0, 0.5), got {sigma}")
         P_sigma = flip_symmetric(P, sigma)
         report.check_le(
             f"||omega_noisy - (1-2*{sigma}) omega_clean||",
@@ -340,10 +340,9 @@ def check_ghosh_bound(
     _robust_constant(loss, "the bound")
     report = ExperimentReport(name="ghosh-bound", inputs={"loss": loss.name, "class_size": fclass.size})
     i_noisy, _ = brute_force_min(loss, flip_instance_dependent(P, table), fclass)
-    clean = risk(loss, P, fclass.table(P.instances))
-    i_clean = int(np.argmin(clean))
-    bound = float(clean[i_clean]) / table.min_signal()
-    report.check_le("clean risk of corrupted minimizer vs bound", clean[i_noisy], bound, 1e-12)
+    i_clean, r_clean = brute_force_min(loss, P, fclass)
+    report.check_le("clean risk of corrupted minimizer vs bound",
+                    risk(loss, P, fclass.table(P.instances)[i_noisy]), r_clean / table.min_signal(), 1e-12)
     report.extras["clean_minimizer"] = i_clean
     report.extras["corrupted_minimizer"] = i_noisy
     return report
@@ -352,17 +351,18 @@ def check_ghosh_bound(
 def order_reversal_witness(loss: Loss, sigma: float, seed: int = 0, trials: int = 5000):
     """Search for score-label distributions whose loss ordering flips under noise.
 
-    Returns a witness dict for a non-robust loss, or None if the random
-    search finds nothing (expected for robust losses).
+    Each trial draws two 2-atom distributions over (score, label) atoms and
+    scores each with ``risk``, clean and after ``flip_symmetric(Q, sigma)``;
+    sigma obeys ``data``'s flip-rate rule (>= 0 with 2 sigma < 1, nan
+    failing it).  Returns a witness dict for a non-robust loss, or None if
+    the random search finds nothing (expected for robust losses).
     """
     rng = np.random.default_rng(seed)
 
-    def expect(atoms, probs, corrupted):
-        v, y = np.array(atoms).T
-        losses = loss(y, v)
-        if corrupted:
-            losses = (1 - sigma) * losses + sigma * loss(-y, v)
-        return float(np.sum(np.array(probs) * losses))
+    def expect(atoms, probs):
+        """The clean and the noisy expected loss of the distribution of (score, label) atoms."""
+        Q = DiscreteDistribution([[v] for v, _ in atoms], [y for _, y in atoms], probs)
+        return [risk(loss, D, D.instances[:, 0]) for D in (Q, flip_symmetric(Q, sigma))]
 
     for _ in range(trials):
         pair = []
@@ -371,8 +371,7 @@ def order_reversal_witness(loss: Loss, sigma: float, seed: int = 0, trials: int 
             p0 = float(rng.uniform(0.05, 0.95))
             pair.append((atoms, (p0, 1.0 - p0)))
         (a1, p1), (a2, p2) = pair
-        clean_gap = expect(a1, p1, False) - expect(a2, p2, False)
-        noisy_gap = expect(a1, p1, True) - expect(a2, p2, True)
+        clean_gap, noisy_gap = np.subtract(expect(a1, p1), expect(a2, p2)).tolist()
         if clean_gap < -1e-9 and noisy_gap > 1e-9:
             return {"Q": (a1, p1), "Q_prime": (a2, p2), "clean_gap": clean_gap, "noisy_gap": noisy_gap}
     return None
@@ -389,17 +388,16 @@ def _hinge_min_over_hyperplanes(P: DiscreteDistribution, sigma: float):
     The risk R(w) = ``risk(hinge_loss, P_sigma, <w, x>)`` is convex piecewise
     linear with kinks on the lines <w, x_i> = +-1.  No two atoms are
     parallel, so R is least at a vertex where the kink lines of two atoms
-    cross; all 4 per pair are evaluated.  Tie-break: the first vertex, pairs
-    (i < j) in order, then signs (+,+), (+,-), (-,+), (-,-).
+    cross; all 4 per pair are scored as one class by ``brute_force_min``.
+    Tie-break: the first vertex, pairs (i < j) in order, then signs (+,+),
+    (+,-), (-,+), (-,-).
     """
     X = P.instances
     A = np.stack([X[[i, j]] for i, j in combinations(range(len(X)), 2)])
     signs = np.array(list(product((1.0, -1.0), repeat=2)))
     W = np.linalg.solve(A[:, np.newaxis], signs[np.newaxis, ..., np.newaxis])[..., 0].reshape(-1, 2)
-    P_sigma = flip_symmetric(P, sigma)
-    risks = risk(hinge_loss, P_sigma, W @ P_sigma.instances.T)
-    i = int(np.argmin(risks))
-    return W[i], float(risks[i])
+    i, r = brute_force_min(hinge_loss, flip_symmetric(P, sigma), FiniteFunctionClass(X, W @ X.T))
+    return W[i], r
 
 
 def run_long_servedio(gamma: float) -> ExperimentReport:
@@ -479,7 +477,7 @@ def run_compression_experiment(
             test = LabeledSample(data["X_test"], data["y_test"])
     else:
         train = synth_blobs(n, 2, _BLOB_SEPARATION, seed)
-        test = synth_blobs(max(2, n // 2), 2, _BLOB_SEPARATION, seed + 1)
+        test = synth_blobs(2 * max(1, n // 4), 2, _BLOB_SEPARATION, seed + 1)
     full_scores = fit(train, kernel).scores(test.instances)
     report.extras["baseline_accuracy"] = float(np.mean(test.labels * full_scores > 0))
 

@@ -213,6 +213,17 @@ def test_mutually_contaminate():
             mutually_contaminate(P_pos, P_neg, alpha, beta)
     with pytest.raises(InputError):
         mutually_contaminate(P_pos, InstanceDistribution(np.zeros((1, 2)), np.ones(1)), 0.1, 0.1)
+    # at alpha = beta = 0 each class comes back exactly, less its zero-mass atoms
+    P_pos = InstanceDistribution(np.array([[0.0], [3.0], [1.0]]), np.array([0.5, 0.0, 0.5]))
+    P_neg = InstanceDistribution(np.array([[1.0], [5.0]]), np.array([0.4, 0.6]))
+    t_pos, t_neg = mutually_contaminate(P_pos, P_neg, 0.0, 0.0)
+    assert t_pos.instances.tolist() == [[0.0], [1.0]] and t_pos.probabilities.tolist() == [0.5, 0.5]
+    assert t_neg.instances.tolist() == [[1.0], [5.0]] and t_neg.probabilities.tolist() == [0.4, 0.6]
+    # an instance of both classes is one atom, in first-occurrence order, its mass summed in order
+    t_pos, t_neg = mutually_contaminate(P_pos, P_neg, 0.2, 0.1)
+    assert t_pos.instances.tolist() == t_neg.instances.tolist() == [[0.0], [1.0], [5.0]]
+    assert t_pos.probabilities.tolist() == [0.8 * 0.5, 0.8 * 0.5 + 0.2 * 0.4, 0.2 * 0.6]
+    assert t_neg.probabilities.tolist() == [0.1 * 0.5, 0.1 * 0.5 + 0.9 * 0.4, 0.9 * 0.6]
 
 
 def test_sample_from_deterministic():

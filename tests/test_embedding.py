@@ -3,7 +3,7 @@ import pytest
 
 from meanherd import embedding as emb
 from meanherd.data import DiscreteDistribution, flip_symmetric
-from meanherd.errors import ConsistencyError
+from meanherd.errors import ConsistencyError, InputError
 from meanherd.kernels import KernelSpec
 
 
@@ -41,6 +41,13 @@ def test_distance_of_a_distribution_to_itself_is_zero():
     half = emb.distance(spec, P, P, 0.5)
     assert half == pytest.approx(0.5 * emb.norm(spec, P.instances, P.probabilities * P.labels),
                                  abs=1e-15)
+
+
+def test_distance_dimension_mismatch_is_an_input_error():
+    P = DiscreteDistribution(np.zeros((1, 2)), np.ones(1, dtype=int), np.ones(1))
+    Q = DiscreteDistribution(np.zeros((1, 3)), np.ones(1, dtype=int), np.ones(1))
+    with pytest.raises(InputError, match="dimension mismatch: 2 vs 3"):
+        emb.distance(KernelSpec("gaussian", bandwidth=1.0), P, Q)
 
 
 def test_norm_clamps_tiny_negative():

@@ -225,6 +225,10 @@ def test_sln_immunity_report():
     assert report.passed
     with pytest.raises(InputError):
         lab.check_sln_immunity(small_P(), (0.6,), GAUSS)
+    # sigma takes flip_symmetric's rate rule: 0 passes trivially, 1/2 is refused
+    assert lab.check_sln_immunity(small_P(), (0.0,), lab.SUITE_KERNEL).passed
+    with pytest.raises(InputError, match="rates must be >= 0 with sum < 1"):
+        lab.check_sln_immunity(small_P(), (0.5,), lab.SUITE_KERNEL)
 
 
 def test_sln_immunity_degenerate_zero_mean():
@@ -241,6 +245,12 @@ def test_contamination_q_equals_p():
     report = lab.check_contamination(P, P, 0.3, GAUSS)
     assert report.passed
     assert report.extras["perturbation"] == 0.0
+
+
+def test_contamination_dimension_mismatch_is_an_input_error():
+    Q = DiscreteDistribution(np.zeros((1, 3)), np.ones(1, dtype=int), np.ones(1))
+    with pytest.raises(InputError, match="dimension mismatch: 2 vs 3"):
+        lab.check_contamination(small_P(), Q, 0.1, GAUSS)
 
 
 def test_contamination_one_way_no_assertion():
@@ -351,6 +361,12 @@ def test_no_order_reversal_for_linear():
     assert lab.order_reversal_witness(linear_loss, sigma=0.4, seed=0, trials=2000) is None
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), 0.5, 0.7, -0.1])
+def test_order_reversal_witness_takes_the_flip_rate_rule(sigma):
+    with pytest.raises(InputError, match="rates must be >= 0 with sum < 1"):
+        lab.order_reversal_witness(hinge_loss, sigma)
+
+
 # ---------------------------------------------------------------------------
 # Experiments
 
@@ -403,6 +419,19 @@ def test_compression_experiment_blobs():
     curve = report.extras["curve"]
     assert curve[0]["fraction"] < 1.0
     assert abs(curve[0]["accuracy"] - report.extras["baseline_accuracy"]) <= 0.05
+
+
+@pytest.mark.parametrize("n", [400, 402])
+def test_compression_experiment_tests_on_an_even_number_of_points(n, monkeypatch):
+    sizes = []
+
+    def blobs(m, *args):
+        sizes.append(m)
+        return synth_blobs(m, *args)
+
+    monkeypatch.setattr(lab, "synth_blobs", blobs)
+    assert lab.run_compression_experiment(GAUSS, eps_list=(0.05,), n=n).passed
+    assert sizes == [n, 200]
 
 
 @pytest.mark.parametrize("seed", range(10))
