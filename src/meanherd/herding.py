@@ -39,8 +39,8 @@ recursive herd with no stage is its target, with error exactly 0 and the
 target pass's squared norm, and ends ``tolerance``.  Every Frank-Wolfe run
 ends ``tolerance``, ``stationary`` or ``max_iterations`` (the cap); a
 parallel or recursive herd ends as the worst of its group or stage runs.
-``approximation_error`` is the from-scratch audit of a herd against a
-sample; no herding path calls it.
+``approximation_error`` is the from-scratch audit of a herd against its
+own sample; no herding path calls it.
 """
 
 from __future__ import annotations
@@ -250,11 +250,14 @@ def herd(data, kernel: KernelSpec, config: HerdingConfig | None = None) -> Herd:
 
 
 def approximation_error(herd_: Herd, S: LabeledSample) -> float:
-    """||omega_S - omega_herd|| recomputed from scratch: one n^2 target pass."""
+    """||omega_S - omega_herd|| recomputed from scratch (one n^2 target pass); S must
+    be the herd's own sample, and any other sample is an InputError."""
     idx = herd_.indices
     if idx.size and (idx.min() < 0 or idx.max() >= len(S)):
         raise InputError("herd indices out of range for the sample")
     clf = herd_.classifier
+    if not (np.array_equal(S.instances[idx], clf.points) and np.array_equal(S.labels[idx], clf.labels)):
+        raise InputError("the herd's points and labels are not the sample's rows at its indices")
     return _exact_error(clf, idx, *_target_pass(fit(S, clf.kernel)))[0]
 
 

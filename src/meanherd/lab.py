@@ -46,6 +46,7 @@ from .data import (
     synth_blobs,
     _distinct,
     _eta,
+    _rates,
 )
 from .errors import DataError, InputError
 from .herding import HerdingConfig, herd
@@ -355,8 +356,11 @@ def order_reversal_witness(loss: Loss, sigma: float, seed: int = 0, trials: int 
     scores each with ``risk``, clean and after ``flip_symmetric(Q, sigma)``;
     sigma obeys ``data``'s flip-rate rule (>= 0 with 2 sigma < 1, nan
     failing it).  Returns a witness dict for a non-robust loss, or None if
-    the random search finds nothing (expected for robust losses).
+    ``trials`` >= 1 random trials find nothing (expected for robust losses).
     """
+    if trials < 1:
+        raise InputError(f"trials must be >= 1, got {trials}")
+    _rates(sigma, sigma)
     rng = np.random.default_rng(seed)
 
     def expect(atoms, probs):

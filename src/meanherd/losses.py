@@ -204,6 +204,13 @@ class OrderFit:
         return self.fittable and self.alpha > 0 and self.residual <= CONSTANCY_TOL
 
 
+def _affine_fit(x: np.ndarray, z: np.ndarray) -> tuple[float, float, float]:
+    """The least-squares fit z = slope * x + intercept: (slope, intercept, max |residual|)."""
+    A = np.column_stack([x, np.ones_like(x)])
+    coef, *_ = np.linalg.lstsq(A, z, rcond=None)
+    return float(coef[0]), float(coef[1]), float(np.max(np.abs(A @ coef - z)))
+
+
 def order_equivalence_fit(loss1: Loss, loss2: Loss) -> OrderFit:
     """Least-squares affine fit loss2 = alpha * loss1 + beta over {-1,+1} x grid.
 
@@ -215,10 +222,8 @@ def order_equivalence_fit(loss1: Loss, loss2: Loss) -> OrderFit:
     b = np.concatenate([loss2(1, v), loss2(-1, v)])
     if np.ptp(a) <= 1e-12:
         return OrderFit(alpha=float("nan"), beta=float("nan"), residual=float("inf"), fittable=False)
-    A = np.column_stack([a, np.ones_like(a)])
-    (alpha, beta), *_ = np.linalg.lstsq(A, b, rcond=None)
-    residual = float(np.max(np.abs(A @ np.array([alpha, beta]) - b)))
-    return OrderFit(alpha=float(alpha), beta=float(beta), residual=residual, fittable=True)
+    alpha, beta, residual = _affine_fit(a, b)
+    return OrderFit(alpha=alpha, beta=beta, residual=residual, fittable=True)
 
 
 @dataclass(frozen=True)
@@ -248,15 +253,8 @@ def linearity_slopes(loss: Loss) -> tuple[float, float, float]:
     For a convex noise-robust loss the slopes must be exact negatives:
     such losses are affine in v with l(y, v) = lambda y v + g(y).
     """
-    v = GRID
-    A = np.column_stack([v, np.ones_like(v)])
-    slopes = []
-    res = 0.0
-    for y in (1, -1):
-        coef, *_ = np.linalg.lstsq(A, loss(y, v), rcond=None)
-        slopes.append(float(coef[0]))
-        res = max(res, float(np.max(np.abs(A @ coef - loss(y, v)))))
-    return slopes[0], slopes[1], res
+    (pos, _, res_pos), (neg, _, res_neg) = (_affine_fit(GRID, loss(y, GRID)) for y in (1, -1))
+    return pos, neg, max(res_pos, res_neg)
 
 
 # ---------------------------------------------------------------------------

@@ -391,3 +391,19 @@ def test_convergence_report_fits_the_positive_error_prefix(trace, rate):
 def test_herding_rejects_bad_arguments(call, message):
     with pytest.raises(InputError, match=message):
         call(blob_sample(n=20))
+
+
+@pytest.mark.parametrize("other", [
+    lambda S: synth_blobs(len(S), 2, 2.0, seed=1),
+    lambda S: LabeledSample(S.instances + 5.0, S.labels),
+    lambda S: LabeledSample(S.instances, -S.labels),
+], ids=["another-draw", "shifted-rows", "flipped-labels"])
+def test_approximation_error_audits_a_herd_against_its_own_sample_only(other):
+    # Another sample's rows at the herd's indices are not the herd's members,
+    # so an audit against it would mix the two samples' terms: at seed 1's
+    # sample it read 0.0 where the two embeddings lie 0.066 apart.
+    S = synth_blobs(400, 2, 2.0, seed=0)
+    h = herd(S, GAUSS, HerdingConfig(tolerance=0.02))
+    assert approximation_error(h, S) == h.recomputed_error
+    with pytest.raises(InputError, match="not the sample's rows at its indices"):
+        approximation_error(h, other(S))

@@ -367,6 +367,19 @@ def test_order_reversal_witness_takes_the_flip_rate_rule(sigma):
         lab.order_reversal_witness(hinge_loss, sigma)
 
 
+@pytest.mark.parametrize("sigma, trials, message", [
+    (0.4, 0, "trials must be >= 1, got 0"),
+    (0.4, -3, "trials must be >= 1, got -3"),
+    (float("nan"), 0, "trials must be >= 1, got 0"),
+    (float("nan"), 1, "rates must be >= 0 with sum < 1"),
+])
+def test_order_reversal_witness_rejects_a_search_of_no_trial(sigma, trials, message):
+    # "no witness" (None) is a verdict of a search: none runs without a trial
+    # or at a flip rate outside the rule, whatever the trial count
+    with pytest.raises(InputError, match=message):
+        lab.order_reversal_witness(hinge_loss, sigma, trials=trials)
+
+
 # ---------------------------------------------------------------------------
 # Experiments
 

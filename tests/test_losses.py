@@ -7,6 +7,7 @@ from meanherd.data import DiscreteDistribution, InstanceDistribution, flip_symme
 from meanherd.errors import InputError
 from meanherd.lab import _LONG_SERVEDIO_SIGMAS
 from meanherd.losses import (
+    BUILTIN_LOSSES,
     CCRatioResult,
     GRID,
     Loss,
@@ -98,6 +99,30 @@ def test_convex_robust_loss_is_affine_in_score():
     assert s_pos == pytest.approx(-1.0, abs=1e-12)
     assert s_neg == pytest.approx(1.0, abs=1e-12)
     assert residual <= 1e-10
+
+
+def lstsq_reference(x, z):
+    """The affine least-squares fit of z on x, written out: (slope, intercept, max |residual|)."""
+    A = np.column_stack([x, np.ones_like(x)])
+    coef = np.linalg.lstsq(A, z, rcond=None)[0]
+    return float(coef[0]), float(coef[1]), float(np.max(np.abs(A @ coef - z)))
+
+
+BUILTINS = list(BUILTIN_LOSSES.values())
+
+
+@pytest.mark.parametrize("loss", BUILTINS, ids=lambda loss: loss.name)
+def test_linearity_slopes_are_the_per_label_least_squares_fits(loss):
+    pos, neg = (lstsq_reference(GRID, loss(y, GRID)) for y in (1, -1))
+    assert linearity_slopes(loss) == (pos[0], neg[0], max(pos[2], neg[2]))
+
+
+@pytest.mark.parametrize("loss1, loss2", itertools.product(BUILTINS, BUILTINS),
+                         ids=lambda loss: loss.name)
+def test_order_equivalence_fit_is_the_least_squares_fit_over_both_labels(loss1, loss2):
+    a, b = (np.concatenate([loss(1, GRID), loss(-1, GRID)]) for loss in (loss1, loss2))
+    fit = order_equivalence_fit(loss1, loss2)
+    assert (fit.alpha, fit.beta, fit.residual) == lstsq_reference(a, b) and fit.fittable
 
 
 # ---------------------------------------------------------------------------
