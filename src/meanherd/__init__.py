@@ -34,7 +34,6 @@ from .classifier import (
 )
 from .data import (
     DiscreteDistribution,
-    InstanceDistribution,
     LabeledSample,
     NoiseFunctionTable,
     contaminate,

@@ -12,7 +12,8 @@ order they first occur.  Empirical noise is obtained by sampling from the
 corrupted population (``sample_from``) rather than by a separate in-place
 flipper.  Symmetric label noise is the class-conditional flip at equal
 rates, and one check, ``_rates``, is the rule for a pair of flip or
-contamination rates: each >= 0 and their sum < 1 (nan fails).
+contamination rates: each >= 0 and their sum < 1 (nan fails).  A class
+is a ``DiscreteDistribution`` whose atoms all carry its label (``_of_class``).
 """
 
 from __future__ import annotations
@@ -154,10 +155,10 @@ class DiscreteDistribution(_Rows):
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "probabilities", p)
 
-    def instance_marginal(self) -> "InstanceDistribution":
-        """Marginal over instances, summing probability across labels."""
+    def instance_marginal(self, label: int) -> "DiscreteDistribution":
+        """Marginal over instances, summing probability across labels, as class ``label``."""
         rows, _, mass = _merge(self.instances, self.probabilities)
-        return InstanceDistribution(self.instances[rows], mass)
+        return DiscreteDistribution(self.instances[rows], np.full(rows.size, label), mass)
 
     def eta(self) -> np.ndarray:
         """P(Y = +1 | X = x_i) at every atom i: the posterior of its instance."""
@@ -175,20 +176,6 @@ class DiscreteDistribution(_Rows):
         return cls(instances=_json_floats([x for x, _ in atoms], rows=True),
                    labels=_json_labels([y for _, y in atoms]),
                    probabilities=_json_floats(d["prob"]))
-
-
-@dataclass(frozen=True)
-class InstanceDistribution(_Rows):
-    """Finite-support distribution over instances only (no labels)."""
-
-    instances: np.ndarray
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        X, p = _support(self.instances, weights=self.probabilities)
-        _distinct(X)
-        object.__setattr__(self, "instances", X)
-        object.__setattr__(self, "probabilities", p)
 
 
 @dataclass(frozen=True)
@@ -279,23 +266,29 @@ def contaminate(
                     np.concatenate([(1.0 - sigma) * P.probabilities, sigma * Q.probabilities]))
 
 
+def _of_class(P: DiscreteDistribution, y: int) -> DiscreteDistribution:
+    """``P``, checked to be the distribution of class ``y``: every atom carries ``y``."""
+    if not (P.labels == y).all():
+        raise InputError(f"the class {y:+d} distribution has atoms labelled {-y:+d}")
+    return P
+
+
 def mutually_contaminate(
-    P_pos: InstanceDistribution,
-    P_neg: InstanceDistribution,
-    alpha: float,
-    beta: float,
-) -> tuple[InstanceDistribution, InstanceDistribution]:
-    """Mutual contamination of the two class-conditional instance distributions."""
+    P_pos: DiscreteDistribution, P_neg: DiscreteDistribution, alpha: float, beta: float
+) -> tuple[DiscreteDistribution, DiscreteDistribution]:
+    """Mutual contamination of the two class-conditional distributions:
+    (1 - alpha) P_pos + alpha P_neg of class +1 and beta P_pos + (1 - beta) P_neg of class -1."""
     _rates(alpha, beta)
+    P_pos, P_neg = _of_class(P_pos, 1), _of_class(P_neg, -1)
     if P_pos.dim != P_neg.dim:
         raise InputError("the two class-conditional distributions differ in dimension")
     X = np.vstack([P_pos.instances, P_neg.instances])
 
-    def mix(wa: float, wb: float) -> InstanceDistribution:
+    def mix(label: int, wa: float, wb: float) -> DiscreteDistribution:
         p = np.concatenate([wa * P_pos.probabilities, wb * P_neg.probabilities])
-        return _mixture(X, np.ones(len(p), dtype=int), p).instance_marginal()
+        return _mixture(X, np.full(len(p), label), p)
 
-    return mix(1.0 - alpha, alpha), mix(beta, 1.0 - beta)
+    return mix(1, 1.0 - alpha, alpha), mix(-1, beta, 1.0 - beta)
 
 
 def sample_from(P: DiscreteDistribution, n: int, seed: int) -> LabeledSample:

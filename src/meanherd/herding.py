@@ -54,6 +54,7 @@ from .classifier import MeanClassifier, fit
 from .data import LabeledSample
 from .errors import DataError, InputError
 from .kernels import KernelSpec, kernel_rows, self_sums
+from .losses import _affine_fit
 
 STEP_RULES = ("line_search", "uniform")
 # How a Frank-Wolfe run ends, worst first (``_worst``)
@@ -363,6 +364,5 @@ def convergence_report(trace) -> ConvergenceReport:
     if prefix.shape[0] < 2:
         rate = 0.0
     else:
-        it = np.arange(prefix.shape[0])
-        rate = float(np.polyfit(it, np.log(prefix), 1)[0])
+        rate, _, _ = _affine_fit(np.arange(prefix.shape[0], dtype=float), np.log(prefix))
     return ConvergenceReport(monotone=monotone, fitted_rate=rate)

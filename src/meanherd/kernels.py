@@ -19,7 +19,9 @@ sum holds one block, a strip-sized temporary and the prepared points,
 never n x n, and a block beyond the allocator's mmap threshold is mapped
 and faulted in once per sum, not once per block.  A block is
 ``max(BLOCK_ROWS, BLOCK_ENTRIES // m)`` rows of m columns: at most 2 MiB
-up to m = 2048, and BLOCK_ROWS x m entries beyond.
+up to m = 2048, and BLOCK_ROWS x m entries beyond.  Every evaluator reads
+its points through ``_as_matrix``, which rejects nan and inf with a
+DataError, so no non-finite point reaches a block.
 
 The theory modules assume bounded feature maps (|K(x,x')| <= 1); the
 gaussian kernel is bounded by construction, linear and polynomial kernels
@@ -154,6 +156,8 @@ def _as_matrix(X) -> np.ndarray:
         X = X[np.newaxis, :]
     if X.ndim != 2:
         raise InputError(f"expected points of shape (n, d), got {X.shape}")
+    if not np.isfinite(X).all():
+        raise DataError("points must be finite (found nan or inf)")
     return X
 
 

@@ -14,12 +14,12 @@ table of atoms tagged by trial.
 ``SUITES`` is the ``check`` command's table: each suite name, in run
 order, maps to a function from a seed to the suite's reports.  A suite of
 random instances draws them all from one generator,
-``np.random.default_rng(seed)``, report after report.  The suites that
-fit a kernel mean (``sln-immunity``, ``contamination``, ``compression``)
-all use ``SUITE_KERNEL``, a bounded kernel: their theorems assume
-|K| <= 1, so an unbounded kernel would fail their audits for a broken
-hypothesis, not a broken theorem.  The compression suite compresses the
-mean by plain kernel herding, ``herding.herd`` to each tolerance.  Each
+``np.random.default_rng(seed)``, report after report.  The audits that
+fit a kernel mean take no kernel: they run on ``SUITE_KERNEL``, a bounded
+kernel, as their theorems assume |K| <= 1; an unbounded kernel would fail
+them for a broken hypothesis, not a broken theorem.  The compression suite
+herds the mean by plain kernel herding, ``herding.herd`` to each tolerance.
+A class is a ``DiscreteDistribution`` whose atoms all carry its label.  Each
 report serializes with ``dataclasses.asdict`` plus its ``passed`` verdict.
 """
 
@@ -34,7 +34,6 @@ from . import embedding as emb
 from .classifier import fit
 from .data import (
     DiscreteDistribution,
-    InstanceDistribution,
     LabeledSample,
     NoiseFunctionTable,
     flip_instance_dependent,
@@ -236,32 +235,30 @@ def check_surrogate_regret(trials: int = 1000, seed: int = 0) -> ExperimentRepor
     return report
 
 
-def check_sln_immunity(
-    P: DiscreteDistribution, sigmas, kernel: KernelSpec
-) -> ExperimentReport:
+def check_sln_immunity(P: DiscreteDistribution, sigmas) -> ExperimentReport:
     """Symmetric noise scales the mean embedding by 1 - 2 sigma, labels unchanged."""
     report = ExperimentReport(
-        name="sln-immunity", inputs={"sigmas": list(sigmas), "kernel": kernel.to_dict()}
+        name="sln-immunity", inputs={"sigmas": list(sigmas), "kernel": SUITE_KERNEL.to_dict()}
     )
     X = P.instances
-    clean_scores = fit(P, kernel).scores(X)
+    clean_scores = fit(P, SUITE_KERNEL).scores(X)
     s_clean = np.where(np.abs(clean_scores) <= _ZERO_SCORE_TOL, 0, np.sign(clean_scores))
     for sigma in sigmas:
         P_sigma = flip_symmetric(P, sigma)
         report.check_le(
             f"||omega_noisy - (1-2*{sigma}) omega_clean||",
-            emb.distance(kernel, P_sigma, P, 1.0 - 2.0 * sigma),
+            emb.distance(SUITE_KERNEL, P_sigma, P, 1.0 - 2.0 * sigma),
             0.0,
             tolerance=1e-12,
         )
-        noisy_scores = fit(P_sigma, kernel).scores(X)
+        noisy_scores = fit(P_sigma, SUITE_KERNEL).scores(X)
         s_noisy = np.where(np.abs(noisy_scores) <= _ZERO_SCORE_TOL, 0, np.sign(noisy_scores))
         report.check_true(f"labels agree on support (sigma={sigma})", np.array_equal(s_clean, s_noisy))
     return report
 
 
 def check_contamination(
-    P: DiscreteDistribution, Q: DiscreteDistribution, sigma: float, kernel: KernelSpec
+    P: DiscreteDistribution, Q: DiscreteDistribution, sigma: float
 ) -> ExperimentReport:
     """Corruption below the smallest score magnitude leaves zero-one risk unchanged.
 
@@ -272,16 +269,16 @@ def check_contamination(
     measurements.
     """
     report = ExperimentReport(
-        name="contamination", inputs={"sigma": sigma, "kernel": kernel.to_dict()}
+        name="contamination", inputs={"sigma": sigma, "kernel": SUITE_KERNEL.to_dict()}
     )
     X = P.instances
-    clean_scores = fit(P, kernel).scores(X)
-    perturbation = sigma * emb.distance(kernel, P, Q)
+    clean_scores = fit(P, SUITE_KERNEL).scores(X)
+    perturbation = sigma * emb.distance(SUITE_KERNEL, P, Q)
     margin = float(np.min(np.abs(clean_scores[P.probabilities > 0])))
     report.extras["perturbation"] = perturbation
     report.extras["margin"] = margin
     if perturbation < margin:
-        contaminated = fit(contaminate(P, Q, sigma), kernel)
+        contaminated = fit(contaminate(P, Q, sigma), SUITE_KERNEL)
         r_clean = risk(zero_one_loss, P, clean_scores)
         r_tilde = risk(zero_one_loss, P, contaminated.scores(X))
         report.check("risk equality under small corruption", r_clean, r_tilde, 1e-12)
@@ -303,13 +300,14 @@ def _robust_constant(loss: Loss, claim: str) -> float:
 
 def check_ber_immunity(
     loss: Loss,
-    P_pos: InstanceDistribution,
-    P_neg: InstanceDistribution,
+    P_pos: DiscreteDistribution,
+    P_neg: DiscreteDistribution,
     alpha: float,
     beta: float,
     fclass: FiniteFunctionClass,
 ) -> ExperimentReport:
-    """Mutual contamination shifts balanced error affinely, preserving argmins."""
+    """Mutual contamination shifts balanced error affinely, preserving argmins;
+    ``P_pos`` and ``P_neg`` are the classes, all atoms labelled +1 and -1."""
     C = _robust_constant(loss, "balanced-error immunity")
     report = ExperimentReport(name="ber-immunity", inputs={
         "loss": loss.name, "alpha": alpha, "beta": beta, "class_size": fclass.size})
@@ -317,7 +315,7 @@ def check_ber_immunity(
     slope = 1.0 - alpha - beta
     intercept = (alpha + beta) / 2.0 * C
 
-    def ber(A: InstanceDistribution, B: InstanceDistribution) -> np.ndarray:
+    def ber(A: DiscreteDistribution, B: DiscreteDistribution) -> np.ndarray:
         """The balanced error of every member of the class."""
         return balanced_error(loss, A, B, fclass.table(A.instances), fclass.table(B.instances))
 
@@ -449,7 +447,6 @@ def run_long_servedio(gamma: float) -> ExperimentReport:
 
 
 def run_compression_experiment(
-    kernel: KernelSpec,
     eps_list=(0.01,),
     seed: int = 0,
     n: int = 2000,
@@ -469,7 +466,7 @@ def run_compression_experiment(
     report = ExperimentReport(
         name="compression",
         inputs={
-            "kernel": kernel.to_dict(),
+            "kernel": SUITE_KERNEL.to_dict(),
             "eps_list": list(eps_list),
             "seed": seed,
             "dataset": str(dataset_path) if dataset_path else f"blobs(n={n}, sep={_BLOB_SEPARATION})",
@@ -482,12 +479,12 @@ def run_compression_experiment(
     else:
         train = synth_blobs(n, 2, _BLOB_SEPARATION, seed)
         test = synth_blobs(2 * max(1, n // 4), 2, _BLOB_SEPARATION, seed + 1)
-    full_scores = fit(train, kernel).scores(test.instances)
+    full_scores = fit(train, SUITE_KERNEL).scores(test.instances)
     report.extras["baseline_accuracy"] = float(np.mean(test.labels * full_scores > 0))
 
     curve = []
     for eps in eps_list:
-        h = herd(train, kernel, HerdingConfig(tolerance=eps))
+        h = herd(train, SUITE_KERNEL, HerdingConfig(tolerance=eps))
         err = h.recomputed_error
         sparse_scores = h.classifier.scores(test.instances)
         acc = float(np.mean(test.labels * sparse_scores > 0))
@@ -514,8 +511,8 @@ def _each(count: int, draw):
 
 
 def _ber_immunity(rng) -> ExperimentReport:
-    P_pos = random_distribution(rng).instance_marginal()
-    P_neg = random_distribution(rng).instance_marginal()
+    P_pos = random_distribution(rng).instance_marginal(1)
+    P_neg = random_distribution(rng).instance_marginal(-1)
     fclass = random_function_class(rng, sorted_instances(P_pos, P_neg), k=8)
     return check_ber_immunity(linear_loss, P_pos, P_neg, float(rng.uniform(0, 0.4)),
                               float(rng.uniform(0, 0.4)), fclass)
@@ -541,14 +538,12 @@ def _order_reversal(seed) -> list[ExperimentReport]:
 SUITES = {
     "surrogate-regret": lambda seed: [check_surrogate_regret(trials=1000, seed=seed)],
     "sln-immunity": _each(20, lambda rng: check_sln_immunity(
-        random_distribution(rng), (0.1, 0.25, 0.4), SUITE_KERNEL)),
+        random_distribution(rng), (0.1, 0.25, 0.4))),
     "contamination": _each(20, lambda rng: check_contamination(
-        random_distribution(rng), random_distribution(rng), float(rng.uniform(0, 0.2)),
-        SUITE_KERNEL)),
+        random_distribution(rng), random_distribution(rng), float(rng.uniform(0, 0.2)))),
     "ber-immunity": _each(20, _ber_immunity),
     "ghosh": _each(50, _ghosh),
     "long-servedio": lambda seed: [run_long_servedio(1.0 / 24.0)],
-    "compression": lambda seed: [
-        run_compression_experiment(SUITE_KERNEL, eps_list=(0.01,), seed=seed)],
+    "compression": lambda seed: [run_compression_experiment(eps_list=(0.01,), seed=seed)],
     "order-reversal": _order_reversal,
 }

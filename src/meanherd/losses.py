@@ -8,7 +8,8 @@ loss (both labels pay 1 at v = 0).
 A function on a finite support is its score array: one score per atom,
 shape (m,), or one row per function of a class, shape (k, m).  The risks
 below take such arrays and return one risk per row, each the one sum
-``np.sum(loss * p, axis=-1)`` over C-ordered scores (see ``risk``).
+``np.sum(loss * p, axis=-1)`` over C-ordered scores (see ``risk``), and a
+balanced error is the mean of two risks, one per class-labelled distribution.
 
 The zero-one loss is the margin loss at gamma = 0, and the symmetric
 label-noise correction is the class-conditional one at equal rates.
@@ -28,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import DiscreteDistribution, InstanceDistribution, LabeledSample, _rates, as_labels
+from .data import DiscreteDistribution, LabeledSample, _of_class, _rates, as_labels
 from .errors import InputError
 
 CONSTANCY_TOL = 1e-9
@@ -123,16 +124,15 @@ def empirical_risk(loss: Loss, S: LabeledSample, V):
     return _one_or_many(np.mean(loss(S.labels, _scores(V, len(S))), axis=-1))
 
 
-def balanced_error(loss: Loss, P_pos: InstanceDistribution, P_neg: InstanceDistribution,
+def balanced_error(loss: Loss, P_pos: DiscreteDistribution, P_neg: DiscreteDistribution,
                    v_pos, v_neg):
     """Average of the per-class risks, weighting both classes equally.
 
-    ``v_pos`` and ``v_neg`` are the scores at each class's atoms, shaped
-    as in ``risk``.
+    ``P_pos`` and ``P_neg`` are the classes, all atoms labelled +1 and -1;
+    ``v_pos`` and ``v_neg`` are the scores at their atoms, shaped as in ``risk``.
     """
-    pos = np.sum(loss(1, _scores(v_pos, len(P_pos))) * P_pos.probabilities, axis=-1)
-    neg = np.sum(loss(-1, _scores(v_neg, len(P_neg))) * P_neg.probabilities, axis=-1)
-    return _one_or_many(0.5 * pos + 0.5 * neg)
+    return (0.5 * risk(loss, _of_class(P_pos, 1), v_pos)
+            + 0.5 * risk(loss, _of_class(P_neg, -1), v_neg))
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ def test_02_sln_immunity(capsys):
     ok = True
     for _ in range(100):
         P = lab.random_distribution(rng)
-        rep = lab.check_sln_immunity(P, (0.1, 0.25, 0.4), GAUSS)
+        rep = lab.check_sln_immunity(P, (0.1, 0.25, 0.4))
         ok &= rep.passed
         for a in rep.assertions:
             if isinstance(a.measured, float):
@@ -172,17 +172,13 @@ def test_08_supnorm_guarantee(capsys, blob_herd):
 def test_09_compression_curve(capsys):
     asset = os.environ.get("MEANHERD_MNIST_38")
     if asset and os.path.exists(asset):
-        rep = lab.run_compression_experiment(
-            GAUSS, eps_list=(0.01,), seed=0, dataset_path=asset
-        )
+        rep = lab.run_compression_experiment(eps_list=(0.01,), seed=0, dataset_path=asset)
         curve = rep.extras["curve"][0]
         base = rep.extras["baseline_accuracy"]
         ok = rep.passed and abs(base - 0.9874) <= 0.01 and curve["accuracy"] >= 0.93
         name = "compression curve (digit-pair asset)"
     else:
-        rep = lab.run_compression_experiment(
-            GAUSS, eps_list=(0.01,), seed=0, n=2000
-        )
+        rep = lab.run_compression_experiment(eps_list=(0.01,), seed=0, n=2000)
         curve = rep.extras["curve"][0]
         base = rep.extras["baseline_accuracy"]
         ok = rep.passed and abs(curve["accuracy"] - base) <= 0.02
@@ -232,8 +228,8 @@ def test_12_ber_immunity(capsys):
     rng = np.random.default_rng(12)
     ok = True
     for _ in range(100):
-        P_pos = lab.random_distribution(rng).instance_marginal()
-        P_neg = lab.random_distribution(rng).instance_marginal()
+        P_pos = lab.random_distribution(rng).instance_marginal(1)
+        P_neg = lab.random_distribution(rng).instance_marginal(-1)
         instances = sorted_instances(P_pos, P_neg)
         fclass = lab.random_function_class(rng, instances, k=6)
         alpha = float(rng.uniform(0, 0.45))

@@ -54,6 +54,14 @@ def test_predict_sign_and_abstention():
     assert clf.predict(np.array([0.0]))[0] == 0
 
 
+@pytest.mark.parametrize("point", [[np.inf, 0.0], [np.nan, 0.0]])
+def test_a_non_finite_point_is_a_data_error_not_a_score(point):
+    clf = fit(toy_sample(), KernelSpec("gaussian", bandwidth=1.0))
+    for evaluate in (clf.scores, clf.predict):
+        with pytest.raises(DataError, match=r"^points must be finite \(found nan or inf\)$"):
+            evaluate([point])
+
+
 def test_weights_validation():
     with pytest.raises(InputError):
         MeanClassifier(

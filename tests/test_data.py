@@ -7,7 +7,6 @@ from meanherd import data
 from meanherd.classifier import MeanClassifier
 from meanherd.data import (
     DiscreteDistribution,
-    InstanceDistribution,
     LabeledSample,
     NoiseFunctionTable,
     contaminate,
@@ -62,8 +61,6 @@ def test_distribution_validation():
     # nan slips past both the sign and the sum check
     with pytest.raises(DataError):
         dist([[0.0]], [1], [np.nan])
-    with pytest.raises(DataError):
-        InstanceDistribution(instances=np.array([[0.0]]), probabilities=np.array([np.nan]))
 
 
 POINTS, LABELS, WEIGHTS = [[0.0, 1.0], [2.0, 3.0]], [1, -1], [0.5, 0.5]
@@ -90,15 +87,12 @@ def build(kind, points, labels, weights):
         return LabeledSample(X, y)
     if kind == "distribution":
         return DiscreteDistribution(X, y, w)
-    if kind == "instances":
-        return InstanceDistribution(X, w)
     return MeanClassifier(KernelSpec("linear"), w, y, X)
 
 
 @pytest.mark.parametrize("case, kind", [
-    (case, kind) for case in MALFORMED for kind in ("sample", "distribution", "instances", "classifier")
-    # a sample has no weights, an instance distribution no labels
-    if not (kind == "sample" and "weight" in case or kind == "instances" and "label" in case)
+    (case, kind) for case in MALFORMED for kind in ("sample", "distribution", "classifier")
+    if not (kind == "sample" and "weight" in case)  # a sample has no weights
 ])
 def test_one_validator_for_every_weighted_support(case, kind):
     points, labels, weights, error = MALFORMED[case]
@@ -197,10 +191,16 @@ def test_contaminate():
     assert np.array_equal(P0.instances, P.instances) and np.array_equal(P0.labels, P.labels)
 
 
+def of_class(y, instances, probabilities) -> DiscreteDistribution:
+    """The class-conditional distribution of class ``y``: every atom labelled ``y``."""
+    return dist(instances, [y] * len(probabilities), probabilities)
+
+
 def test_mutually_contaminate():
-    P_pos = InstanceDistribution(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
-    P_neg = InstanceDistribution(np.array([[2.0]]), np.array([1.0]))
+    P_pos = of_class(1, [[0.0], [1.0]], [0.5, 0.5])
+    P_neg = of_class(-1, [[2.0]], [1.0])
     t_pos, t_neg = mutually_contaminate(P_pos, P_neg, alpha=0.2, beta=0.1)
+    assert t_pos.labels.tolist() == [1, 1, 1] and t_neg.labels.tolist() == [-1, -1, -1]
     pos = dict(zip(t_pos.instances[:, 0].tolist(), t_pos.probabilities))
     assert pos[2.0] == pytest.approx(0.2, abs=1e-15)
     assert pos[0.0] == pytest.approx(0.4, abs=1e-15)
@@ -212,10 +212,10 @@ def test_mutually_contaminate():
         with pytest.raises(InputError, match="rates must be >= 0 with sum < 1"):
             mutually_contaminate(P_pos, P_neg, alpha, beta)
     with pytest.raises(InputError):
-        mutually_contaminate(P_pos, InstanceDistribution(np.zeros((1, 2)), np.ones(1)), 0.1, 0.1)
+        mutually_contaminate(P_pos, of_class(-1, np.zeros((1, 2)), [1.0]), 0.1, 0.1)
     # at alpha = beta = 0 each class comes back exactly, less its zero-mass atoms
-    P_pos = InstanceDistribution(np.array([[0.0], [3.0], [1.0]]), np.array([0.5, 0.0, 0.5]))
-    P_neg = InstanceDistribution(np.array([[1.0], [5.0]]), np.array([0.4, 0.6]))
+    P_pos = of_class(1, [[0.0], [3.0], [1.0]], [0.5, 0.0, 0.5])
+    P_neg = of_class(-1, [[1.0], [5.0]], [0.4, 0.6])
     t_pos, t_neg = mutually_contaminate(P_pos, P_neg, 0.0, 0.0)
     assert t_pos.instances.tolist() == [[0.0], [1.0]] and t_pos.probabilities.tolist() == [0.5, 0.5]
     assert t_neg.instances.tolist() == [[1.0], [5.0]] and t_neg.probabilities.tolist() == [0.4, 0.6]
@@ -224,6 +224,28 @@ def test_mutually_contaminate():
     assert t_pos.instances.tolist() == t_neg.instances.tolist() == [[0.0], [1.0], [5.0]]
     assert t_pos.probabilities.tolist() == [0.8 * 0.5, 0.8 * 0.5 + 0.2 * 0.4, 0.2 * 0.6]
     assert t_neg.probabilities.tolist() == [0.1 * 0.5, 0.1 * 0.5 + 0.9 * 0.4, 0.9 * 0.6]
+
+
+def test_mutually_contaminate_rejects_a_class_whose_atoms_carry_the_other_label():
+    P_pos, P_neg = of_class(1, [[0.0]], [1.0]), of_class(-1, [[1.0]], [1.0])
+    joint = dist([[0.0], [1.0]], [1, -1], [0.5, 0.5])
+    for args, y in (((P_neg, P_neg), 1), ((P_pos, P_pos), -1), ((joint, P_neg), 1),
+                    ((P_pos, joint), -1)):
+        with pytest.raises(InputError) as exc:
+            mutually_contaminate(*args, 0.1, 0.1)
+        assert str(exc.value) == f"the class {y:+d} distribution has atoms labelled {-y:+d}"
+
+
+def test_instance_marginal_merges_in_first_occurrence_order_under_one_label():
+    P = dist([[2.0], [0.0], [2.0], [1.0], [0.0]], [1, 1, -1, -1, -1], [0.1, 0.2, 0.3, 0.15, 0.25])
+    for y in (1, -1):
+        M = P.instance_marginal(y)
+        assert isinstance(M, DiscreteDistribution)
+        assert M.instances.tolist() == [[2.0], [0.0], [1.0]]
+        assert M.labels.tolist() == [y, y, y]
+        assert M.probabilities.tolist() == [0.1 + 0.3, 0.2 + 0.25, 0.15]
+    with pytest.raises(InputError, match="labels must be -1 or"):
+        P.instance_marginal(0)
 
 
 def test_sample_from_deterministic():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from meanherd import kernels
-from meanherd.errors import InputError
+from meanherd.errors import DataError, InputError
 from meanherd.kernels import (
     KernelSpec,
     cross_gram,
@@ -344,3 +344,22 @@ def test_dimension_mismatch():
     spec = KernelSpec("linear")
     with pytest.raises(InputError):
         cross_gram(spec, np.zeros((2, 3)), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("text", KERNELS)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_every_evaluator_rejects_a_non_finite_point(text, value):
+    spec, good, coef = KernelSpec.parse(text), np.ones((2, 2)), np.ones(2)
+    bad = np.array([[0.0, 1.0], [value, 1.0]])
+    for evaluate in (lambda X: cross_gram(spec, X, good), lambda X: cross_gram(spec, good, X),
+                     lambda X: kernel_sums(spec, X, good, coef),
+                     lambda X: kernel_sums(spec, good, X, coef),
+                     lambda X: self_sums(spec, X, coef), lambda X: kernel_rows(spec, X),
+                     lambda X: kernels.diagonal(spec, X)):
+        with pytest.raises(DataError, match=r"^points must be finite \(found nan or inf\)$"):
+            evaluate(bad)
+
+
+def test_finite_points_beyond_a_gaussian_bandwidth_name_the_bandwidth():
+    with pytest.raises(DataError, match=r"^gaussian bandwidth 1e-300 is too small for the data"):
+        cross_gram(KernelSpec("gaussian", bandwidth=1e-300), [[1.0, 0.0]], [[0.0, 0.0]])

@@ -5,7 +5,6 @@ from meanherd import lab
 from meanherd.classifier import fit
 from meanherd.data import (
     DiscreteDistribution,
-    InstanceDistribution,
     NoiseFunctionTable,
     flip_symmetric,
     long_servedio,
@@ -221,14 +220,15 @@ def test_surrogate_regret_needs_a_trial(trials):
 
 
 def test_sln_immunity_report():
-    report = lab.check_sln_immunity(small_P(), (0.1, 0.25, 0.4), GAUSS)
+    report = lab.check_sln_immunity(small_P(), (0.1, 0.25, 0.4))
     assert report.passed
+    assert report.inputs["kernel"] == lab.SUITE_KERNEL.to_dict()
     with pytest.raises(InputError):
-        lab.check_sln_immunity(small_P(), (0.6,), GAUSS)
+        lab.check_sln_immunity(small_P(), (0.6,))
     # sigma takes flip_symmetric's rate rule: 0 passes trivially, 1/2 is refused
-    assert lab.check_sln_immunity(small_P(), (0.0,), lab.SUITE_KERNEL).passed
+    assert lab.check_sln_immunity(small_P(), (0.0,)).passed
     with pytest.raises(InputError, match="rates must be >= 0 with sum < 1"):
-        lab.check_sln_immunity(small_P(), (0.5,), lab.SUITE_KERNEL)
+        lab.check_sln_immunity(small_P(), (0.5,))
 
 
 def test_sln_immunity_degenerate_zero_mean():
@@ -236,13 +236,13 @@ def test_sln_immunity_degenerate_zero_mean():
         instances=np.array([[1.0], [1.0]]), labels=np.array([1, -1]),
         probabilities=np.array([0.5, 0.5]),
     )
-    report = lab.check_sln_immunity(P, (0.25,), KernelSpec("gaussian", bandwidth=1.0))
+    report = lab.check_sln_immunity(P, (0.25,))
     assert report.passed  # both classifiers abstain everywhere
 
 
 def test_contamination_q_equals_p():
     P = small_P()
-    report = lab.check_contamination(P, P, 0.3, GAUSS)
+    report = lab.check_contamination(P, P, 0.3)
     assert report.passed
     assert report.extras["perturbation"] == 0.0
 
@@ -250,7 +250,7 @@ def test_contamination_q_equals_p():
 def test_contamination_dimension_mismatch_is_an_input_error():
     Q = DiscreteDistribution(np.zeros((1, 3)), np.ones(1, dtype=int), np.ones(1))
     with pytest.raises(InputError, match="dimension mismatch: 2 vs 3"):
-        lab.check_contamination(small_P(), Q, 0.1, GAUSS)
+        lab.check_contamination(small_P(), Q, 0.1)
 
 
 def test_contamination_one_way_no_assertion():
@@ -259,7 +259,7 @@ def test_contamination_one_way_no_assertion():
     Q = DiscreteDistribution(
         instances=P.instances, labels=-P.labels, probabilities=P.probabilities
     )
-    report = lab.check_contamination(P, Q, 1.0, GAUSS)
+    report = lab.check_contamination(P, Q, 1.0)
     del flipped
     if report.extras["perturbation"] >= report.extras["margin"]:
         assert report.notes  # report-only branch
@@ -268,8 +268,8 @@ def test_contamination_one_way_no_assertion():
 
 def test_ber_immunity_identity_and_argmin():
     rng = np.random.default_rng(2)
-    P_pos = lab.random_distribution(rng).instance_marginal()
-    P_neg = lab.random_distribution(rng).instance_marginal()
+    P_pos = lab.random_distribution(rng).instance_marginal(1)
+    P_neg = lab.random_distribution(rng).instance_marginal(-1)
     instances = sorted_instances(P_pos, P_neg)
     fclass = lab.random_function_class(rng, instances, k=6)
     report = lab.check_ber_immunity(linear_loss, P_pos, P_neg, 0.2, 0.1, fclass)
@@ -280,8 +280,8 @@ def test_ber_immunity_identity_and_argmin():
 
 def test_ber_immunity_zero_noise_slope_one():
     rng = np.random.default_rng(3)
-    P_pos = lab.random_distribution(rng).instance_marginal()
-    P_neg = lab.random_distribution(rng).instance_marginal()
+    P_pos = lab.random_distribution(rng).instance_marginal(1)
+    P_neg = lab.random_distribution(rng).instance_marginal(-1)
     instances = sorted_instances(P_pos, P_neg)
     fclass = lab.random_function_class(rng, instances, k=4)
     report = lab.check_ber_immunity(linear_loss, P_pos, P_neg, 0.0, 0.0, fclass)
@@ -291,8 +291,8 @@ def test_ber_immunity_zero_noise_slope_one():
 
 
 def test_ber_immunity_rejects_hinge():
-    P_pos = InstanceDistribution(((0.0,),), np.array([1.0]))
-    P_neg = InstanceDistribution(((1.0,),), np.array([1.0]))
+    P_pos = DiscreteDistribution(((0.0,),), [1], np.array([1.0]))
+    P_neg = DiscreteDistribution(((1.0,),), [-1], np.array([1.0]))
     fclass = lab.FiniteFunctionClass(((0.0,), (1.0,)), np.zeros((1, 2)) + 0.5)
     with pytest.raises(InputError):
         lab.check_ber_immunity(hinge_loss, P_pos, P_neg, 0.1, 0.1, fclass)
@@ -425,9 +425,7 @@ def test_long_servedio_hinge_minimizers_are_optimal(gamma, failing):
 
 
 def test_compression_experiment_blobs():
-    report = lab.run_compression_experiment(
-        GAUSS, eps_list=(0.05,), seed=0, n=400
-    )
+    report = lab.run_compression_experiment(eps_list=(0.05,), seed=0, n=400)
     assert report.passed
     curve = report.extras["curve"]
     assert curve[0]["fraction"] < 1.0
@@ -443,7 +441,7 @@ def test_compression_experiment_tests_on_an_even_number_of_points(n, monkeypatch
         return synth_blobs(m, *args)
 
     monkeypatch.setattr(lab, "synth_blobs", blobs)
-    assert lab.run_compression_experiment(GAUSS, eps_list=(0.05,), n=n).passed
+    assert lab.run_compression_experiment(eps_list=(0.05,), n=n).passed
     assert sizes == [n, 200]
 
 
@@ -459,12 +457,12 @@ def test_compression_experiment_reads_a_dataset_asset(tmp_path):
     asset = tmp_path / "blobs.npz"
     np.savez(asset, X_train=train.instances, y_train=train.labels,
              X_test=test.instances, y_test=test.labels)
-    report = lab.run_compression_experiment(GAUSS, eps_list=(0.05,), dataset_path=asset)
+    report = lab.run_compression_experiment(eps_list=(0.05,), dataset_path=asset)
     assert report.passed
     assert report.inputs["dataset"] == str(asset)
     [row] = report.extras["curve"]
     assert row["fraction"] == row["herd_size"] / 200 and row["error"] <= 0.05
-    full = fit(train, GAUSS).scores(test.instances)
+    full = fit(train, lab.SUITE_KERNEL).scores(test.instances)
     assert report.extras["baseline_accuracy"] == float(np.mean(test.labels * full > 0))
 
 

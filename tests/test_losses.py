@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from meanherd.data import DiscreteDistribution, InstanceDistribution, flip_symmetric, long_servedio
+from meanherd.data import DiscreteDistribution, flip_symmetric, long_servedio
 from meanherd.errors import InputError
 from meanherd.lab import _LONG_SERVEDIO_SIGMAS
 from meanherd.losses import (
@@ -251,10 +251,13 @@ def test_a_table_row_risk_is_the_row_own_risk_bit_for_bit(loss):
     for P, V in score_tables():
         assert risk(loss, P, V).tolist() == [risk(loss, P, v) for v in V]
         pos, neg = P.labels == 1, P.labels == -1
-        A, B = (InstanceDistribution(P.instances[c], P.probabilities[c] / P.probabilities[c].sum())
+        A, B = (DiscreteDistribution(P.instances[c], P.labels[c],
+                                     P.probabilities[c] / P.probabilities[c].sum())
                 for c in (pos, neg))
-        assert (balanced_error(loss, A, B, V[:, pos], V[:, neg]).tolist()
-                == [balanced_error(loss, A, B, v[pos], v[neg]) for v in V])
+        ber = balanced_error(loss, A, B, V[:, pos], V[:, neg])
+        assert ber.tolist() == [balanced_error(loss, A, B, v[pos], v[neg]) for v in V]
+        halves = 0.5 * risk(loss, A, V[:, pos]) + 0.5 * risk(loss, B, V[:, neg])
+        assert ber.tolist() == halves.tolist()
 
 
 def test_grid_is_symmetric_and_covers_tails():
@@ -281,13 +284,21 @@ def test_parse_loss_grammar():
 
 
 def test_balanced_error_equal_class_weighting():
-    from meanherd.data import InstanceDistribution
-
-    P_pos = InstanceDistribution(((1.0,),), np.array([1.0]))
-    P_neg = InstanceDistribution(((-1.0,),), np.array([1.0]))
+    P_pos = DiscreteDistribution(((1.0,),), [1], np.array([1.0]))
+    P_neg = DiscreteDistribution(((-1.0,),), [-1], np.array([1.0]))
     # f(x) = x[0] at each class's atom, and g = -f
     f_pos, f_neg = np.array([1.0]), np.array([-1.0])
     # both classes perfectly classified: linear loss 0 on each
     assert balanced_error(linear_loss, P_pos, P_neg, f_pos, f_neg) == pytest.approx(0.0, abs=1e-15)
     g_pos, g_neg = -f_pos, -f_neg
     assert balanced_error(linear_loss, P_pos, P_neg, g_pos, g_neg) == pytest.approx(2.0, abs=1e-15)
+
+
+def test_balanced_error_rejects_a_class_whose_atoms_carry_the_other_label():
+    P_pos = DiscreteDistribution(((1.0,),), [1], np.array([1.0]))
+    P_neg = DiscreteDistribution(((-1.0,),), [-1], np.array([1.0]))
+    joint = DiscreteDistribution(((1.0,), (-1.0,)), [1, -1], np.array([0.5, 0.5]))
+    for A, B, y in ((P_neg, P_neg, 1), (P_pos, P_pos, -1), (joint, P_neg, 1), (P_pos, joint, -1)):
+        with pytest.raises(InputError) as exc:
+            balanced_error(linear_loss, A, B, np.ones(len(A)), np.ones(len(B)))
+        assert str(exc.value) == f"the class {y:+d} distribution has atoms labelled {-y:+d}"
