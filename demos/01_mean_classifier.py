@@ -20,9 +20,9 @@ clf = fit(train, kernel)
 acc = np.mean(test.labels * clf.scores(test.instances) > 0)
 print(f"test accuracy of the mean classifier: {acc:.4f}")
 
-geo = mean_norm(train, kernel)
-print(f"||omega_S|| = {geo.norm:.4f}")
-print(f"minimum attainable linear loss 1 - ||omega_S|| = {geo.min_linear_loss:.4f}")
+norm = mean_norm(train, kernel)
+print(f"||omega_S|| = {norm:.4f}")
+print(f"minimum attainable linear loss 1 - ||omega_S|| = {1 - norm:.4f}")
 
 # MMD between the two classes is the same geometry seen as a two-sample
 # statistic: for a balanced sample it equals ||omega_S|| exactly.

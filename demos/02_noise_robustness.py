@@ -24,7 +24,7 @@ from meanherd import (
     sln_robustness_check,
     zero_one_loss,
 )
-from meanherd import embedding as emb
+from meanherd.classifier import distance
 from meanherd.data import DiscreteDistribution
 from meanherd.lab import run_long_servedio
 
@@ -38,7 +38,7 @@ kernel = KernelSpec("gaussian", bandwidth=1.0)
 
 print("symmetric-noise scaling of the mean embedding:")
 for sigma in (0.1, 0.25, 0.4):
-    gap = emb.distance(kernel, flip_symmetric(P, sigma), P, 1.0 - 2.0 * sigma)
+    gap = distance(kernel, flip_symmetric(P, sigma), P, 1.0 - 2.0 * sigma)
     print(f"  sigma={sigma}: ||omega_noisy - (1-2s) omega_clean|| = {gap:.2e}")
 
 print("\nrobustness verdicts (sum-constancy of l(1,v) + l(-1,v)):")

@@ -4,9 +4,9 @@ The package is organized bottom-up:
 
 - ``kernels``: kernel specifications and blocked kernel sums
 - ``data``: labeled samples, exact finite-support distributions, corruption ops
-- ``embedding``: signed mean embeddings as (points, coef) arrays, and their norms
+- ``embedding``: the squared norm of a signed mean embedding held as (points, coef)
 - ``losses``: margin losses, corrected losses, robustness analysis
-- ``classifier``: the mean classifier, its geometry, MMD, margins
+- ``classifier``: the mean classifier, its norm, MMD and embedding distances, margins
 - ``bounds``: closed-form generalization bound calculators
 - ``herding``: Frank-Wolfe sparse approximation of mean embeddings
 - ``lab``: population-level theorem checks and experiments
@@ -25,7 +25,6 @@ from .bounds import (
 from .classifier import (
     KernelSelection,
     MeanClassifier,
-    MeanGeometry,
     fit,
     margin_for_error,
     mean_norm,
@@ -65,7 +64,6 @@ from .herding import (
 )
 from .kernels import (
     KernelSpec,
-    cross_gram,
     kernel_sums,
 )
 from .losses import (

@@ -6,8 +6,8 @@ summing to one, a support checked by ``data._support`` as a sample's is.
 ``_weighted``: uniform for a sample, the atom probabilities for an exact
 distribution; herding (see ``herding.py``) produces sparse weights.  The
 mean embedding sum_i alpha_i y_i phi(x_i) is the pair (``points``,
-``coef``), and every norm here (``meta.norm``, ``mean_norm``, ``mmd``) is
-``embedding.squared_norm`` of such a pair.
+``coef``); every norm of such a pair (``meta.norm``, ``mean_norm``, ``mmd``,
+``distance``) is the square root of its ``embedding.squared_norm``.
 """
 
 from __future__ import annotations
@@ -105,21 +105,10 @@ def fit(data, kernel: KernelSpec) -> MeanClassifier:
     return MeanClassifier(kernel=kernel, alphas=w, labels=y, points=X)
 
 
-@dataclass(frozen=True)
-class MeanGeometry:
-    """||omega||, its square, and the attainable minimum linear loss 1 - ||omega||."""
-
-    norm: float
-    self_similarity: float
-    min_linear_loss: float
-
-
-def mean_norm(data, kernel: KernelSpec) -> MeanGeometry:
-    """Exact double kernel sum giving the mean-embedding geometry of the data."""
+def mean_norm(data, kernel: KernelSpec) -> float:
+    """||omega|| of the data's mean embedding, by one exact double kernel sum."""
     clf = fit(data, kernel)
-    sq = emb.squared_norm(kernel, clf.points, clf.coef)
-    n = float(np.sqrt(sq))
-    return MeanGeometry(norm=n, self_similarity=sq, min_linear_loss=1.0 - n)
+    return float(np.sqrt(emb.squared_norm(kernel, clf.points, clf.coef)))
 
 
 @dataclass(frozen=True)
@@ -144,7 +133,7 @@ def select_kernel(data, kernels) -> KernelSelection:
         if k_max > 1.0:
             raise InputError(f"menu kernel {i} ({k.to_dict()}) is unbounded on the data "
                              f"(max K(x, x) = {k_max:.6g}): 1 - ||omega|| is no attainable loss")
-    losses = tuple(mean_norm(data, k).min_linear_loss for k in kernels)
+    losses = tuple(1.0 - mean_norm(data, k) for k in kernels)
     return KernelSelection(index=int(np.argmin(losses)), min_losses=losses)
 
 
@@ -153,7 +142,15 @@ def mmd(X_pos, X_neg, kernel: KernelSpec) -> float:
     X_pos, X_neg = _checked(_support(X_pos)[0], _support(X_neg)[0])
     coef = np.concatenate([np.full(X_pos.shape[0], 1.0 / X_pos.shape[0]),
                            np.full(X_neg.shape[0], -1.0 / X_neg.shape[0])])
-    return 0.5 * emb.norm(kernel, np.vstack([X_pos, X_neg]), coef)
+    return 0.5 * float(np.sqrt(emb.squared_norm(kernel, np.vstack([X_pos, X_neg]), coef)))
+
+
+def distance(spec: KernelSpec, P: DiscreteDistribution, Q: DiscreteDistribution,
+             scale: float = 1.0) -> float:
+    """||omega_P - scale omega_Q|| for the signed mean embeddings omega = E[y phi(x)]."""
+    coef = np.concatenate([P.probabilities * P.labels, -scale * (Q.probabilities * Q.labels)])
+    X = np.vstack(_checked(P.instances, Q.instances))
+    return float(np.sqrt(emb.squared_norm(spec, X, coef)))
 
 
 # ---------------------------------------------------------------------------

@@ -398,13 +398,17 @@ def _chunks(rows, convert, path) -> list:
 
 
 def _csv_rows(path):
-    """The (line number, tokens) of a CSV file's data rows; blank lines and a header skipped."""
+    """The (line number, tokens) of a CSV file's data rows; blank lines and a header skipped.
+
+    Line 1 is a header when a token that is not blank is not a number; an
+    empty token is a missing value, as on any other line.
+    """
     for line_no, row in enumerate(csv.reader(_lines(path, newline="")), start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if line_no == 1:
             try:
-                [float(tok) for tok in row]
+                [float(tok) for tok in row if tok.strip()]
             except ValueError:
                 continue  # header row
         yield line_no, row

@@ -36,7 +36,10 @@ besides each group's own pass; with one group the two are the same pass.
 Groups and stages carry no exact error of their own, so a parallel herd
 with one group evaluates exactly the kernel entries of a plain herd.  A
 recursive herd with no stage is its target, with error exactly 0 and the
-target pass's squared norm, and ends ``tolerance``.  Every Frank-Wolfe run
+target pass's squared norm, and ends ``tolerance``.  That squared norm is
+``alphas @ c``, summed without ``embedding.squared_norm``'s merge of equal
+points, so its ``meta.norm`` can differ from ``train``'s on the same data
+in the last bit; agreeing would cost a second n^2 pass.  Every Frank-Wolfe run
 ends ``tolerance``, ``stationary`` or ``max_iterations`` (the cap); a
 parallel or recursive herd ends as the worst of its group or stage runs.
 ``approximation_error`` is the from-scratch audit of a herd against its

@@ -30,8 +30,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from . import embedding as emb
-from .classifier import fit
+from .classifier import distance, fit
 from .data import (
     DiscreteDistribution,
     LabeledSample,
@@ -247,7 +246,7 @@ def check_sln_immunity(P: DiscreteDistribution, sigmas) -> ExperimentReport:
         P_sigma = flip_symmetric(P, sigma)
         report.check_le(
             f"||omega_noisy - (1-2*{sigma}) omega_clean||",
-            emb.distance(SUITE_KERNEL, P_sigma, P, 1.0 - 2.0 * sigma),
+            distance(SUITE_KERNEL, P_sigma, P, 1.0 - 2.0 * sigma),
             0.0,
             tolerance=1e-12,
         )
@@ -273,7 +272,7 @@ def check_contamination(
     )
     X = P.instances
     clean_scores = fit(P, SUITE_KERNEL).scores(X)
-    perturbation = sigma * emb.distance(SUITE_KERNEL, P, Q)
+    perturbation = sigma * distance(SUITE_KERNEL, P, Q)
     margin = float(np.min(np.abs(clean_scores[P.probabilities > 0])))
     report.extras["perturbation"] = perturbation
     report.extras["margin"] = margin

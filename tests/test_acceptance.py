@@ -70,8 +70,8 @@ def test_01_linear_loss_optimality(capsys):
         # the package's kernel-sum geometry must agree with feature space
         from meanherd.data import LabeledSample
 
-        geo = mean_norm(LabeledSample(X, y), KernelSpec("linear"))
-        ok &= abs(geo.min_linear_loss - target) <= 1e-12
+        norm = mean_norm(LabeledSample(X, y), KernelSpec("linear"))
+        ok &= abs((1.0 - norm) - target) <= 1e-12
     _report(capsys, 1, "linear-loss optimality of the normalized mean", ok)
 
 

@@ -6,6 +6,7 @@ import pytest
 from meanherd import embedding as emb
 from meanherd.classifier import (
     MeanClassifier,
+    distance,
     fit,
     margin_for_error,
     mean_norm,
@@ -121,23 +122,20 @@ def test_document_holds_the_python_values_of_the_arrays():
 
 def test_mean_norm_linear_kernel_matches_feature_space():
     S = toy_sample()
-    geo = mean_norm(S, KernelSpec("linear"))
+    norm = mean_norm(S, KernelSpec("linear"))
     explicit = np.mean(S.labels[:, np.newaxis] * S.instances, axis=0)
-    assert geo.norm == pytest.approx(np.linalg.norm(explicit), abs=1e-12)
-    assert geo.min_linear_loss == pytest.approx(1.0 - geo.norm, abs=1e-15)
+    assert type(norm) is float
+    assert norm == pytest.approx(np.linalg.norm(explicit), abs=1e-12)
 
 
 def test_mean_norm_bounded_kernel_in_unit_interval():
     S = synth_blobs(40, 2, 3.0, seed=1)
-    geo = mean_norm(S, KernelSpec("gaussian", bandwidth=1.0))
-    assert 0.0 <= geo.norm <= 1.0
-    assert 0.0 <= geo.min_linear_loss <= 1.0
+    assert 0.0 <= mean_norm(S, KernelSpec("gaussian", bandwidth=1.0)) <= 1.0
 
 
 def test_mean_norm_cancelling_sample_is_zero():
     S = LabeledSample(np.array([[1.0], [1.0]]), np.array([1, -1]))
-    geo = mean_norm(S, KernelSpec("gaussian", bandwidth=1.0))
-    assert geo.norm == 0.0
+    assert mean_norm(S, KernelSpec("gaussian", bandwidth=1.0)) == 0.0
 
 
 def test_select_kernel_lowest_index_tie_break():
@@ -181,7 +179,7 @@ def test_select_kernel_rejects_a_kernel_unbounded_on_the_data():
 
 
 # ---------------------------------------------------------------------------
-# MMD
+# MMD and distances between mean embeddings
 
 
 def test_mmd_matches_embedding_difference():
@@ -189,7 +187,7 @@ def test_mmd_matches_embedding_difference():
     spec = KernelSpec("gaussian", bandwidth=1.0)
     value = mmd(S.instances[S.labels == 1], S.instances[S.labels == -1], spec)
     X = np.vstack([S.instances[S.labels == 1], S.instances[S.labels == -1]])
-    expected = 0.5 * emb.norm(spec, X, np.array([0.5, 0.5, -0.5, -0.5]))
+    expected = 0.5 * float(np.sqrt(emb.squared_norm(spec, X, np.array([0.5, 0.5, -0.5, -0.5]))))
     assert value == expected
     # ||mu_+ - mu_-||^2 from the explicit kernel matrix
     K = cross_gram(spec, X, X)
@@ -219,7 +217,28 @@ def test_mmd_equals_mean_norm_for_balanced_sample():
     S = synth_blobs(60, 2, 3.0, seed=2)
     spec = KernelSpec("gaussian", bandwidth=1.0)
     value = mmd(S.instances[S.labels == 1], S.instances[S.labels == -1], spec)
-    assert value == pytest.approx(mean_norm(S, spec).norm, abs=1e-12)
+    assert value == pytest.approx(mean_norm(S, spec), abs=1e-12)
+
+
+def test_distance_of_a_distribution_to_itself_is_zero():
+    P = DiscreteDistribution(
+        instances=np.array([[0.3, -1.2], [2.0, 0.5]]),
+        labels=np.array([1, -1]),
+        probabilities=np.array([0.4, 0.6]),
+    )
+    spec = KernelSpec("gaussian", bandwidth=1.0)
+    assert distance(spec, P, P) == 0.0
+    # ||omega_P - 0.5 omega_P|| = 0.5 ||omega_P||
+    half = distance(spec, P, P, 0.5)
+    sq = emb.squared_norm(spec, P.instances, P.probabilities * P.labels)
+    assert half == pytest.approx(0.5 * np.sqrt(sq), abs=1e-15)
+
+
+def test_distance_dimension_mismatch_is_an_input_error():
+    P = DiscreteDistribution(np.zeros((1, 2)), np.ones(1, dtype=int), np.ones(1))
+    Q = DiscreteDistribution(np.zeros((1, 3)), np.ones(1, dtype=int), np.ones(1))
+    with pytest.raises(InputError, match="dimension mismatch: 2 vs 3"):
+        distance(KernelSpec("gaussian", bandwidth=1.0), P, Q)
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,9 @@ def test_load_csv_reads_quotes_headers_blank_rows_and_python_float_tokens(
     S = load_csv(f, label_column=-1)
     assert np.array_equal(S.instances, np.array([[1.5, 10.0], [-2.0, 0.5]]))
     assert np.array_equal(S.labels, np.array([1, -1]))
+    # a header may have an empty field, if another is a word
+    f.write_text("x,,label\n1.5,10,1\n-2,0.5,-1\n")
+    assert np.array_equal(load_csv(f, label_column=-1).instances, S.instances)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 2, data.CSV_CHUNK_ROWS])
@@ -353,6 +356,8 @@ def test_load_csv_reads_quotes_headers_blank_rows_and_python_float_tokens(
     ("1,2,1\n3,1\n", -1, None, "inconsistent row widths [1, 2]"),
     ("1,2,1\n1,2,1\n3,1\n3,1\n3,1\n", -1, None, "inconsistent row widths [1, 2]"),
     ("\n  \n", -1, None, "no data rows"),
+    # an empty field does not make line 1 a header: it is a missing value
+    ("1.0,2.0,\n3.0,4.0,-1\n5.0,6.0,1\n", -1, 1, "non-numeric value ''"),
 ])
 def test_load_csv_reports_the_first_failure_in_file_order(
     monkeypatch, tmp_path, text, label_column, line, message, chunk_rows
@@ -447,6 +452,7 @@ def test_flip_class_conditional_rejects_non_finite_rates(rates):
     (lambda P: flip_symmetric(P, -0.1), r"rates must be >= 0 with sum < 1, got \(-0.1, -0.1\)"),
     (lambda P: contaminate(P, P, -0.1), r"sigma must lie in \[0, 1\], got -0.1"),
     (lambda P: contaminate(P, dist([[5.0]], [-1], [1.0]), 0.1), "dimension mismatch: 2 vs 1"),
+    (lambda P: sample_from(P, 0, seed=0), "^n must be >= 1$"),
 ])
 def test_corruptions_reject_bad_parameters(corrupt, message):
     with pytest.raises(InputError, match=message):
@@ -457,6 +463,14 @@ def test_load_sparse_rejects_an_index_beyond_int64(tmp_path):
     f = tmp_path / "big.txt"
     f.write_text("-1 99999999999999999999:1\n")
     with pytest.raises(ParseError, match="feature index 99999999999999999999 out of range") as exc:
+        load_sparse(f)
+    assert exc.value.line == 1
+
+
+def test_load_sparse_rejects_an_index_that_is_not_an_integer(tmp_path):
+    f = tmp_path / "bad.txt"
+    f.write_text("1 a:0.5\n")
+    with pytest.raises(ParseError, match="bad feature index 'a'$") as exc:
         load_sparse(f)
     assert exc.value.line == 1
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from meanherd import embedding as emb
+from meanherd.classifier import distance
 from meanherd.data import DiscreteDistribution, flip_symmetric
-from meanherd.errors import ConsistencyError, InputError
+from meanherd.errors import ConsistencyError
 from meanherd.kernels import KernelSpec
 
 
@@ -26,35 +27,14 @@ def test_noise_scaling_identity_machine_precision():
     )
     spec = KernelSpec("gaussian", bandwidth=1.0)
     for sigma in (0.1, 0.25, 0.4):
-        assert emb.distance(spec, flip_symmetric(P, sigma), P, 1.0 - 2.0 * sigma) <= 1e-12
-
-
-def test_distance_of_a_distribution_to_itself_is_zero():
-    P = DiscreteDistribution(
-        instances=np.array([[0.3, -1.2], [2.0, 0.5]]),
-        labels=np.array([1, -1]),
-        probabilities=np.array([0.4, 0.6]),
-    )
-    spec = KernelSpec("gaussian", bandwidth=1.0)
-    assert emb.distance(spec, P, P) == 0.0
-    # ||omega_P - 0.5 omega_P|| = 0.5 ||omega_P||
-    half = emb.distance(spec, P, P, 0.5)
-    assert half == pytest.approx(0.5 * emb.norm(spec, P.instances, P.probabilities * P.labels),
-                                 abs=1e-15)
-
-
-def test_distance_dimension_mismatch_is_an_input_error():
-    P = DiscreteDistribution(np.zeros((1, 2)), np.ones(1, dtype=int), np.ones(1))
-    Q = DiscreteDistribution(np.zeros((1, 3)), np.ones(1, dtype=int), np.ones(1))
-    with pytest.raises(InputError, match="dimension mismatch: 2 vs 3"):
-        emb.distance(KernelSpec("gaussian", bandwidth=1.0), P, Q)
+        assert distance(spec, flip_symmetric(P, sigma), P, 1.0 - 2.0 * sigma) <= 1e-12
 
 
 def test_norm_clamps_tiny_negative():
     # a cancelling embedding: the merge sums its coefficients to exactly 0, so no
     # rounding residue reaches the clamp (test_psd_* covers the clamp itself)
     X = np.array([[1.0], [1.0]])
-    assert emb.norm(KernelSpec("gaussian", bandwidth=1.0), X, np.array([1.0, -1.0])) == 0.0
+    assert emb.squared_norm(KernelSpec("gaussian", bandwidth=1.0), X, np.array([1.0, -1.0])) == 0.0
 
 
 def test_psd_clamps_rounding_and_rejects_indefinite():

@@ -9,7 +9,9 @@ matches its golden when keys, strings, booleans, integers, nulls and the
 exit code are equal and every float is within ``REL`` x max(1, |expected|)
 of the golden's; ``config`` paths are taken relative to the run directory
 first.  A missing golden fails: only ``tests/golden/regen.py`` writes one,
-run by a change that moves an output on purpose and says which.
+run by a change that moves an output on purpose and says which.  The
+same commands, and ``check`` at seed 1, write byte-identical files in two
+processes whose hash seeds differ.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +138,41 @@ def test_output_matches_its_golden(name, outputs):
     assert path.exists(), f"no golden {path.name}: tests/golden/regen.py writes it"
     bad = list(mismatches(json.loads(path.read_text()), outputs[name]))
     assert bad == [], "\n".join(bad[:10])
+
+
+# One process's documents: every command of ``COMMANDS`` and ``check`` at seed 1,
+# in the current directory, so the paths they hold are relative.
+_CHILD = """
+from pathlib import Path
+from meanherd.cli import main
+from test_golden import run_all
+run_all(Path("."))
+main(["check", "--suite", "all", "--seed", "1", "--out", "check-seed1.json"])
+"""
+
+
+def test_every_document_is_byte_identical_under_two_hash_seeds(tmp_path):
+    # str hashes, and so set and dict-of-str orders, differ between the two
+    # processes: any output that follows such an order differs with them
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                         os.environ.get("PYTHONPATH")]))
+    dirs = [tmp_path / f"hash{seed}" for seed in (0, 1)]
+    children = []
+    for seed, workdir in enumerate(dirs):
+        workdir.mkdir()
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(seed))
+        children.append(subprocess.Popen([sys.executable, "-c", _CHILD], cwd=workdir, env=env,
+                                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                         text=True))
+    for child in children:
+        _, err = child.communicate(timeout=300)
+        assert child.returncode == 0, err
+    names = [sorted(p.relative_to(d) for p in d.rglob("*") if p.is_file()) for d in dirs]
+    assert names[0] == names[1]
+    assert {f"{name}.json" for name in COMMANDS} | {"check-seed1.json"} <= {str(p) for p in names[0]}
+    differ = [str(p) for p in names[0] if (dirs[0] / p).read_bytes() != (dirs[1] / p).read_bytes()]
+    assert differ == []
 
 
 def test_every_golden_has_its_command():

@@ -344,6 +344,8 @@ def test_dimension_mismatch():
     spec = KernelSpec("linear")
     with pytest.raises(InputError):
         cross_gram(spec, np.zeros((2, 3)), np.zeros((2, 2)))
+    with pytest.raises(InputError, match=r"^expected points of shape \(n, d\), got \(2, 2, 2\)$"):
+        kernel_sums(spec, np.zeros((2, 2, 2)), np.zeros((2, 2)), np.ones(2))
 
 
 @pytest.mark.parametrize("text", KERNELS)

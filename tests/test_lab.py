@@ -93,7 +93,7 @@ def test_brute_force_respects_theorem_floor():
 
     rng = np.random.default_rng(0)
     P = lab.random_distribution(rng)
-    floor = mean_norm(P, KernelSpec("linear", normalized=False)).min_linear_loss
+    floor = 1.0 - mean_norm(P, KernelSpec("linear", normalized=False))
     X = P.instances
     instances = sorted_instances(P)
     table = []

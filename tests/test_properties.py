@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meanherd import data
-from meanherd import embedding as emb
+from meanherd.classifier import distance
 from meanherd.cli import main
 from meanherd.data import (
     DiscreteDistribution,
@@ -91,7 +91,7 @@ def test_flip_symmetric_zero_returns_the_same_arrays(P):
 @given(distributions(), st.floats(0.01, 0.49))
 def test_noise_scaling_property(P, sigma):
     spec = KernelSpec("gaussian", bandwidth=1.0)
-    assert emb.distance(spec, flip_symmetric(P, sigma), P, 1.0 - 2.0 * sigma) <= 1e-12
+    assert distance(spec, flip_symmetric(P, sigma), P, 1.0 - 2.0 * sigma) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -136,9 +136,9 @@ def reference_load_csv(path, label_column: int) -> LabeledSample:
             continue
         if line_no == 1:
             try:
-                [float(tok) for tok in row]
+                [float(tok) for tok in row if tok.strip()]
             except ValueError:
-                continue  # header row
+                continue  # header row: a non-blank token that is not a number
         if label_column >= len(row) or label_column < -len(row):
             raise ParseError(
                 f"label column {label_column} out of range for {len(row)} columns",
